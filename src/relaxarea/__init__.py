@@ -42,7 +42,6 @@ from .fields import (
 )
 from .quadrature import QuadratureResult, area_functional, integrate, sobolev_energy
 from .recovery import (
-    RecoveryParams,
     cone_dipole,
     counterexample_sequence,
     cylinder_analogue_2d,

@@ -56,8 +56,6 @@ class RunConfig:
     subcommand: str
     tol: float
     out: str | None
-    threads: int | None
-    seed: int
 
     def __post_init__(self):
         if not TOL_MIN <= self.tol <= TOL_MAX:
@@ -101,10 +99,6 @@ def _build_domain(args):
     return make_domain("cube", n=n, half_side=args.radius)
 
 
-def _write(text, path):
-    rx.write_text(text, path)
-
-
 def _scalar_csv(pairs):
     lines = ["quantity,value,error_estimate,nodes"]
     for name, res in pairs:
@@ -121,18 +115,18 @@ def _scalar_csv(pairs):
 def _run_area(args, cfg):
     field = _build_field(args)
     dom = _build_domain(args)
-    res = area_functional(field, dom, cfg.tol, mc_seed=cfg.seed)
+    res = area_functional(field, dom, cfg.tol)
     print(f"area={res.value:.12g} err={res.error_estimate:.3g} "
           f"nodes={res.nodes_used}")
     if cfg.out:
-        _write(_scalar_csv([("area", res)]), cfg.out)
+        rx.write_text(_scalar_csv([("area", res)]), cfg.out)
     return 0
 
 
 def _run_energy(args, cfg):
     field = _build_field(args)
     dom = _build_domain(args)
-    grad, tva, minor = sobolev_energy(field, dom, cfg.tol, mc_seed=cfg.seed)
+    grad, tva, minor = sobolev_energy(field, dom, cfg.tol)
     line = (f"tv={grad.value:.12g} tv_area={tva.value:.12g} "
             f"m2={minor.value:.12g}")
     if field.singular_set is not None:
@@ -140,8 +134,9 @@ def _run_energy(args, cfg):
         line += f" relaxed_rhs={rhs:.12g}"
     print(line)
     if cfg.out:
-        _write(_scalar_csv([("tv", grad), ("tv_area", tva), ("m2", minor)]),
-               cfg.out)
+        rx.write_text(
+            _scalar_csv([("tv", grad), ("tv_area", tva), ("m2", minor)]),
+            cfg.out)
     return 0
 
 
@@ -154,7 +149,7 @@ def _run_jacobian(args, cfg):
         chain = extract_lines_3d(field, grid)
     print(f"cells={len(chain)} mass={chain_mass(chain):.12g}")
     if cfg.out:
-        _write(chain_csv_text(chain), cfg.out)
+        rx.write_text(chain_csv_text(chain), cfg.out)
     return 0
 
 
@@ -200,23 +195,18 @@ def _run_relax(args, cfg):
     name = args.study
     verdicts = {}
     if name == "smoothing":
-        report = rx.study_vortex_smoothing(_float_list(args.eps), cfg.tol,
-                                           threads=cfg.threads)
+        report = rx.study_vortex_smoothing(_float_list(args.eps), cfg.tol)
         verdicts["tv_vs_2pi"] = rx.strict_bv_check(report, 2 * math.pi)
     elif name == "dipole":
-        report = rx.study_cone_dipole(_float_list(args.eps), cfg.tol,
-                                      threads=cfg.threads)
+        report = rx.study_cone_dipole(_float_list(args.eps), cfg.tol)
     elif name == "dipole-grad":
-        report = rx.study_dipole_gradient(_float_list(args.eps), cfg.tol,
-                                          threads=cfg.threads)
+        report = rx.study_dipole_gradient(_float_list(args.eps), cfg.tol)
     elif name == "chain":
         chain = make_example_field("vortex_chain", m=args.m)
-        report, ref = rx.study_chain_disk(chain, args.disk, tol=cfg.tol,
-                                          threads=cfg.threads)
+        report, ref = rx.study_chain_disk(chain, args.disk, tol=cfg.tol)
         verdicts["disk_gap"] = f"{report.limits['area'] - ref:.6g}"
     elif name == "cyl2d":
-        report = rx.study_cylinder_analogue_2d(_int_list(args.k), cfg.tol,
-                                               threads=cfg.threads)
+        report = rx.study_cylinder_analogue_2d(_int_list(args.k), cfg.tol)
         verdicts["tv_vs_2pi"] = rx.strict_bv_check(report, 2 * math.pi)
     else:
         raise InvalidParams(f"unknown study {name!r}; choose from {_STUDIES}")
@@ -226,7 +216,7 @@ def _run_relax(args, cfg):
           f"limit_M2={lim.get('minor', float('nan')):.10g} "
           + " ".join(f"{k}={v}" for k, v in verdicts.items()))
     if cfg.out:
-        _write(rx.report_csv_text(report), cfg.out)
+        rx.write_text(rx.report_csv_text(report), cfg.out)
         rx.write_json(rx.report_json_dict(report, verdicts),
                       _json_sibling(cfg.out))
     return 0
@@ -239,7 +229,7 @@ def _json_sibling(path):
 def _run_counterexample(args, cfg):
     ks = _int_list(args.k)
     report = rx.study_counterexample(args.variant, ks, cfg.tol,
-                                     radius=args.radius, threads=cfg.threads)
+                                     radius=args.radius)
     line = f"variant={args.variant} limit_A={report.limits['area']:.10g}"
     if args.variant == "ball":
         dets = []
@@ -254,20 +244,20 @@ def _run_counterexample(args, cfg):
         line += f" det_ball_max_dev={worst:.3g}"
     print(line)
     if cfg.out:
-        _write(rx.report_csv_text(report), cfg.out)
+        rx.write_text(rx.report_csv_text(report), cfg.out)
         rx.write_json(rx.report_json_dict(report), _json_sibling(cfg.out))
     return 0
 
 
 def _run_subadd(args, cfg):
     report = rx.subadditivity_experiment(
-        _float_list(args.radii), _int_list(args.k), cfg.tol, threads=cfg.threads
+        _float_list(args.radii), _int_list(args.k), cfg.tol
     )
     print(f"violation={report.violation_witnessed} witness={report.witness} "
           + " ".join(f"min[{r:g}]={report.chosen_min[r]:.6g}"
                      for r in report.radii))
     if cfg.out:
-        _write(rx.subadd_csv_text(report), cfg.out)
+        rx.write_text(rx.subadd_csv_text(report), cfg.out)
         rx.write_json(rx.subadd_json_dict(report), _json_sibling(cfg.out))
     return 0
 
@@ -297,7 +287,7 @@ def _run_sweep(args, cfg):
     print(f"sweep family={args.family} quantity={args.quantity} "
           f"rows={len(values)}")
     if cfg.out:
-        _write(text, cfg.out)
+        rx.write_text(text, cfg.out)
     return 0
 
 
@@ -306,21 +296,50 @@ def _run_sweep(args, cfg):
 # ---------------------------------------------------------------------------
 
 
-def build_parser():
+def _config_parser():
+    # no abbreviations: the pre-parse must leave recover's "--con" alone, and
+    # the full parser must not take a "--conf" that the pre-parse skipped
+    parser = argparse.ArgumentParser(prog="relaxarea", add_help=False,
+                                     allow_abbrev=False)
+    parser.add_argument("--config", help="JSON file with flag defaults")
+    return parser
+
+
+def _read_config(argv):
+    """(flag defaults from ``--config PATH``, argv without that flag)."""
+    pre = _config_parser()
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None:
+        return {}, rest
+    try:
+        with open(known.config, "r", encoding="utf-8") as fh:
+            defaults = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        pre.error(f"cannot read config {known.config}: {exc}")
+    if not isinstance(defaults, dict):
+        pre.error(f"config {known.config} must hold a JSON object")
+    return defaults, rest
+
+
+def build_parser(defaults=None):
+    """The full parser; ``defaults`` (a config file's flag values) replace
+    the built-in defaults of every subcommand, and explicit flags win."""
     parser = argparse.ArgumentParser(
         prog="relaxarea",
         description="Graph-area functionals and singularity experiments "
                     "for circle-valued maps",
+        parents=[_config_parser()],
+        allow_abbrev=False,
     )
-    parser.add_argument("--config", help="JSON file with flag defaults")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    parser._subcommands = sub  # config defaults must reach the subparsers
+    commands = []
 
-    def common(p):
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0x5EED)
+        commands.append(p)
+        return p
 
     def field_flags(p):
         p.add_argument("--field", default="vortex",
@@ -334,57 +353,55 @@ def build_parser():
                        choices=["ball2", "ball3", "cube2", "cube3"])
         p.add_argument("--radius", type=float, default=1.0)
 
-    p = sub.add_parser("area", help="graph area of a field over a domain")
-    common(p); field_flags(p); domain_flags(p)
+    p = command("area", "graph area of a field over a domain")
+    field_flags(p); domain_flags(p)
 
-    p = sub.add_parser("energy", help="Sobolev energy triple and relaxed RHS")
-    common(p); field_flags(p); domain_flags(p)
+    p = command("energy", "Sobolev energy triple and relaxed RHS")
+    field_flags(p); domain_flags(p)
 
-    p = sub.add_parser("jacobian", help="lattice extraction of the "
-                                        "singularity chain")
-    common(p); field_flags(p)
+    p = command("jacobian", "lattice extraction of the singularity chain")
+    field_flags(p)
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--radius", type=float, default=1.0,
                    help="half side of the sampling cube")
 
-    p = sub.add_parser("recover", help="build one recovery map and report "
-                                       "its masses")
-    common(p)
+    p = command("recover", "build one recovery map and report its masses")
     p.add_argument("--construction", required=True,
                    choices=["smoothing", "dipole", "point", "cone4"])
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--d", type=int, default=1)
 
-    p = sub.add_parser("relax", help="convergence study along a schedule")
-    common(p)
+    p = command("relax", "convergence study along a schedule")
     p.add_argument("--study", required=True, choices=list(_STUDIES))
     p.add_argument("--eps", default="0.2,0.1,0.05,0.025")
     p.add_argument("--k", default="4,8,16,32")
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--disk", type=int, default=1)
 
-    p = sub.add_parser("counterexample", help="filling sequences of the 3d "
-                                              "vortex")
-    common(p)
+    p = command("counterexample", "filling sequences of the 3d vortex")
     p.add_argument("--variant", required=True, choices=["ball", "cylinder"])
     p.add_argument("--k", default="4,8,16,32")
     p.add_argument("--radius", type=float, default=1.0)
 
-    p = sub.add_parser("subadd", help="localized gap bounds and the "
-                                      "subadditivity witness")
-    common(p)
+    p = command("subadd",
+                "localized gap bounds and the subadditivity witness")
     p.add_argument("--radii", default="0.2,0.9")
     p.add_argument("--k", default="8,16,32")
 
-    p = sub.add_parser("sweep", help="plot-ready sweep of one quantity")
-    common(p); domain_flags(p)
+    p = command("sweep", "plot-ready sweep of one quantity")
+    domain_flags(p)
     p.add_argument("--family", default="smoothing",
                    choices=["smoothing", "ball", "cylinder"])
     p.add_argument("--quantity", default="area", choices=["area", "tv", "m2"])
     p.add_argument("--values", default="0.2,0.1,0.05,0.025")
     p.add_argument("--d", type=int, default=1)
 
+    # after the flags, so config values override their built-in defaults;
+    # the subcommand itself comes from the command line only
+    config = {k: v for k, v in (defaults or {}).items() if k != "subcommand"}
+    for p in commands:
+        p.set_defaults(**config)
     return parser
 
 
@@ -402,23 +419,10 @@ _RUNNERS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    if "--config" in argv:
-        path = argv[argv.index("--config") + 1]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
-            return 2
-        parser.set_defaults(**defaults)
-        for sub in parser._subcommands.choices.values():
-            known = {a.dest for a in sub._actions}
-            sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-    args = parser.parse_args(argv)
+    defaults, argv = _read_config(argv)
+    args = build_parser(defaults).parse_args(argv)
     try:
-        cfg = RunConfig(args.subcommand, args.tol, args.out,
-                        args.threads, args.seed)
+        cfg = RunConfig(args.subcommand, args.tol, args.out)
         return _RUNNERS[args.subcommand](args, cfg)
     except (NoConvergence, AmbiguousWinding) as exc:
         print(f"error: {exc}", file=sys.stderr)

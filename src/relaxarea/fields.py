@@ -112,8 +112,7 @@ def area_integrand(J: np.ndarray) -> float | np.ndarray:
 class VectorField:
     """A map from (a subset of) R^n to R^m with declared singularities.
 
-    Immutable after construction; evaluation is pure, so instances are safe
-    to share across threads.
+    Immutable after construction; evaluation is pure.
     """
 
     def __init__(

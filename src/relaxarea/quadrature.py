@@ -281,7 +281,6 @@ def integrate(
     max_depth: int = MAX_DEPTH,
     max_cells: int = 20000,
     raise_on_failure: bool = True,
-    mc_seed: int = MC_SEED,
 ) -> QuadratureResult:
     """Adaptive integral of a vectorized integrand f((N, n)) -> (N,).
 
@@ -306,7 +305,7 @@ def integrate(
             return det
     masked = charts is not None and any(ch.mask is not None for ch in charts)
     if charts is None or masked:
-        value, abs_err, rel, nodes = _stratified_mc(f, domain, tol, mc_seed)
+        value, abs_err, rel, nodes = _stratified_mc(f, domain, tol, MC_SEED)
         mc = QuadratureResult(value, rel, nodes, rel <= tol,
                               abs_err)
         if det is None or mc.abs_error < det.abs_error:

@@ -32,20 +32,6 @@ from .topology import Circle, winding_number
 LIFT_PINCH = math.pi - 0.1
 
 
-@dataclass(frozen=True)
-class RecoveryParams:
-    """Aperture/core scale and optional inner scale of a construction."""
-
-    epsilon: float
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InvalidParams("epsilon must be positive")
-        if self.delta is not None and not (0.0 < self.delta < self.epsilon):
-            raise InvalidParams("delta must satisfy 0 < delta < epsilon")
-
-
 def _wrap(d):
     return (d + math.pi) % (2.0 * math.pi) - math.pi
 

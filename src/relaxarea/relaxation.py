@@ -17,9 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,35 +149,14 @@ def _finalize(report: ConvergenceReport):
 # ---------------------------------------------------------------------------
 
 
-def default_thread_cap() -> int:
-    env = os.environ.get("RELAXAREA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def _run_rows(row_fn, schedule, threads):
-    threads = threads or default_thread_cap()
-    if threads <= 1:
-        return [row_fn(p) for p in schedule]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(row_fn, schedule))
-
-
 def convergence_study(builder, schedule, domain, tol: float,
-                      parameter: str = "eps", threads: int | None = None
-                      ) -> ConvergenceReport:
+                      parameter: str = "eps") -> ConvergenceReport:
     """Energy rows for builder(param) over domain, with extrapolation.
 
     ``domain`` may be a Domain or a callable param -> Domain for
     constructions whose natural region shrinks with the parameter.
     Quadrature failures mark the row unconverged and drop it from the fit.
     """
-    if len(schedule) < 3:
-        raise InsufficientData("schedule needs at least 3 parameter values")
 
     def row(p):
         dom = domain(p) if callable(domain) else domain
@@ -197,15 +174,19 @@ def convergence_study(builder, schedule, domain, tol: float,
                         area.abs_error, grad.abs_error, minor.abs_error,
                         time.monotonic() - start, converged=ok)
 
-    rows = sorted(_run_rows(row, list(schedule), threads), key=lambda r: r.param)
-    return _finalize(ConvergenceReport(parameter, rows))
+    return study_from_rows(row, schedule, parameter)
 
 
-def study_from_rows(row_fn, schedule, parameter: str = "eps",
-                    threads: int | None = None) -> ConvergenceReport:
-    """Study driven by a custom row function param -> StudyRow."""
-    rows = sorted(_run_rows(row_fn, list(schedule), threads),
-                  key=lambda r: r.param)
+def study_from_rows(row_fn, schedule,
+                    parameter: str = "eps") -> ConvergenceReport:
+    """Study driven by a custom row function param -> StudyRow.
+
+    The schedule needs at least 3 values; no row runs for a shorter one.
+    """
+    schedule = list(schedule)
+    if len(schedule) < 3:
+        raise InsufficientData("schedule needs at least 3 parameter values")
+    rows = sorted((row_fn(p) for p in schedule), key=lambda r: r.param)
     return _finalize(ConvergenceReport(parameter, rows))
 
 
@@ -227,19 +208,17 @@ def strict_bv_check(report: ConvergenceReport, reference_tv: float,
 # -- prebuilt studies -------------------------------------------------------
 
 
-def study_vortex_smoothing(schedule, tol: float = 1e-6, d: int = 1,
-                           threads: int | None = None) -> ConvergenceReport:
+def study_vortex_smoothing(schedule, tol: float = 1e-6,
+                           d: int = 1) -> ConvergenceReport:
     """Core smoothing of the degree-d vortex over the unit disk."""
     base = make_example_field("vortex", d=d)
     dom = Ball(2, 1.0)
     return convergence_study(
         lambda eps: vortex_smoothing_2d(base, (0.0, 0.0), d, eps),
-        schedule, dom, tol, threads=threads,
-    )
+        schedule, dom, tol)
 
 
-def study_cone_dipole(schedule, tol: float = 1e-6,
-                      threads: int | None = None) -> ConvergenceReport:
+def study_cone_dipole(schedule, tol: float = 1e-6) -> ConvergenceReport:
     """Dipole removal of the planar-vortex segment, energies over B^3.
 
     Rows are assembled additively: the construction only modifies the cone,
@@ -274,21 +253,19 @@ def study_cone_dipole(schedule, tol: float = 1e-6,
             converged=ok,
         )
 
-    return study_from_rows(row, schedule, threads=threads)
+    return study_from_rows(row, schedule)
 
 
-def study_dipole_gradient(schedule, tol: float = 1e-6,
-                          threads: int | None = None) -> ConvergenceReport:
+def study_dipole_gradient(schedule, tol: float = 1e-6) -> ConvergenceReport:
     """Cone-local energies of the dipole map (the O(eps) vanishing terms)."""
     base = make_example_field("planar_vortex")
     return convergence_study(
         lambda eps: cone_dipole(base, (-1.0, 1.0), 1, eps),
-        schedule, lambda eps: Cone(3, (-1.0, 1.0), eps), tol, threads=threads,
-    )
+        schedule, lambda eps: Cone(3, (-1.0, 1.0), eps), tol)
 
 
 def study_chain_disk(chain_field: VectorField, j: int, fracs=(0.4, 0.2, 0.1, 0.05),
-                     tol: float = 1e-6, threads: int | None = None):
+                     tol: float = 1e-6):
     """Smoothing study localized to the j-th chain disk (1-based).
 
     Returns (report, reference tv-area of the unmodified chain map on the
@@ -306,34 +283,23 @@ def study_chain_disk(chain_field: VectorField, j: int, fracs=(0.4, 0.2, 0.1, 0.0
     _, ref, _ = sobolev_energy(chain_field, dom, tol)
     report = convergence_study(
         lambda eps: vortex_smoothing_2d(chain_field, tuple(c), d, eps),
-        [h * f for f in fracs], dom, tol, threads=threads,
-    )
+        [h * f for f in fracs], dom, tol)
     return report, ref.value
 
 
 def study_counterexample(variant: str, k_schedule, tol: float = 1e-6,
-                         radius: float = 1.0,
-                         threads: int | None = None) -> ConvergenceReport:
+                         radius: float = 1.0) -> ConvergenceReport:
     """Graph energies of the filling sequence over B_radius, fitted in 1/k."""
-    dom = Ball(3, radius)
 
-    def row(invk):
-        k = int(round(1.0 / invk))
-        f = counterexample_sequence(variant, k)
-        start = time.monotonic()
-        area = area_functional(f, dom, tol, raise_on_failure=False)
-        grad, _, minor = sobolev_energy(f, dom, tol, raise_on_failure=False)
-        ok = area.converged and grad.converged and minor.converged
-        return StudyRow(invk, area.value, grad.value, minor.value,
-                        area.abs_error, grad.abs_error, minor.abs_error,
-                        time.monotonic() - start, converged=ok)
+    def builder(invk):
+        return counterexample_sequence(variant, int(round(1.0 / invk)))
 
-    return study_from_rows(row, [1.0 / k for k in k_schedule],
-                           parameter="1/k", threads=threads)
+    return convergence_study(builder, [1.0 / k for k in k_schedule],
+                             Ball(3, radius), tol, parameter="1/k")
 
 
-def study_cylinder_analogue_2d(k_schedule, tol: float = 1e-6,
-                               threads: int | None = None) -> ConvergenceReport:
+def study_cylinder_analogue_2d(k_schedule,
+                               tol: float = 1e-6) -> ConvergenceReport:
     """The 2d negative control: TV should overshoot the vortex by ~2 pi."""
     dom = Ball(2, 1.0)
 
@@ -341,7 +307,7 @@ def study_cylinder_analogue_2d(k_schedule, tol: float = 1e-6,
         return cylinder_analogue_2d(int(round(1.0 / invk)))
 
     return convergence_study(builder, [1.0 / k for k in k_schedule], dom, tol,
-                             parameter="1/k", threads=threads)
+                             parameter="1/k")
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +339,8 @@ class SubadditivityReport:
     witness: tuple | None
 
 
-def subadditivity_experiment(radii, k_schedule, tol: float = 1e-6,
-                             threads: int | None = None) -> SubadditivityReport:
+def subadditivity_experiment(radii, k_schedule,
+                             tol: float = 1e-6) -> SubadditivityReport:
     """Localized gap bounds of the two fillings and the AcDM-style witness.
 
     For each radius the ball filling costs ~4 pi/3 while the cylinder

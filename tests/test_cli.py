@@ -95,6 +95,12 @@ class TestCounterexampleCli:
         dev = float(out.split("det_ball_max_dev=")[1].split()[0])
         assert dev <= 1e-8
 
+    def test_short_schedule_exits_2(self, capsys):
+        code, _, err = run(capsys, "counterexample", "--variant", "ball",
+                           "--k", "4,8")
+        assert code == 2
+        assert "at least 3" in err
+
 
 class TestSubaddCli:
     def test_violation_line(self, capsys, tmp_path):
@@ -168,6 +174,27 @@ class TestErrorPaths:
         assert code == 0
         assert float(out.split("area=")[1].split()[0]) == pytest.approx(
             7.2118, abs=5e-4)
+
+    def test_config_equals_form(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"field": "constant", "domain": "ball2"}))
+        code, out, _ = run(capsys, f"--config={cfg}", "area")
+        assert code == 0
+        assert float(out.split("area=")[1].split()[0]) == pytest.approx(
+            math.pi, rel=1e-6)
+
+    @pytest.mark.parametrize("text", [None, "[1, 2]"])
+    def test_bad_config_exits_2(self, capsys, tmp_path, text):
+        # None: --config given without a value; else the file's content
+        argv = ["area", "--config"]
+        if text is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(text)
+            argv.append(str(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestRecoverCli:

@@ -10,7 +10,6 @@ from relaxarea.errors import DegreeMismatch, InvalidGeometry, InvalidParams
 from relaxarea.fields import make_example_field, minors2
 from relaxarea.quadrature import area_functional, integrate, sobolev_energy
 from relaxarea.recovery import (
-    RecoveryParams,
     cone_defect_field_4d,
     cone_defect_filler,
     cone_dipole,
@@ -34,15 +33,6 @@ def sample_ring(rng, n, r_lo, r_hi, count=100):
     X = X[(r > r_lo) & (r < r_hi)][:count]
     assert len(X) == count
     return X
-
-
-class TestParams:
-    def test_invariants(self):
-        RecoveryParams(0.1, 0.02)
-        with pytest.raises(InvalidParams):
-            RecoveryParams(-0.1)
-        with pytest.raises(InvalidParams):
-            RecoveryParams(0.1, 0.2)
 
 
 class TestVortexSmoothing:

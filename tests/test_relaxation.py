@@ -25,6 +25,7 @@ from relaxarea.relaxation import (
     study_counterexample,
     study_cylinder_analogue_2d,
     study_dipole_gradient,
+    study_from_rows,
     study_vortex_smoothing,
     subadd_csv_text,
     subadd_json_dict,
@@ -165,6 +166,12 @@ class TestStudies:
             convergence_study(lambda eps: const, [0.1, 0.05], Ball(2, 1.0),
                               1e-6)
 
+        def no_row(eps):
+            raise AssertionError("rows of a short schedule must not run")
+
+        with pytest.raises(InsufficientData):
+            study_from_rows(no_row, [0.1, 0.05])
+
 
 @pytest.fixture(scope="module")
 def subadd_report():
@@ -206,22 +213,6 @@ class TestSubadditivity:
     def test_bad_radii(self):
         with pytest.raises(InsufficientData):
             subadditivity_experiment([0.0, 0.5], [8, 16], tol=1e-5)
-
-
-class TestThreads:
-    def test_env_var_sets_default_cap(self, monkeypatch):
-        from relaxarea.relaxation import default_thread_cap
-        monkeypatch.setenv("RELAXAREA_THREADS", "3")
-        assert default_thread_cap() == 3
-        monkeypatch.setenv("RELAXAREA_THREADS", "junk")
-        assert default_thread_cap() == 1
-        monkeypatch.delenv("RELAXAREA_THREADS")
-        assert default_thread_cap() == 1
-
-    def test_results_independent_of_thread_count(self):
-        seq = study_vortex_smoothing([0.2, 0.1, 0.05], tol=1e-6, threads=1)
-        par = study_vortex_smoothing([0.2, 0.1, 0.05], tol=1e-6, threads=3)
-        assert report_csv_text(seq) == report_csv_text(par)
 
 
 class TestSerialization:
