@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -105,9 +105,11 @@ def chain_csv_header(n: int) -> list[str]:
 
 
 def chain_csv_text(chain: SingularChain) -> str:
+    """CSV of the cells; a nonzero ``spacing`` adds a last column holding it."""
+    spacing = [f"{chain.spacing:.17g}"] if chain.spacing else []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(chain_csv_header(chain.n))
+    writer.writerow(chain_csv_header(chain.n) + (["spacing"] if spacing else []))
     for simplex, mult in chain.cells:
         if chain.k == 0:
             a = b = np.asarray(simplex)
@@ -118,6 +120,7 @@ def chain_csv_text(chain: SingularChain) -> str:
             + [f"{v:.17g}" for v in a]
             + [f"{v:.17g}" for v in b]
             + [str(int(mult))]
+            + spacing
         )
         writer.writerow(row)
     return buf.getvalue()
@@ -128,7 +131,9 @@ def chain_from_csv_text(text: str) -> SingularChain:
     if not rows:
         raise IoFailure("empty chain CSV")
     header = rows[0]
-    n = (len(header) - 2) // 2
+    has_spacing = header[-1] == "spacing"
+    n = (len(header) - 2 - has_spacing) // 2
+    spacing = 0.0
     cells_k0, cells_k1 = [], []
     for row in rows[1:]:
         if not row:
@@ -136,7 +141,9 @@ def chain_from_csv_text(text: str) -> SingularChain:
         k = int(row[0])
         a = np.array([float(v) for v in row[1 : 1 + n]])
         b = np.array([float(v) for v in row[1 + n : 1 + 2 * n]])
-        mult = int(row[-1])
+        mult = int(row[1 + 2 * n])
+        if has_spacing:
+            spacing = float(row[-1])
         if k == 0:
             cells_k0.append((a, mult))
         else:
@@ -144,8 +151,10 @@ def chain_from_csv_text(text: str) -> SingularChain:
     if cells_k1 and cells_k0:
         raise IoFailure("mixed-dimension chain CSV")
     if cells_k1:
-        return SingularChain.segments(n, [(s, m) for s, m in cells_k1])
-    return SingularChain.points(n, [(p, m) for p, m in cells_k0])
+        chain = SingularChain.segments(n, cells_k1)
+    else:
+        chain = SingularChain.points(n, cells_k0)
+    return replace(chain, spacing=spacing)
 
 
 # ---------------------------------------------------------------------------

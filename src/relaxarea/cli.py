@@ -309,6 +309,12 @@ def _read_config(argv):
     """(flag defaults from ``--config PATH``, argv without that flag)."""
     pre = _config_parser()
     known, rest = pre.parse_known_args(argv)
+    for arg in rest:  # the options before the subcommand
+        if not arg.startswith("-"):
+            break
+        flag = arg.split("=", 1)[0]
+        if len(flag) > 2 and "--config".startswith(flag):
+            pre.error(f"unrecognized argument {flag}: write --config in full")
     if known.config is None:
         return {}, rest
     try:
@@ -323,7 +329,10 @@ def _read_config(argv):
 
 def build_parser(defaults=None):
     """The full parser; ``defaults`` (a config file's flag values) replace
-    the built-in defaults of every subcommand, and explicit flags win."""
+    the built-in defaults of every subcommand, and explicit flags win.  A
+    required flag is required only when the config does not supply it."""
+    # the subcommand itself comes from the command line only
+    config = {k: v for k, v in (defaults or {}).items() if k != "subcommand"}
     parser = argparse.ArgumentParser(
         prog="relaxarea",
         description="Graph-area functionals and singularity experiments "
@@ -366,21 +375,23 @@ def build_parser(defaults=None):
                    help="half side of the sampling cube")
 
     p = command("recover", "build one recovery map and report its masses")
-    p.add_argument("--construction", required=True,
+    p.add_argument("--construction", required="construction" not in config,
                    choices=["smoothing", "dipole", "point", "cone4"])
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=float, required="eps" not in config)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--d", type=int, default=1)
 
     p = command("relax", "convergence study along a schedule")
-    p.add_argument("--study", required=True, choices=list(_STUDIES))
+    p.add_argument("--study", required="study" not in config,
+                   choices=list(_STUDIES))
     p.add_argument("--eps", default="0.2,0.1,0.05,0.025")
     p.add_argument("--k", default="4,8,16,32")
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--disk", type=int, default=1)
 
     p = command("counterexample", "filling sequences of the 3d vortex")
-    p.add_argument("--variant", required=True, choices=["ball", "cylinder"])
+    p.add_argument("--variant", required="variant" not in config,
+                   choices=["ball", "cylinder"])
     p.add_argument("--k", default="4,8,16,32")
     p.add_argument("--radius", type=float, default=1.0)
 
@@ -397,9 +408,7 @@ def build_parser(defaults=None):
     p.add_argument("--values", default="0.2,0.1,0.05,0.025")
     p.add_argument("--d", type=int, default=1)
 
-    # after the flags, so config values override their built-in defaults;
-    # the subcommand itself comes from the command line only
-    config = {k: v for k, v in (defaults or {}).items() if k != "subcommand"}
+    # after the flags, so config values override their built-in defaults
     for p in commands:
         p.set_defaults(**config)
     return parser

@@ -146,19 +146,25 @@ class VectorField:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _check_points(self, X):
+    def _check_points(self, X, dist=None):
         if self.domain_of_definition is not None:
             inside = self.domain_of_definition.membership(X)
             if not np.all(inside):
                 raise OutOfDomain(f"{np.count_nonzero(~inside)} points outside domain")
         if self.singular_set is not None and len(self.singular_set.cells) > 0:
-            d = distance_to_chain(X, self.singular_set)
+            d = distance_to_chain(X, self.singular_set) if dist is None else dist
             if np.any(d <= SINGULAR_GUARD):
                 raise SingularPoint("evaluation on declared singular set")
 
-    def evaluate_many(self, X: np.ndarray) -> np.ndarray:
+    def evaluate_many(self, X: np.ndarray, dist: np.ndarray | None = None
+                      ) -> np.ndarray:
+        """Values (N, m) at the points X (N, n).
+
+        ``dist``, when given, holds the points' distances to the declared
+        singular set, so the guard tests them instead of recomputing them.
+        """
         X = np.asarray(X, dtype=float)
-        self._check_points(X)
+        self._check_points(X, dist)
         U = self._eval(X)
         if not np.all(np.isfinite(U)):
             raise NonFinite(f"{self.name}: non-finite value off the singular set")

@@ -82,16 +82,22 @@ def _wrap(d):
     return (d + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _angles(field: VectorField, X: np.ndarray, nan_on_singular: bool = False
+def _singular_distance(field: VectorField, X: np.ndarray) -> np.ndarray:
+    """Distance of each point to the declared singular set (inf without one)."""
+    if field.singular_set is None:
+        return np.full(X.shape[0], np.inf)
+    return distance_to_chain(X, field.singular_set)
+
+
+def _angles(field: VectorField, X: np.ndarray, dist: np.ndarray | None = None
             ) -> np.ndarray:
-    """Target angles at sample points; optionally NaN on the singular set."""
+    """Target angles at sample points; with ``dist`` (their distances to the
+    declared singular set) given, NaN within the guard and no recomputed
+    distances for the rest."""
     ang = np.full(X.shape[0], np.nan)
-    ok = np.ones(X.shape[0], dtype=bool)
-    if nan_on_singular and field.singular_set is not None \
-            and len(field.singular_set.cells) > 0:
-        ok = distance_to_chain(X, field.singular_set) > SINGULAR_GUARD
+    ok = np.ones(X.shape[0], dtype=bool) if dist is None else dist > SINGULAR_GUARD
     if np.any(ok):
-        U = field.evaluate_many(X[ok])
+        U = field.evaluate_many(X[ok], None if dist is None else dist[ok])
         norms = np.hypot(U[:, 0], U[:, 1])
         a = np.arctan2(U[:, 1], U[:, 0])
         a[norms < 1e-12] = np.nan  # vanishing values cannot wind
@@ -169,53 +175,56 @@ SAFE_LENGTH_RATIO = 0.25
 #: an edge can alias its wrapped increment below every local threshold)
 PROXIMITY_LENGTHS = 4.5
 _LIFT_LEVELS = 40
+#: float slack of the pruned proximity mask, in units of h; the bound it
+#: guards is loose by about 0.47 h at the proximity limit (parallelogram law),
+#: so rounding of nodes, midpoints and distances cannot drop a near edge
+_PRUNE_SLACK = 1e-9
 
 
-def _lift_edges(field, jobs) -> dict:
-    """Continuous-lift increments for a batch of straight edges.
+def _edge_error(msg, P0, P1, index, edge) -> AmbiguousWinding:
+    """AmbiguousWinding naming a lattice edge by its endpoints and lower node."""
+    return AmbiguousWinding(
+        f"{msg}: lattice edge {tuple(map(float, P0[edge]))} -> "
+        f"{tuple(map(float, P1[edge]))}", index=tuple(map(int, index[edge])))
 
-    ``jobs`` is a list of (key, p0, p1, a0, a1).  Each edge is bisected
-    until every sub-increment is below pi/2 AND the sub-edge is short
-    relative to its distance from the declared singular set; midpoint
-    evaluations are batched per bisection wave.  Fails only for defects
-    sitting on the edge itself (within the lift depth cap).
+
+def _lift_edges(field, P0, P1, B0, B1, index) -> np.ndarray:
+    """Continuous-lift increments of the straight edges ``P0 -> P1``.
+
+    ``B0``/``B1`` are the endpoint angles, ``index`` each edge's lower
+    lattice node (for error reports).  Each edge is bisected until every
+    sub-increment is below pi/2 AND the sub-edge is short relative to its
+    distance from the declared singular set; a wave's midpoint distances
+    serve both that test and the evaluation guard.  ``owner`` maps
+    sub-edges to edges, whose sub-increments are summed in wave and row
+    order.  Fails only for defects sitting on the edge itself (within the
+    lift depth cap).
     """
-    if not jobs:
-        return {}
-    chain = field.singular_set
-    if chain is not None and len(chain.cells) == 0:
-        chain = None
-    totals = {key: 0.0 for key, *_ in jobs}
-    keys = [key for key, *_ in jobs]
-    Q0 = np.stack([np.asarray(p0, float) for _, p0, *_ in jobs])
-    Q1 = np.stack([np.asarray(p1, float) for _, _, p1, *_ in jobs])
-    B0 = np.array([a0 for *_, a0, _ in jobs], dtype=float)
-    B1 = np.array([a1 for *_, a1 in jobs], dtype=float)
+    totals = np.zeros(len(P0))
+    owner = np.arange(len(P0))
+    Q0, Q1 = P0, P1
     level = _LIFT_LEVELS
-    while len(keys):
+    while len(owner):
         if level < 0:
-            raise AmbiguousWinding(
-                "edge increment stayed ambiguous under bisection",
-                index=keys[0])
+            raise _edge_error("edge increment stayed ambiguous under bisection",
+                              P0, P1, index, owner[0])
         bad = ~np.isfinite(B0) | ~np.isfinite(B1)
         if np.any(bad):
-            raise AmbiguousWinding("edge endpoint on the singular set",
-                                   index=keys[int(np.argmax(bad))])
+            raise _edge_error("edge endpoint on the singular set",
+                              P0, P1, index, owner[int(np.argmax(bad))])
         inc = _wrap(B1 - B0)
         lengths = np.linalg.norm(Q1 - Q0, axis=1)
-        safe = np.ones(len(keys), dtype=bool)
-        if chain is not None:
-            dist = distance_to_chain((Q0 + Q1) / 2, chain) - lengths / 2
-            safe = lengths <= SAFE_LENGTH_RATIO * np.maximum(dist, 0.0)
+        mids = (Q0 + Q1) / 2
+        dist = _singular_distance(field, mids)
+        safe = lengths <= SAFE_LENGTH_RATIO * np.maximum(dist - lengths / 2, 0.0)
         done = (np.abs(inc) < math.pi / 2) & safe
-        for i in np.flatnonzero(done):
-            totals[keys[i]] += float(inc[i])
+        np.add.at(totals, owner[done], inc[done])
         rest = np.flatnonzero(~done)
         if len(rest) == 0:
             break
-        mids = 0.5 * (Q0[rest] + Q1[rest])
-        ams = _angles(field, mids, nan_on_singular=True)
-        keys = [keys[i] for i in rest for _ in range(2)]
+        mids = mids[rest]
+        ams = _angles(field, mids, dist[rest])
+        owner = np.repeat(owner[rest], 2)
         Q0 = np.repeat(Q0[rest], 2, axis=0)
         Q1 = np.repeat(Q1[rest], 2, axis=0)
         Q0[1::2] = mids
@@ -228,59 +237,72 @@ def _lift_edges(field, jobs) -> dict:
     return totals
 
 
-def _near_singular_mask(field, mids, edge_length: float):
-    """Edges whose midpoints sit within a few lengths of the singular set."""
-    chain = field.singular_set
-    if chain is None or len(chain.cells) == 0:
-        return None
-    shape = mids.shape[:-1]
-    dist = distance_to_chain(mids.reshape(-1, mids.shape[-1]), chain)
-    return (dist < PROXIMITY_LENGTHS * edge_length).reshape(shape)
+def _edge_ends(ndim: int, axis: int):
+    """Slices of the lower and the upper nodes of the edges along ``axis``."""
+    lo = tuple(slice(None, -1) if i == axis else slice(None) for i in range(ndim))
+    hi = tuple(slice(1, None) if i == axis else slice(None) for i in range(ndim))
+    return lo, hi
 
 
-def _lift_flagged(field, d, A, point_of, near_mask=None):
-    """Replace untrustworthy wrapped increments in d by lifted ones, in place.
+def _near_singular_edges(field, grid, D, axis) -> np.ndarray:
+    """Edges along ``axis`` with midpoints within PROXIMITY_LENGTHS * h of
+    the declared singular set, given the node distances ``D`` to it.
 
-    ``d`` holds wrapped differences of A along its first axis; ``point_of``
-    maps a node index tuple to physical coordinates.  Flagged edges carry
-    near-wrap increments or lie close to the declared singular set (where a
-    |degree| >= 2 defect can alias a full extra turn into a small wrapped
-    value).  Because lifted values are written back into the shared edge
-    array, plaquette sums built from it still telescope exactly.
+    Distance is 1-Lipschitz, so dist(mid) >= min(node dist) - h/2; only
+    edges that bound cannot clear get an exact distance at their midpoint
+    ``node + h/2``.
     """
+    lo, hi = _edge_ends(D.ndim, axis)
+    h = grid.h
+    limit = PROXIMITY_LENGTHS * h
+    nodes = [grid.axis_nodes(i) for i in range(D.ndim)]
+    maybe = np.minimum(D[lo], D[hi]) - h / 2 < limit + _PRUNE_SLACK * h
+    idx = np.nonzero(maybe)
+    mids = np.stack([(c[:-1] + h / 2 if i == axis else c)[at]
+                     for i, (c, at) in enumerate(zip(nodes, idx))], axis=1)
+    near = np.zeros(maybe.shape, dtype=bool)
+    near[idx] = _singular_distance(field, mids) < limit
+    return near
+
+
+def _edge_increments(field, grid, A, D, axis) -> np.ndarray:
+    """Wrapped increments of the node angles ``A`` along lattice ``axis``,
+    with each untrustworthy one replaced by its continuous lift.
+
+    Flagged edges carry near-wrap increments or a NaN endpoint, or lie close
+    to the declared singular set (where a |degree| >= 2 defect can alias a
+    full extra turn into a small wrapped value); their endpoint arrays are
+    lifted together.  Every plaquette sweep reads these shared increments,
+    so plaquette sums telescope exactly.
+    """
+    lo, hi = _edge_ends(A.ndim, axis)
+    d = _wrap(A[hi] - A[lo])
     flag = np.abs(d) > math.pi - PLAQUETTE_MARGIN
-    flag |= ~np.isfinite(A[:-1]) | ~np.isfinite(A[1:])
-    if near_mask is not None:
-        flag |= near_mask
-    jobs = []
-    for ii in np.argwhere(flag):
-        ii = tuple(ii)
-        lo = ii
-        hi = (ii[0] + 1,) + ii[1:]
-        jobs.append((ii, point_of(lo), point_of(hi), A[lo], A[hi]))
-    for key, lift in _lift_edges(field, jobs).items():
-        d[key] = lift
+    flag |= ~np.isfinite(A[lo]) | ~np.isfinite(A[hi])
+    flag |= _near_singular_edges(field, grid, D, axis)
+    i0 = np.nonzero(flag)
+    if len(i0[0]):
+        i1 = tuple(at + 1 if i == axis else at for i, at in enumerate(i0))
+        nodes = [grid.axis_nodes(i) for i in range(A.ndim)]
+        P0 = np.stack([c[at] for c, at in zip(nodes, i0)], axis=1)
+        P1 = np.stack([c[at] for c, at in zip(nodes, i1)], axis=1)
+        d[i0] = _lift_edges(field, P0, P1, A[i0], A[i1], np.stack(i0, axis=1))
     return d
+
+
+def _lattice_nodes(field: VectorField, grid: GridSpec):
+    """Node angles (NaN on the singular set) and node distances to it."""
+    G = np.meshgrid(*[grid.axis_nodes(a) for a in range(field.n)], indexing="ij")
+    X = np.stack([g.ravel() for g in G], axis=1)
+    D = _singular_distance(field, X)
+    return _angles(field, X, D).reshape(G[0].shape), D.reshape(G[0].shape)
 
 
 def grid_edge_data_2d(field: VectorField, grid: GridSpec):
     """Node angles and (lift-corrected) edge increments on the grid."""
-    xs, ys = grid.axis_nodes(0), grid.axis_nodes(1)
-    XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    X = np.stack([XX.ravel(), YY.ravel()], axis=1)
-    A = _angles(field, X, nan_on_singular=True).reshape(len(xs), len(ys))
-    d1 = _wrap(A[1:, :] - A[:-1, :])
-    d2 = _wrap(A[:, 1:] - A[:, :-1])
-    h = grid.h
-    m1 = np.stack(np.meshgrid(xs[:-1] + h / 2, ys, indexing="ij"), axis=-1)
-    m2 = np.stack(np.meshgrid(xs, ys[:-1] + h / 2, indexing="ij"), axis=-1)
-    near2 = _near_singular_mask(field, m2, h)
-    _lift_flagged(field, d1, A, lambda ij: np.array([xs[ij[0]], ys[ij[1]]]),
-                  _near_singular_mask(field, m1, h))
-    _lift_flagged(field, d2.T, A.T,
-                  lambda ji: np.array([xs[ji[1]], ys[ji[0]]]),
-                  None if near2 is None else near2.T)
-    return xs, ys, A, d1, d2
+    A, D = _lattice_nodes(field, grid)
+    d1, d2 = (_edge_increments(field, grid, A, D, axis) for axis in (0, 1))
+    return grid.axis_nodes(0), grid.axis_nodes(1), A, d1, d2
 
 
 def plaquette_windings_2d(d1: np.ndarray, d2: np.ndarray):
@@ -337,44 +359,15 @@ def extract_lines_3d(field: VectorField, grid: GridSpec) -> SingularChain:
     if field.n != 3 or field.m != 2:
         raise InvalidParams("extract_lines_3d expects an n=3, m=2 field")
     nodes = [grid.axis_nodes(a) for a in range(3)]
-    G = np.meshgrid(*nodes, indexing="ij")
-    X = np.stack([g.ravel() for g in G], axis=1)
-    M = grid.resolution
-    A = _angles(field, X, nan_on_singular=True).reshape(M, M, M)
+    A, D = _lattice_nodes(field, grid)
+    edges = [_edge_increments(field, grid, A, D, axis) for axis in range(3)]
     h = grid.h
     cells = []
     for a in range(3):
         b, c = (a + 1) % 3, (a + 2) % 3
         # move (b, c, a) -> (axis0, axis1, axis2); plaquettes live in (b, c)
-        At = np.transpose(A, (b, c, a))
-
-        def point_of(idx, order):
-            p = np.empty(3)
-            for axis, i in zip(order, idx):
-                p[axis] = nodes[axis][i]
-            return p
-
-        def edge_mids(order, shifted_axis):
-            coords = []
-            for axis in order:
-                c_ax = nodes[axis]
-                if axis == shifted_axis:
-                    c_ax = c_ax[:-1] + h / 2
-                coords.append(c_ax)
-            grids = np.meshgrid(*coords, indexing="ij")
-            out = np.empty(grids[0].shape + (3,))
-            for axis, g in zip(order, grids):
-                out[..., axis] = g
-            return out
-
-        d1 = _wrap(At[1:, :, :] - At[:-1, :, :])
-        d2 = _wrap(At[:, 1:, :] - At[:, :-1, :])
-        _lift_flagged(field, d1, At, lambda idx: point_of(idx, (b, c, a)),
-                      _near_singular_mask(field, edge_mids((b, c, a), b), h))
-        _lift_flagged(field, np.transpose(d2, (1, 0, 2)),
-                      np.transpose(At, (1, 0, 2)),
-                      lambda idx: point_of(idx, (c, b, a)),
-                      _near_singular_mask(field, edge_mids((c, b, a), c), h))
+        d1 = np.transpose(edges[b], (b, c, a))
+        d2 = np.transpose(edges[c], (b, c, a))
         circ = d1[:, :-1, :] + d2[1:, :, :] - d1[:, 1:, :] - d2[:-1, :, :]
         mult = _windings_from_circ(circ, f"3d sweep, normal axis {a}")
         for ib, ic, ia in np.argwhere(mult != 0):

@@ -196,6 +196,40 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, config", [
+        (["relax"], {"study": "smoothing", "eps": "0.2,0.1,0.05"}),
+        (["recover"], {"construction": "smoothing", "eps": 0.1}),
+        (["recover", "--eps", "0.1"], {"construction": "smoothing"}),
+        # recover's abbreviated --con stays an abbreviation of --construction
+        (["recover", "--con", "smoothing"], {"eps": 0.1}),
+    ])
+    def test_config_supplies_required_flags(self, capsys, tmp_path, argv,
+                                            config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run(capsys, "--config", str(cfg), *argv)
+        assert code == 0
+        assert "study=smoothing" in out or "area=" in out
+
+    def test_required_flag_missing_everywhere_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": "smoothing"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "recover"])
+        assert exc.value.code == 2
+        assert "required: --eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--conf", "--con", "--confi"])
+    def test_abbreviated_config_names_config(self, capsys, tmp_path, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"study": "smoothing"}))
+        with pytest.raises(SystemExit) as exc:
+            main([flag, str(cfg), "relax"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "--config" in err
+        assert "invalid choice" not in err
+
 
 class TestRecoverCli:
     def test_smoothing_masses(self, capsys):

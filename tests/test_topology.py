@@ -13,12 +13,14 @@ from relaxarea.chains import (
     chain_csv_text,
     chain_from_csv_text,
     chain_mass,
+    distance_to_chain,
     interior_boundary,
 )
 from relaxarea.domains import Ball
 from relaxarea.errors import AmbiguousWinding, InvalidParams, SingularOnLoop
 from relaxarea.fields import VectorField, make_example_field, chain_centers_radii
 from relaxarea.topology import (
+    PROXIMITY_LENGTHS,
     Circle,
     GridSpec,
     extract_lines_3d,
@@ -28,6 +30,7 @@ from relaxarea.topology import (
     region_boundary_winding,
     relaxed_area_rhs,
     winding_number,
+    _near_singular_edges,
 )
 
 
@@ -137,10 +140,14 @@ class TestExtract2d:
 
     def test_defect_on_node_is_ambiguous(self):
         h = 2.0 / 32
-        v = make_example_field("vortex", center=(-1 + 16.5 * h, -1 + 16.5 * h))
+        node = -1 + 16.5 * h  # lattice node 16 on both axes
+        v = make_example_field("vortex", center=(node, node))
         with pytest.raises(AmbiguousWinding) as err:
             extract_vortices_2d(v, GridSpec(2, 32))
-        assert err.value.index is not None
+        # the reported lattice edge ends on the defect's node
+        assert err.value.index in {(15, 16), (16, 15), (16, 16)}
+        assert all(type(i) is int for i in err.value.index)
+        assert str((node, node)) in str(err.value)
 
     def test_extraction_matches_loop_winding(self, rng):
         f, centers, degrees = random_phase_field(rng, 3)
@@ -219,9 +226,73 @@ class TestExtract3d:
             assert len(chain) > 0
             assert len(interior_boundary(chain, lo, hi, 1.5 * grid.h)) == 0
 
+    def test_line_through_nodes_is_ambiguous(self):
+        grid = GridSpec(3, 16)
+        node = float(grid.axis_nodes(0)[5])  # the line runs through (5, 5, .)
+        f = line_field(2, (node, node), (0.0, 0.0, 0.0))
+        with pytest.raises(AmbiguousWinding) as err:
+            extract_lines_3d(f, grid)
+        index = err.value.index
+        assert all(type(i) is int for i in index)
+        assert index[:2] in {(4, 5), (5, 4), (5, 5)}
+        # endpoints in field axis order: (x, y) on the line, then z
+        assert f"({node}, {node}, " in str(err.value)
+
     def test_grid_invariants(self):
         with pytest.raises(InvalidParams):
             GridSpec(2, 4)
+
+
+def _midpoint_mask(field, grid, axis):
+    """Reference proximity mask: the distance of every edge midpoint."""
+    h = grid.h
+    coords = [grid.axis_nodes(i) for i in range(grid.n)]
+    coords[axis] = coords[axis][:-1] + h / 2
+    G = np.meshgrid(*coords, indexing="ij")
+    mids = np.stack([g.ravel() for g in G], axis=1)
+    dist = distance_to_chain(mids, field.singular_set)
+    return (dist < PROXIMITY_LENGTHS * h).reshape(G[0].shape)
+
+
+def _assert_pruned_mask_exact(field, grid):
+    G = np.meshgrid(*[grid.axis_nodes(i) for i in range(grid.n)], indexing="ij")
+    X = np.stack([g.ravel() for g in G], axis=1)
+    D = distance_to_chain(X, field.singular_set).reshape(G[0].shape)
+    for axis in range(grid.n):
+        expect = _midpoint_mask(field, grid, axis)
+        assert expect.any()
+        assert np.array_equal(_near_singular_edges(field, grid, D, axis), expect)
+
+
+class TestPrunedProximityMask:
+    """The Lipschitz-pruned mask equals the all-midpoint reference exactly."""
+
+    @pytest.mark.parametrize("resolution", [16, 32])
+    def test_planar_vortex(self, resolution):
+        _assert_pruned_mask_exact(make_example_field("planar_vortex"),
+                                  GridSpec(3, resolution))
+
+    @given(st.integers(0, 2), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3))
+    @settings(max_examples=25, deadline=None)
+    def test_off_lattice_line(self, axis, u, v):
+        _assert_pruned_mask_exact(line_field(axis, (u, v), (0.1, -0.2, 0.3)),
+                                  GridSpec(3, 16))
+
+    def test_degree_two_vortex_2d(self):
+        _assert_pruned_mask_exact(
+            make_example_field("vortex", d=2, center=(0.13, -0.21)),
+            GridSpec(2, 32))
+
+    @given(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+    @settings(max_examples=25, deadline=None)
+    def test_defect_within_half_step_of_node(self, fx, fy):
+        grid = GridSpec(2, 32)
+        node = grid.axis_nodes(0)[16]
+        center = (node + fx * grid.h, node + fy * grid.h)
+        _assert_pruned_mask_exact(
+            make_example_field("vortex", d=2, center=center), grid)
+        line = line_field(1, center, (0.0, 0.0, 0.0))
+        _assert_pruned_mask_exact(line, GridSpec(3, 32))
 
 
 class TestChains:
@@ -252,6 +323,29 @@ class TestChains:
         assert chain_csv_text(back) == text
         for (s1, m1), (s2, m2) in zip(chain.cells, back.cells):
             assert m1 == m2 and np.array_equal(np.asarray(s1), np.asarray(s2))
+
+    def test_csv_round_trip_keeps_spacing_and_boundary(self, tmp_path):
+        pv = make_example_field("planar_vortex")
+        chain = extract_lines_3d(pv, GridSpec(3, 24))
+        path = tmp_path / "chain.csv"
+        chain.to_csv(path)
+        back = SingularChain.from_csv(path)
+        assert back.spacing == chain.spacing == 2.0 / 24
+        assert len(back) == len(chain)
+        for (s1, m1), (s2, m2) in zip(chain.cells, back.cells):
+            assert m1 == m2 and np.array_equal(s1, s2)
+        bnd, back_bnd = chain_boundary(chain), chain_boundary(back)
+        assert len(bnd) == len(back_bnd) == 2  # the line leaves the box twice
+        for (p1, m1), (p2, m2) in zip(bnd.cells, back_bnd.cells):
+            assert m1 == m2 and np.array_equal(p1, p2)
+
+    def test_csv_without_spacing_column_loads_with_zero_spacing(self):
+        text = ("k,x0_0,x0_1,x0_2,x1_0,x1_1,x1_2,multiplicity\n"
+                "1,0,0,-0.5,0,0,0.5,2\n")
+        chain = chain_from_csv_text(text)
+        assert chain.spacing == 0.0
+        assert chain.k == 1 and chain.cells[0][1] == 2
+        assert chain_mass(chain) == 2.0
 
     def test_empty_chain_csv_has_header_only(self):
         text = chain_csv_text(SingularChain.empty(2, 0))
