@@ -40,7 +40,7 @@ from .fields import (
     minor_pairs,
     minors2,
 )
-from .quadrature import QuadratureResult, area_functional, integrate, sobolev_energy
+from .quadrature import QuadratureResult, area_functional, graph_functionals, integrate
 from .recovery import (
     cone_dipole,
     counterexample_sequence,

@@ -29,7 +29,7 @@ from .errors import (
     RelaxAreaError,
 )
 from .fields import make_example_field, minors2
-from .quadrature import area_functional, integrate, sobolev_energy
+from .quadrature import area_functional, graph_functionals, integrate
 from .recovery import (
     cone_defect_field_4d,
     cone_defect_filler,
@@ -126,7 +126,8 @@ def _run_area(args, cfg):
 def _run_energy(args, cfg):
     field = _build_field(args)
     dom = _build_domain(args)
-    grad, tva, minor = sobolev_energy(field, dom, cfg.tol)
+    grad, tva, minor = graph_functionals(field, dom, cfg.tol,
+                                         ("tv", "tv_area", "minor"))
     line = (f"tv={grad.value:.12g} tv_area={tva.value:.12g} "
             f"m2={minor.value:.12g}")
     if field.singular_set is not None:
@@ -277,11 +278,8 @@ def _run_sweep(args, cfg):
     lines = ["param,value,error_estimate"]
     for v in values:
         f = field_of[args.family](v)
-        if args.quantity == "area":
-            res = area_functional(f, dom, cfg.tol)
-        else:
-            grad, tva, minor = sobolev_energy(f, dom, cfg.tol)
-            res = {"tv": grad, "m2": minor}[args.quantity]
+        name = "minor" if args.quantity == "m2" else args.quantity
+        res, = graph_functionals(f, dom, cfg.tol, (name,))
         lines.append(f"{v:.17g},{res.value:.17g},{res.error_estimate:.17g}")
     text = "\n".join(lines) + "\n"
     print(f"sweep family={args.family} quantity={args.quantity} "

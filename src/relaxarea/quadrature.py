@@ -6,6 +6,12 @@ order-4 rule, and subdivides the worst cell dyadically (splitting along
 the axis with the roughest value profile) until the summed estimate meets
 the requested relative tolerance or the depth cap of 14 is reached.
 
+An integrand returns (N,) or (N, K) values.  The K components share one
+refinement tree, as in DCUHRE (Berntsen, Espelid & Genz, ACM TOMS 17,
+1991), and each must meet the tolerance on its own.  Weighted by
+1 / max(|initial chart total|, SCALE_FLOOR), a cell's largest component
+error ranks it, and that component's value profile picks the split axis.
+
 Cells that hit the cap while touching a declared singular set have their
 error replaced by an analytic bound C * diam^(n-g) for the declared local
 growth |f| <= C / dist^g, with C sampled from the cell's own nodes times a
@@ -16,9 +22,11 @@ whenever it converged.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,190 +48,174 @@ SCALE_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value, relative error estimate, node count and convergence flag."""
+    """Value, relative error estimate, node count and convergence flag; (K,)
+    arrays for an (N, K) integrand, converged when all components are."""
 
-    value: float
-    error_estimate: float
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     nodes_used: int
     converged: bool
-    abs_error: float = 0.0
-
-    def __float__(self):
-        return self.value
+    abs_error: float | np.ndarray = 0.0
 
 
-_rule_cache: dict = {}
-
-
+@functools.cache
 def _tensor_rule(order: int, dim: int):
-    key = (order, dim)
-    if key not in _rule_cache:
-        x, w = np.polynomial.legendre.leggauss(order)
-        x = 0.5 * (x + 1.0)
-        w = 0.5 * w
-        grids = np.meshgrid(*([x] * dim), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        wts = np.ones(order**dim)
-        for a in range(dim):
-            wts *= np.meshgrid(*([w] * dim), indexing="ij")[a].ravel()
-        _rule_cache[key] = (pts, wts)
-    return _rule_cache[key]
+    x, w = np.polynomial.legendre.leggauss(order)
+    x = 0.5 * (x + 1.0)
+    w = 0.5 * w
+    grids = np.meshgrid(*([x] * dim), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    wts = np.ones(order**dim)
+    for a in range(dim):
+        wts *= np.meshgrid(*([w] * dim), indexing="ij")[a].ravel()
+    return pts, wts
 
 
-class _Cell:
-    __slots__ = ("lo", "hi", "splits", "value", "err", "rough", "chat", "diam",
-                 "done")
+def _per_cell(A, C):
+    """One rule's (C * points, K) values as (C, K, points), each row
+    contiguous so that it sums in the order it would for a lone cell."""
+    return np.ascontiguousarray(A.reshape(C, -1, A.shape[1]).transpose(0, 2, 1))
 
-    def __init__(self, lo, hi, splits):
-        self.lo = lo
-        self.hi = hi
-        self.splits = splits  # dyadic halvings so far, per axis
-        self.done = False
+
+def _dots(rows, w):
+    """w @ each row of rows (C, K, len(w)), one 1-d product per row: a batched
+    product adds in another order, so values would depend on the batch."""
+    return np.array([[r @ w for r in cell] for cell in rows])
+
+
+class _Integrand:
+    """f on the live points of a batch as (N, K) columns, 0 elsewhere;
+    ``scalar`` records whether f returns (N,)."""
+
+    def __init__(self, f):
+        self.f = f
+        self.scalar = True
+
+    def __call__(self, X, live):
+        out = np.asarray(self.f(X[live]), dtype=float)
+        self.scalar = out.ndim == 1
+        raw = np.zeros((X.shape[0], 1 if self.scalar else out.shape[1]))
+        raw[live] = out.reshape(-1, raw.shape[1])
+        if not np.all(np.isfinite(raw)):
+            raise NonFinite("integrand returned NaN/Inf off the singular set")
+        return raw
+
+
+#: ``splits``: halvings per axis; value, err, chat (sampled C): (K,); ``rank``:
+#: minus the largest weighted error; ``rough``: its component's (dim,) profile
+_Cell = namedtuple("_Cell", "lo hi splits value err chat rank rough")
 
 
 def _split_box_at_breaks(box, axes, breaks):
-    """Cartesian refinement of a parameter box at declared break values."""
+    """Corners lo, hi (C, dim) of a parameter box's cells cut at the breaks."""
     per_axis = []
     for (lo, hi), name in zip(box, axes):
-        cuts = sorted(
-            v for v in breaks.get(name, ()) if lo + 1e-14 < v < hi - 1e-14
-        )
+        cuts = sorted(v for v in breaks.get(name, ())
+                      if lo + 1e-14 < v < hi - 1e-14)
         edges = [lo] + cuts + [hi]
         per_axis.append(list(zip(edges[:-1], edges[1:])))
-    return [tuple(combo) for combo in itertools.product(*per_axis)]
+    boxes = np.array(list(itertools.product(*per_axis)), dtype=float)
+    return boxes[:, :, 0], boxes[:, :, 1]
 
 
 class _ChartIntegrator:
-    def __init__(self, f, chart, singular_set, growth, n_phys):
+    def __init__(self, f, chart, singular_set, growth):
         self.f = f
         self.chart = chart
         self.singular_set = singular_set
         self.growth = growth
-        self.n_phys = n_phys
+        self.weight = None  # per component, set by the first batch
         self.dim = len(chart.box)
         self.P8, self.W8 = _tensor_rule(GAUSS_ORDER, self.dim)
         self.P4, self.W4 = _tensor_rule(ERROR_ORDER, self.dim)
         self.nodes_used = 0
 
-    def _values(self, P):
+    def eval_cells(self, lo, hi, splits):
+        """Evaluate the cells [lo, hi] (C, dim) with one integrand call."""
+        C = lo.shape[0]
+        n8 = C * len(self.W8)  # the Gauss-8 points of all cells come first
+        span = (hi - lo)[:, None, :]
+        P = np.concatenate([(lo[:, None, :] + Q * span).reshape(-1, self.dim)
+                            for Q in (self.P8, self.P4)])
         X = self.chart.to_physical(P)
         w = np.asarray(self.chart.weight(P), dtype=float)
         if self.chart.mask is not None:
             w = w * self.chart.mask(X)
-        raw = np.zeros(P.shape[0])
-        live = w != 0.0
-        if np.any(live):
-            raw[live] = self.f(X[live])
-        if not np.all(np.isfinite(raw)):
-            raise NonFinite("integrand returned NaN/Inf off the singular set")
+        raw = self.f(X, w != 0.0)
         self.nodes_used += P.shape[0]
-        return raw, raw * w, X
-
-    def eval_cells(self, boxes, splits_list):
-        """Evaluate a batch of cells with one integrand call."""
-        n8, n4 = len(self.W8), len(self.W4)
-        blocks = []
-        for box in boxes:
-            lo = np.array([b[0] for b in box])
-            hi = np.array([b[1] for b in box])
-            blocks.append(lo + self.P8 * (hi - lo))
-            blocks.append(lo + self.P4 * (hi - lo))
-        raw, F, X = self._values(np.concatenate(blocks, axis=0))
-        cells = []
-        off = 0
-        for box, splits in zip(boxes, splits_list):
-            lo = np.array([b[0] for b in box])
-            hi = np.array([b[1] for b in box])
-            vol = float(np.prod(hi - lo))
-            F8 = F[off : off + n8]
-            F4 = F[off + n8 : off + n8 + n4]
-            cell = _Cell(lo, hi, splits)
-            cell.value = float(F8 @ self.W8) * vol
-            cell.err = abs(cell.value - float(F4 @ self.W4) * vol)
-            arr = F8.reshape((GAUSS_ORDER,) * self.dim)
-            cell.rough = np.array(
-                [np.abs(np.diff(arr, n=2, axis=a)).sum() for a in range(self.dim)]
-            )
-            if self.singular_set is not None:
-                X8 = X[off : off + n8]
-                d = distance_to_chain(X8, self.singular_set)
-                cell.chat = float(np.max(np.abs(raw[off : off + n8]) * d**self.growth))
-                span = X8.max(axis=0) - X8.min(axis=0)
-                cell.diam = float(np.linalg.norm(span))
-            else:
-                cell.chat = 0.0
-                cell.diam = 0.0
-            cells.append(cell)
-            off += n8 + n4
-        return cells
+        F = raw * w[:, None]
+        F8, F4 = _per_cell(F[:n8], C), _per_cell(F[n8:], C)
+        vol = np.prod(hi - lo, axis=1)[:, None]
+        value = _dots(F8, self.W8) * vol
+        err = np.abs(value - _dots(F4, self.W4) * vol)
+        if self.weight is None:  # 1 / max(|total|, floor), the largest being 1
+            scale = np.maximum(np.abs(value.sum(axis=0)), SCALE_FLOOR)
+            self.weight = scale.min() / scale
+        weighted = err * self.weight
+        top = weighted.argmax(axis=1)
+        grid = F8[np.arange(C), top].reshape((C,) + (GAUSS_ORDER,) * self.dim)
+        rough = np.array([np.abs(np.diff(grid, n=2, axis=1 + a)).reshape(
+            C, -1).sum(axis=1) for a in range(self.dim)]).T
+        rank = (-weighted.max(axis=1)).tolist()
+        chat = np.zeros_like(err)
+        if self.singular_set is not None:
+            d = distance_to_chain(X[:n8], self.singular_set)
+            chat = (np.abs(raw[:n8]) * (d ** self.growth)[:, None]).reshape(
+                C, -1, raw.shape[1]).max(axis=1)
+        return [_Cell(lo[i], hi[i], splits, value[i], err[i], chat[i], rank[i],
+                      rough[i]) for i in range(C)]
 
     def capped_error(self, cell):
         """Analytic bound for a depth-capped cell touching the singular set."""
         if self.singular_set is None:
             return cell.err
-        g = self.growth
-        n = self.n_phys
-        if n - g <= 0:
-            return cell.err
-        center = self.chart.to_physical(
-            (0.5 * (cell.lo + cell.hi))[None, :]
-        )[0]
-        dist = float(distance_to_chain(center[None, :], self.singular_set)[0])
-        if dist > 2.0 * cell.diam:
+        X = self.chart.to_physical(np.vstack(  # Gauss-8 points, then the centre
+            [cell.lo + self.P8 * (cell.hi - cell.lo), 0.5 * (cell.lo + cell.hi)]))
+        g, n = self.growth, X.shape[1]
+        diam = float(np.linalg.norm(X[:-1].max(axis=0) - X[:-1].min(axis=0)))
+        dist = float(distance_to_chain(X[-1:], self.singular_set)[0])
+        if n - g <= 0 or dist > 2.0 * diam:
             return cell.err
         surf = 2.0 * math.pi if n == 2 else 4.0 * math.pi
-        bound = 4.0 * cell.chat * surf * cell.diam ** (n - g) / (n - g)
-        return min(cell.err, bound)
+        bound = 4.0 * cell.chat * surf * diam ** (n - g) / (n - g)
+        return np.minimum(cell.err, bound)
 
 
-def _integrate_charts(f, charts, n_phys, tol, singular_set, growth, breaks,
-                      max_depth, max_cells):
+def _integrate_charts(f, charts, tol, singular_set, growth, breaks, max_depth,
+                      max_cells):
     all_cells = []
     nodes = 0
     for chart in charts:
-        integ = _ChartIntegrator(f, chart, singular_set, growth, n_phys)
-        boxes = _split_box_at_breaks(chart.box, chart.axes, breaks or {})
-        cells = integ.eval_cells(boxes, [(0,) * integ.dim] * len(boxes))
-        heap = []
-        seq = itertools.count()
-        for c in cells:
-            heapq.heappush(heap, (-c.err, next(seq), c))
-        kept = []
+        integ = _ChartIntegrator(f, chart, singular_set, growth)
+        lo, hi = _split_box_at_breaks(chart.box, chart.axes, breaks or {})
+        cells = integ.eval_cells(lo, hi, (0,) * integ.dim)
         total_val = sum(c.value for c in cells)
         total_err = sum(c.err for c in cells)
+        seq = itertools.count()
+        heap = [(c.rank, next(seq), c) for c in cells]
+        heapq.heapify(heap)
+        kept = []
 
         while heap:
-            scale = max(abs(total_val), SCALE_FLOOR)
-            if total_err <= tol * scale:
+            scale = np.maximum(np.abs(total_val), SCALE_FLOOR)
+            if np.all(total_err <= tol * scale) or len(kept) + len(heap) >= max_cells:
                 break
-            if len(kept) + len(heap) >= max_cells:
-                break
-            neg_err, _, cell = heapq.heappop(heap)
-            open_axes = [a for a in range(integ.dim)
-                         if cell.splits[a] < max_depth]
+            _, _, cell = heapq.heappop(heap)
+            open_axes = [a for a, s in enumerate(cell.splits) if s < max_depth]
             if not open_axes:
-                new_err = integ.capped_error(cell)
-                total_err += new_err - cell.err
-                cell.err = new_err
-                cell.done = True
-                kept.append(cell)
+                capped = cell._replace(err=integ.capped_error(cell))
+                total_err += capped.err - cell.err
+                kept.append(capped)
                 continue
             axis = max(open_axes, key=lambda a: cell.rough[a])
-            mid = 0.5 * (cell.lo[axis] + cell.hi[axis])
-            box = [(cell.lo[a], cell.hi[a]) for a in range(integ.dim)]
-            left = list(box)
-            right = list(box)
-            left[axis] = (cell.lo[axis], mid)
-            right[axis] = (mid, cell.hi[axis])
-            child_splits = tuple(
-                s + 1 if a == axis else s for a, s in enumerate(cell.splits)
-            )
-            children = integ.eval_cells([tuple(left), tuple(right)],
-                                        [child_splits] * 2)
+            lo, hi = np.array([cell.lo] * 2), np.array([cell.hi] * 2)
+            hi[0, axis] = lo[1, axis] = 0.5 * (cell.lo[axis] + cell.hi[axis])
+            splits = tuple(s + (a == axis) for a, s in enumerate(cell.splits))
+            children = integ.eval_cells(lo, hi, splits)
             total_val += sum(c.value for c in children) - cell.value
             total_err += sum(c.err for c in children) - cell.err
             for c in children:
-                heapq.heappush(heap, (-c.err, next(seq), c))
+                heapq.heappush(heap, (c.rank, next(seq), c))
 
         kept.extend(c for _, _, c in heap)
         all_cells.extend(kept)
@@ -231,44 +223,59 @@ def _integrate_charts(f, charts, n_phys, tol, singular_set, growth, breaks,
 
     # deterministic reduction: fixed cell order regardless of refinement schedule
     all_cells.sort(key=lambda c: (c.splits, tuple(c.lo), tuple(c.hi)))
-    value = float(sum(c.value for c in all_cells))
-    abs_err = float(sum(c.err for c in all_cells))
-    rel = abs_err / max(abs(value), SCALE_FLOOR)
-    return value, abs_err, rel, nodes
+    return sum(c.value for c in all_cells), sum(c.err for c in all_cells), nodes
 
 
-def _stratified_mc(f, domain, tol, seed):
+def _stratified_mc(f, domain, seed):
     lo, hi = domain.bounding_box()
     n = domain.n
     per_axis = 4 if n <= 3 else 3
     samples = 256 if n == 2 else 64
     rng = np.random.default_rng(seed)
-    edges = [np.linspace(lo[a], hi[a], per_axis + 1) for a in range(n)]
-    value = 0.0
-    var = 0.0
-    nodes = 0
-    for idx in itertools.product(range(per_axis), repeat=n):
-        slo = np.array([edges[a][i] for a, i in enumerate(idx)])
-        shi = np.array([edges[a][i + 1] for a, i in enumerate(idx)])
-        vol = float(np.prod(shi - slo))
-        X = slo + rng.random((samples, n)) * (shi - slo)
-        inside = domain.membership(X)
-        vals = np.zeros(samples)
-        if np.any(inside):
-            vals[inside] = f(X[inside])
-        if not np.all(np.isfinite(vals)):
-            raise NonFinite("integrand returned NaN/Inf during Monte Carlo")
-        value += vol * float(vals.mean())
-        var += vol**2 * float(vals.var(ddof=1)) / samples
-        nodes += samples
-    abs_err = 3.0 * math.sqrt(var)
-    rel = abs_err / max(abs(value), SCALE_FLOOR)
-    return value, abs_err, rel, nodes
+    edges = np.array([np.linspace(lo[a], hi[a], per_axis + 1) for a in range(n)])
+    idx = np.array(list(itertools.product(range(per_axis), repeat=n)))
+    slo, shi = edges[np.arange(n), idx], edges[np.arange(n), idx + 1]
+    X = (slo[:, None, :] + rng.random((len(idx), samples, n))
+         * (shi - slo)[:, None, :]).reshape(-1, n)
+    vals = _per_cell(f(X, domain.membership(X)), len(idx))  # (stratum, K, sample)
+    vol = np.prod(shi - slo, axis=1)[:, None]
+    value = sum(vol * vals.mean(axis=2))
+    var = sum(vol**2 * vals.var(axis=2, ddof=1) / samples)
+    return value, 3.0 * np.sqrt(var), X.shape[0]
 
 
 def montecarlo_volume(domain: Domain, seed: int = MC_SEED) -> float:
-    value, _, _, _ = _stratified_mc(lambda X: np.ones(X.shape[0]), domain, 1e-2, seed)
-    return value
+    ones = _Integrand(lambda X: np.ones(X.shape[0]))
+    return float(_stratified_mc(ones, domain, seed)[0][0])
+
+
+def _result(value, abs_err, nodes, tol, scalar) -> QuadratureResult:
+    rel = abs_err / np.maximum(np.abs(value), SCALE_FLOOR)
+    if scalar:
+        value, rel, abs_err = float(value[0]), float(rel[0]), float(abs_err[0])
+    return QuadratureResult(value, rel, nodes, bool(np.all(rel <= tol)), abs_err)
+
+
+def _components(res: QuadratureResult, tol: float) -> list:
+    """One scalar result per component, each with its own flag."""
+    if np.ndim(res.value) == 0:
+        return [res]
+    return [QuadratureResult(float(v), float(e), res.nodes_used, bool(e <= tol),
+                             float(a))
+            for v, e, a in zip(res.value, res.error_estimate, res.abs_error)]
+
+
+def _refuse_unconverged(names, results, tol):
+    """NoConvergence naming each result that missed tol, with the worst one's
+    value and estimate, if any did."""
+    missed = [(name, r) for name, r in zip(names, results) if not r.converged]
+    if missed:
+        worst = max((r for _, r in missed), key=lambda r: r.error_estimate)
+        raise NoConvergence(
+            "; ".join(f"{name} did not reach tol={tol:g} "
+                      f"(estimate {r.error_estimate:.3g})" for name, r in missed),
+            value=worst.value, error_estimate=worst.error_estimate,
+        )
 
 
 def integrate(
@@ -282,84 +289,87 @@ def integrate(
     max_cells: int = 20000,
     raise_on_failure: bool = True,
 ) -> QuadratureResult:
-    """Adaptive integral of a vectorized integrand f((N, n)) -> (N,).
+    """Adaptive integral of a vectorized integrand f((N, n)) -> (N,) or (N, K).
 
     ``tol`` is a relative tolerance (>= 1e-10); ``breaks`` maps chart axis
     names to known non-smooth parameter values so initial cells align with
     integrand creases; ``growth`` is the declared worst local growth
-    exponent g in |f| <= C / dist(x, singular_set)^g.
+    exponent g in |f| <= C / dist(x, singular_set)^g.  f is called on the
+    live (unmasked) points of each batch, which may be none.
+
+    The K components of an (N, K) integrand share one refinement tree and
+    each meets ``tol`` relative to its own value; the result then holds
+    (K,) arrays and is converged when all components are.  ``max_cells``
+    caps the cells of each chart.
     """
     if tol < 1e-10:
         raise InvalidParams("tol must be >= 1e-10")
     if singular_set is not None and len(singular_set.cells) == 0:
         singular_set = None
+    g = _Integrand(f)
     charts = domain.charts()
     det = None
     if charts is not None:
-        value, abs_err, rel, nodes = _integrate_charts(
-            f, charts, domain.n, tol, singular_set, growth, breaks,
-            max_depth, max_cells,
-        )
-        det = QuadratureResult(value, rel, nodes, rel <= tol, abs_err)
+        det = _result(*_integrate_charts(g, charts, tol, singular_set, growth,
+                                         breaks, max_depth, max_cells), tol, g.scalar)
         if det.converged:
             return det
     masked = charts is not None and any(ch.mask is not None for ch in charts)
     if charts is None or masked:
-        value, abs_err, rel, nodes = _stratified_mc(f, domain, tol, MC_SEED)
-        mc = QuadratureResult(value, rel, nodes, rel <= tol,
-                              abs_err)
-        if det is None or mc.abs_error < det.abs_error:
+        mc = _result(*_stratified_mc(g, domain, MC_SEED), tol, g.scalar)
+        if det is None or np.all(mc.abs_error < det.abs_error):
             det = mc
-    if not det.converged and raise_on_failure:
-        raise NoConvergence(
-            f"integral did not reach tol={tol:g} (estimate {det.error_estimate:.3g})",
-            value=det.value, error_estimate=det.error_estimate,
-        )
+    if raise_on_failure:
+        parts = _components(det, tol)
+        _refuse_unconverged(["integral"] if g.scalar else
+                            [f"component {k}" for k in range(len(parts))], parts, tol)
     return det
 
 
 # ---------------------------------------------------------------------------
-# energy functionals
+# graph functionals
 # ---------------------------------------------------------------------------
 
 
-def _field_breaks(field: VectorField, extra: dict | None = None) -> dict:
-    breaks = dict(field.chart_breaks)
-    for k, v in (extra or {}).items():
-        breaks[k] = tuple(sorted(set(breaks.get(k, ())) | set(v)))
-    return breaks
+#: integrand of each graph functional, from a Jacobian stack (N, m, n); the
+#: module's ``area_integrand`` and ``minors2`` are looked up at each call
+_GRAPH_INTEGRANDS = {
+    "area": lambda J: area_integrand(J),
+    "tv": lambda J: np.sqrt(np.sum(J * J, axis=(1, 2))),
+    "tv_area": lambda J: np.sqrt(1.0 + np.sum(J * J, axis=(1, 2))),
+    "minor": lambda J: np.sqrt(np.sum(minors2(J) ** 2, axis=1)),
+}
+
+
+def graph_functionals(field: VectorField, domain: Domain, tol: float, which,
+                      raise_on_failure: bool = True, **kwargs) -> list:
+    """One result per name in ``which``, all from one refinement tree.
+
+    Names: ``"area"`` (graph area, all minor orders), ``"tv"`` (|grad u|),
+    ``"tv_area"`` (sqrt(1 + |grad u|^2)) and ``"minor"`` (|M2(grad u)|).
+    Each result has its own convergence flag; ``NoConvergence`` names every
+    functional that missed ``tol``.  Other keyword arguments go to
+    :func:`integrate`.
+    """
+    which = tuple(which)
+    if not which or not set(which) <= set(_GRAPH_INTEGRANDS):
+        raise InvalidParams(f"graph functionals {which}: choose from "
+                            f"{tuple(_GRAPH_INTEGRANDS)}")
+
+    def f(X):
+        J = field.jacobian_many(X)
+        return np.array([_GRAPH_INTEGRANDS[name](J) for name in which]).T
+
+    res = integrate(f, domain, tol, singular_set=field.singular_set,
+                    breaks=field.chart_breaks, raise_on_failure=False,
+                    **kwargs)
+    results = _components(res, tol)
+    if raise_on_failure:
+        _refuse_unconverged(which, results, tol)
+    return results
 
 
 def area_functional(field: VectorField, domain: Domain, tol: float,
                     **kwargs) -> QuadratureResult:
     """Graph area of the field over the domain (all minor orders included)."""
-
-    def f(X):
-        return area_integrand(field.jacobian_many(X))
-
-    return integrate(f, domain, tol, singular_set=field.singular_set,
-                     breaks=_field_breaks(field), **kwargs)
-
-
-def sobolev_energy(field: VectorField, domain: Domain, tol: float, **kwargs):
-    """Triple of integrals (|grad u|, sqrt(1+|grad u|^2), |M2(grad u)|)."""
-
-    def grad_norm(X):
-        J = field.jacobian_many(X)
-        return np.sqrt(np.sum(J * J, axis=(1, 2)))
-
-    def tv_area(X):
-        J = field.jacobian_many(X)
-        return np.sqrt(1.0 + np.sum(J * J, axis=(1, 2)))
-
-    def minor_mass(X):
-        M = minors2(field.jacobian_many(X))
-        return np.sqrt(np.sum(M * M, axis=1))
-
-    common = dict(singular_set=field.singular_set, breaks=_field_breaks(field))
-    common.update(kwargs)
-    return (
-        integrate(grad_norm, domain, tol, **common),
-        integrate(tv_area, domain, tol, **common),
-        integrate(minor_mass, domain, tol, **common),
-    )
+    return graph_functionals(field, domain, tol, ("area",), **kwargs)[0]

@@ -25,7 +25,7 @@ from .chains import SingularChain
 from .domains import Annulus, Ball, Cone, Domain
 from .errors import DegreeMismatch, InvalidGeometry, InvalidParams
 from .fields import VectorField
-from .quadrature import QuadratureResult, area_functional, sobolev_energy
+from .quadrature import QuadratureResult, graph_functionals
 from .topology import Circle, winding_number
 
 #: homotopy rings refuse traces that come this close (radians) to antipodal
@@ -744,9 +744,8 @@ class GraphMassReport:
 
 def graph_mass(field: VectorField, domain: Domain, tol: float,
                **kwargs) -> GraphMassReport:
-    mass = area_functional(field, domain, tol, **kwargs)
-    grad, _, minor = sobolev_energy(field, domain, tol, **kwargs)
-    return GraphMassReport(mass=mass, grad=grad, minor=minor)
+    return GraphMassReport(*graph_functionals(
+        field, domain, tol, ("area", "tv", "minor"), **kwargs))
 
 
 def point_removal_report(w: VectorField, center, r: float, delta: float,

@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domains import Ball, Cone
-from .errors import InsufficientData, IoFailure, NoConvergence
+from .errors import InsufficientData, IoFailure
 from .fields import VectorField, make_example_field, chain_centers_radii
-from .quadrature import area_functional, sobolev_energy
+from .quadrature import area_functional, graph_functionals
 from .recovery import (
     cone_dipole,
     counterexample_sequence,
@@ -33,6 +32,7 @@ from .recovery import (
     vortex_smoothing_2d,
 )
 
+#: study metrics, each named as the graph functional it integrates
 METRICS = ("area", "tv", "minor")
 
 #: studies whose fit residual exceeds this are flagged inconclusive
@@ -162,17 +162,10 @@ def convergence_study(builder, schedule, domain, tol: float,
         dom = domain(p) if callable(domain) else domain
         f = builder(p)
         start = time.monotonic()
-        try:
-            area = area_functional(f, dom, tol, raise_on_failure=False)
-            grad, _, minor = sobolev_energy(f, dom, tol, raise_on_failure=False)
-        except NoConvergence:
-            return StudyRow(p, math.nan, math.nan, math.nan,
-                            math.inf, math.inf, math.inf,
-                            time.monotonic() - start, converged=False)
-        ok = area.converged and grad.converged and minor.converged
-        return StudyRow(p, area.value, grad.value, minor.value,
-                        area.abs_error, grad.abs_error, minor.abs_error,
-                        time.monotonic() - start, converged=ok)
+        parts = graph_functionals(f, dom, tol, METRICS, raise_on_failure=False)
+        return StudyRow(p, *(r.value for r in parts), *(r.abs_error for r in parts),
+                        time.monotonic() - start,
+                        converged=all(r.converged for r in parts))
 
     return study_from_rows(row, schedule, parameter)
 
@@ -228,19 +221,17 @@ def study_cone_dipole(schedule, tol: float = 1e-6) -> ConvergenceReport:
     """
     base = make_example_field("planar_vortex")
     ball = Ball(3, 1.0)
-    base_area = area_functional(base, ball, tol)
-    base_grad, _, _ = sobolev_energy(base, ball, tol)
+    base_area, base_grad = graph_functionals(base, ball, tol, ("area", "tv"))
 
     def row(eps):
         start = time.monotonic()
         w = cone_dipole(base, (-1.0, 1.0), 1, eps)
         cone = Cone(3, (-1.0, 1.0), eps)
-        a_w = area_functional(w, cone, tol, raise_on_failure=False)
-        g_w, _, m_w = sobolev_energy(w, cone, tol, raise_on_failure=False)
-        a_u = area_functional(base, cone, tol, raise_on_failure=False)
-        g_u, _, _ = sobolev_energy(base, cone, tol, raise_on_failure=False)
-        parts = (a_w, g_w, m_w, a_u, g_u)
-        ok = all(p.converged for p in parts)
+        a_w, g_w, m_w = graph_functionals(w, cone, tol, METRICS,
+                                          raise_on_failure=False)
+        a_u, g_u = graph_functionals(base, cone, tol, ("area", "tv"),
+                                     raise_on_failure=False)
+        ok = all(p.converged for p in (a_w, g_w, m_w, a_u, g_u))
         return StudyRow(
             eps,
             base_area.value - a_u.value + a_w.value,
@@ -280,7 +271,7 @@ def study_chain_disk(chain_field: VectorField, j: int, fracs=(0.4, 0.2, 0.1, 0.0
     c, h = centers[j - 1], radii[j - 1]
     d = 1 if (j - 1) % 2 == 0 else -1
     dom = Ball(2, h, tuple(c))
-    _, ref, _ = sobolev_energy(chain_field, dom, tol)
+    ref, = graph_functionals(chain_field, dom, tol, ("tv_area",))
     report = convergence_study(
         lambda eps: vortex_smoothing_2d(chain_field, tuple(c), d, eps),
         [h * f for f in fracs], dom, tol)

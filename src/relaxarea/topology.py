@@ -29,7 +29,7 @@ from .errors import (
     SingularPoint,
 )
 from .fields import SINGULAR_GUARD, VectorField
-from .quadrature import sobolev_energy
+from .quadrature import graph_functionals
 
 #: edge increments at or above pi/2 in magnitude are re-measured by lifting;
 #: below that a wrapped increment is provably the true lift step (same trust
@@ -391,5 +391,5 @@ def extract_lines_3d(field: VectorField, grid: GridSpec) -> SingularChain:
 def relaxed_area_rhs(field: VectorField, domain, chain: SingularChain,
                      tol: float, **kwargs) -> float:
     """Total-variation graph area plus pi times the singularity mass."""
-    _, tv_area, _ = sobolev_energy(field, domain, tol, **kwargs)
+    tv_area, = graph_functionals(field, domain, tol, ("tv_area",), **kwargs)
     return tv_area.value + math.pi * chain_mass(chain)

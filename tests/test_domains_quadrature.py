@@ -16,8 +16,22 @@ from relaxarea.domains import (
     make_domain,
 )
 from relaxarea.errors import InvalidGeometry, InvalidParams, NoConvergence
-from relaxarea.fields import make_example_field
-from relaxarea.quadrature import area_functional, integrate, sobolev_energy
+from relaxarea.fields import (
+    area_integrand,
+    chain_centers_radii,
+    make_example_field,
+    minors2,
+)
+from relaxarea.quadrature import area_functional, graph_functionals, integrate
+from relaxarea.recovery import (
+    cone_defect_field_4d,
+    cone_defect_filler,
+    cone_dipole,
+    counterexample_sequence,
+    cylinder_analogue_2d,
+    homogeneous_cone_extension,
+    vortex_smoothing_2d,
+)
 
 
 def ones(X):
@@ -77,12 +91,12 @@ class TestIntegrate:
 
     def test_vortex_gradient_mass(self):
         v = make_example_field("vortex", d=1)
-        grad, _, _ = sobolev_energy(v, Ball(2, 1.0), 1e-8)
+        grad, = graph_functionals(v, Ball(2, 1.0), 1e-8, ("tv",))
         assert grad.value == pytest.approx(VORTEX_TV_B2, rel=1e-10)
 
     def test_planar_vortex_gradient_mass(self):
         pv = make_example_field("planar_vortex")
-        grad, _, minor = sobolev_energy(pv, Ball(3, 1.0), 1e-8)
+        grad, minor = graph_functionals(pv, Ball(3, 1.0), 1e-8, ("tv", "minor"))
         assert grad.value == pytest.approx(PLANAR_TV_B3, rel=1e-9)
         assert abs(minor.value) <= 1e-12  # all 2x2 minors vanish off the axis
 
@@ -153,7 +167,8 @@ class TestIntegrate:
 
     def test_constant_field_energy_triple(self):
         c = make_example_field("constant", value=(0.6, -0.8))
-        grad, tva, minor = sobolev_energy(c, Ball(2, 1.0), 1e-8)
+        grad, tva, minor = graph_functionals(c, Ball(2, 1.0), 1e-8,
+                                             ("tv", "tv_area", "minor"))
         assert grad.value == 0.0
         assert tva.value == pytest.approx(math.pi, rel=1e-9)
         assert minor.value == 0.0
@@ -162,7 +177,7 @@ class TestIntegrate:
         pv = make_example_field("planar_vortex")
         dom = Ball(3, 1.0)
         area = area_functional(pv, dom, 1e-7)
-        _, tva, _ = sobolev_energy(pv, dom, 1e-7)
+        tva, = graph_functionals(pv, dom, 1e-7, ("tv_area",))
         assert area.value >= tva.value - 1e-6
         assert tva.value >= dom.volume() - 1e-6
 
@@ -203,7 +218,8 @@ class TestSingularGrading:
 
     def test_tight_tolerance_is_honestly_refused(self):
         v = make_example_field("vortex", d=1)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence,
+                           match=r"^area did not reach tol=1e-08 \(estimate "):
             area_functional(v, Cube(2, 1.0), 1e-8)
 
 
@@ -224,3 +240,158 @@ class TestMonteCarloFallback:
         dom = Difference(Ball(2, 1.0), Ball(2, 0.5, center=(0.4, 0.0)))
         exact = math.pi * (1 - 0.25)
         assert abs(dom.volume() - exact) <= 0.05 * exact
+
+
+# ---------------------------------------------------------------------------
+# one refinement tree for several integrands
+# ---------------------------------------------------------------------------
+
+#: the graph functionals' integrands written out on their own: the reference
+#: that the fused tree is checked against
+REFERENCE_INTEGRANDS = {
+    "area": area_integrand,
+    "tv": lambda J: np.sqrt(np.sum(J * J, axis=(1, 2))),
+    "tv_area": lambda J: np.sqrt(1.0 + np.sum(J * J, axis=(1, 2))),
+    "minor": lambda J: np.linalg.norm(minors2(J), axis=1),
+}
+
+
+def _chain_disk():
+    centers, radii = chain_centers_radii(6)
+    return (make_example_field("vortex_chain", m=6),
+            Ball(2, radii[0], tuple(centers[0])))
+
+
+#: (field, domain) of one integral of each acceptance experiment, at tol 1e-6
+ACCEPTANCE_INTEGRALS = {
+    "vortex-ball2": lambda: (make_example_field("vortex", d=1), Ball(2, 1.0)),
+    "planar-vortex-ball3": lambda: (make_example_field("planar_vortex"),
+                                    Ball(3, 1.0)),
+    "smoothing-row": lambda: (
+        vortex_smoothing_2d(make_example_field("vortex", d=1), (0.0, 0.0), 1,
+                            0.1),
+        Ball(2, 1.0)),
+    "cone-dipole-w": lambda: (
+        cone_dipole(make_example_field("planar_vortex"), (-1.0, 1.0), 1, 0.1),
+        Cone(3, (-1.0, 1.0), 0.1)),
+    "cone-dipole-base": lambda: (make_example_field("planar_vortex"),
+                                 Cone(3, (-1.0, 1.0), 0.1)),
+    "chain-disk": _chain_disk,
+    "counterexample-row": lambda: (counterexample_sequence("ball", 4),
+                                   Ball(3, 1.0)),
+    "cyl2d-row": lambda: (cylinder_analogue_2d(8), Ball(2, 1.0)),
+}
+
+
+class TestGraphFunctionals:
+    @pytest.mark.parametrize("case", sorted(ACCEPTANCE_INTEGRALS))
+    def test_fused_tree_matches_separate_integrals(self, case):
+        field, dom = ACCEPTANCE_INTEGRALS[case]()
+        names = tuple(REFERENCE_INTEGRANDS)
+        fused = graph_functionals(field, dom, 1e-6, names)
+        for name, got in zip(names, fused):
+            integrand = REFERENCE_INTEGRANDS[name]
+            ref = integrate(lambda X: integrand(field.jacobian_many(X)), dom,
+                            1e-6, singular_set=field.singular_set,
+                            breaks=field.chart_breaks, raise_on_failure=False)
+            assert got.converged, name
+            assert got.nodes_used == fused[0].nodes_used
+            assert abs(got.value - ref.value) <= got.abs_error + ref.abs_error, (
+                name, got, ref)
+
+    def test_fused_tree_no_larger_than_largest_separate_tree(self):
+        # the 4d cone shell's area, TV and minor mass are roughest along
+        # different axes; splitting by the roughest of all components
+        # instead of the one that ranked the cell grows this tree 8-fold
+        segment = (-1.0, 1.0)
+        ext = homogeneous_cone_extension(cone_defect_field_4d(), segment, 0.2,
+                                         0.04, cone_defect_filler(segment, 0.2))
+        shell = Cone(4, segment, 0.2, codim=3, t_min=0.2)
+        names = ("area", "tv", "minor")
+        fused = graph_functionals(ext, shell, 1e-5, names)
+        alone = [graph_functionals(ext, shell, 1e-5, (name,))[0]
+                 for name in names]
+        assert fused[0].nodes_used <= max(r.nodes_used for r in alone)
+        for got, ref in zip(fused, alone):
+            assert abs(got.value - ref.value) <= got.abs_error + ref.abs_error
+
+    # node counts of the one-integrand engine these trees must keep
+    @pytest.mark.parametrize("kind, params, dom, tol, nodes", [
+        ("vortex", {"d": 1}, Ball(2, 1.0), 1e-6, 80),
+        ("vortex", {"d": 2}, Cube(2, 1.0), 3e-6, 18480),
+        ("planar_vortex", {}, Ball(3, 1.0), 1e-6, 6336),
+    ])
+    def test_scalar_tree_unchanged(self, kind, params, dom, tol, nodes):
+        res = area_functional(make_example_field(kind, **params), dom, tol)
+        assert res.converged and res.nodes_used == nodes
+
+    def test_scalar_refusal_unchanged(self):
+        v = make_example_field("vortex", d=1)
+        with pytest.raises(NoConvergence) as info:
+            area_functional(v, Cube(2, 1.0), 1e-8, max_cells=2000)
+        assert info.value.value == 8.364443029588742  # bit for bit
+
+    def test_vector_integrand_through_monte_carlo(self):
+        dom = Difference(Ball(2, 1.0), Ball(2, 0.5, center=(0.4, 0.0)))
+
+        def pair(X):
+            return np.stack([ones(X), X[:, 0] ** 2], axis=1)
+
+        # one cell cannot resolve the masked chart, so Monte Carlo wins
+        res = integrate(pair, dom, 1e-4, max_cells=1, raise_on_failure=False)
+        alone = integrate(ones, dom, 1e-4, max_cells=1, raise_on_failure=False)
+        assert res.nodes_used == alone.nodes_used == 16 * 256  # MC samples
+        for got in (res.value, res.error_estimate, res.abs_error):
+            assert isinstance(got, np.ndarray) and got.shape == (2,)
+        assert res.value[0] == alone.value
+        assert res.abs_error[0] == alone.abs_error
+        assert isinstance(alone.value, float)
+
+    @pytest.mark.parametrize("names", [("area", "minor"), ("minor", "area")])
+    def test_zero_component_neither_blocks_nor_ends_refinement(self, names):
+        pv = make_example_field("planar_vortex")  # minors vanish off the axis
+        parts = graph_functionals(pv, Ball(3, 1.0), 1e-6, names)
+        area, minor = parts if names[0] == "area" else parts[::-1]
+        alone = area_functional(pv, Ball(3, 1.0), 1e-6)
+        assert abs(minor.value) <= 1e-12 and minor.converged
+        assert area.converged and alone.nodes_used > 1000  # refined
+        assert (area.value, area.nodes_used) == (alone.value, alone.nodes_used)
+
+    def test_converged_is_the_and_of_components(self):
+        v = make_example_field("vortex", d=1)  # circle-valued: minors vanish
+        minor, tv = graph_functionals(v, Cube(2, 1.0), 1e-8, ("minor", "tv"),
+                                      max_cells=200, raise_on_failure=False)
+        assert minor.converged and not tv.converged
+
+        def pair(X):
+            J = v.jacobian_many(X)
+            return np.stack([REFERENCE_INTEGRANDS["minor"](J),
+                             REFERENCE_INTEGRANDS["tv"](J)], axis=1)
+
+        res = integrate(pair, Cube(2, 1.0), 1e-8, singular_set=v.singular_set,
+                        max_cells=200, raise_on_failure=False)
+        assert not res.converged
+        assert res.error_estimate[0] <= 1e-8 < res.error_estimate[1]
+        with pytest.raises(NoConvergence, match=r"^component 1 did not reach"):
+            integrate(pair, Cube(2, 1.0), 1e-8, singular_set=v.singular_set,
+                      max_cells=200)
+
+    def test_no_convergence_names_each_missed_functional(self):
+        v = make_example_field("vortex", d=1)
+        names = ("minor", "tv", "tv_area")
+        parts = graph_functionals(v, Cube(2, 1.0), 1e-8, names, max_cells=200,
+                                  raise_on_failure=False)
+        worst = max(parts[1:], key=lambda r: r.error_estimate)
+        with pytest.raises(NoConvergence) as info:
+            graph_functionals(v, Cube(2, 1.0), 1e-8, names, max_cells=200)
+        msg = str(info.value)
+        assert "tv did not reach tol=1e-08" in msg
+        assert "tv_area did not reach tol=1e-08" in msg
+        assert "minor" not in msg
+        assert info.value.value == worst.value
+        assert info.value.error_estimate == worst.error_estimate
+
+    def test_unknown_functional_rejected(self):
+        v = make_example_field("vortex", d=1)
+        with pytest.raises(InvalidParams):
+            graph_functionals(v, Ball(2, 1.0), 1e-6, ("area", "energy"))

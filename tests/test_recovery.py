@@ -8,7 +8,7 @@ from conftest import VORTEX_AREA_B2
 from relaxarea.domains import Ball, Cone
 from relaxarea.errors import DegreeMismatch, InvalidGeometry, InvalidParams
 from relaxarea.fields import make_example_field, minors2
-from relaxarea.quadrature import area_functional, integrate, sobolev_energy
+from relaxarea.quadrature import area_functional, graph_functionals, integrate
 from relaxarea.recovery import (
     cone_defect_field_4d,
     cone_defect_filler,
@@ -119,7 +119,8 @@ class TestConeDipole:
         pv = make_example_field("planar_vortex")
         for eps, tol_rel in ((0.1, 2e-3), (0.025, 2e-4)):
             w = cone_dipole(pv, (-1.0, 1.0), 1, eps)
-            _, _, m2 = sobolev_energy(w, Cone(3, (-1.0, 1.0), eps), 1e-7)
+            m2, = graph_functionals(w, Cone(3, (-1.0, 1.0), eps), 1e-7,
+                                    ("minor",))
             assert m2.value == pytest.approx(2 * math.pi, rel=tol_rel)
 
     def test_core_minor_pattern(self):
@@ -143,7 +144,7 @@ class TestConeDipole:
         rows = []
         for eps in (0.1, 0.05, 0.025):
             w = cone_dipole(pv, (-1.0, 1.0), 1, eps)
-            g, _, _ = sobolev_energy(w, Cone(3, (-1.0, 1.0), eps), 1e-7)
+            g, = graph_functionals(w, Cone(3, (-1.0, 1.0), eps), 1e-7, ("tv",))
             rows.append(g.value)
         assert rows[2] < rows[1] < rows[0]
         assert rows[2] <= 0.05 * rows[0] / 0.025 * 0.025 + 0.2  # O(eps) scale
@@ -327,6 +328,6 @@ class TestCylinderAnalogue2d:
 
     def test_tv_overshoots_by_two_pi(self):
         f = cylinder_analogue_2d(32)
-        g, _, _ = sobolev_energy(f, Ball(2, 1.0), 1e-6)
+        g, = graph_functionals(f, Ball(2, 1.0), 1e-6, ("tv",))
         # analytic: 2 * (2pi - 2/k) * (1 - 1/k) + O(1/k)
         assert g.value == pytest.approx(4 * math.pi, rel=0.05)
