@@ -73,9 +73,6 @@ class SingularChain:
                 kept.append((simplex, mult))
         return SingularChain(self.n, self.k, tuple(kept), self.spacing)
 
-    def total_multiplicity(self) -> int:
-        return int(sum(m for _, m in self.cells))
-
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path) -> None:
@@ -105,11 +102,18 @@ def chain_csv_header(n: int) -> list[str]:
 
 
 def chain_csv_text(chain: SingularChain) -> str:
-    """CSV of the cells; a nonzero ``spacing`` adds a last column holding it."""
+    """CSV of the cells; a nonzero ``spacing`` adds a last column holding it.
+
+    An empty chain that the header alone would not restore (k=1 or a
+    spacing) gets one row of multiplicity 0 with blank coordinates, which
+    carries k and the spacing but no cell.
+    """
     spacing = [f"{chain.spacing:.17g}"] if chain.spacing else []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(chain_csv_header(chain.n) + (["spacing"] if spacing else []))
+    if not chain.cells and (chain.k or spacing):
+        writer.writerow([str(chain.k)] + [""] * (2 * chain.n) + ["0"] + spacing)
     for simplex, mult in chain.cells:
         if chain.k == 0:
             a = b = np.asarray(simplex)
@@ -134,16 +138,20 @@ def chain_from_csv_text(text: str) -> SingularChain:
     has_spacing = header[-1] == "spacing"
     n = (len(header) - 2 - has_spacing) // 2
     spacing = 0.0
+    empty_k = 0  # k of an empty chain, from its multiplicity-0 row
     cells_k0, cells_k1 = [], []
     for row in rows[1:]:
         if not row:
             continue
         k = int(row[0])
-        a = np.array([float(v) for v in row[1 : 1 + n]])
-        b = np.array([float(v) for v in row[1 + n : 1 + 2 * n]])
         mult = int(row[1 + 2 * n])
         if has_spacing:
             spacing = float(row[-1])
+        if mult == 0:
+            empty_k = k
+            continue
+        a = np.array([float(v) for v in row[1 : 1 + n]])
+        b = np.array([float(v) for v in row[1 + n : 1 + 2 * n]])
         if k == 0:
             cells_k0.append((a, mult))
         else:
@@ -152,8 +160,10 @@ def chain_from_csv_text(text: str) -> SingularChain:
         raise IoFailure("mixed-dimension chain CSV")
     if cells_k1:
         chain = SingularChain.segments(n, cells_k1)
-    else:
+    elif cells_k0:
         chain = SingularChain.points(n, cells_k0)
+    else:
+        chain = SingularChain.empty(n, empty_k)
     return replace(chain, spacing=spacing)
 
 

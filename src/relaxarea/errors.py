@@ -30,12 +30,17 @@ class NonFinite(RelaxAreaError):
 
 
 class NoConvergence(RelaxAreaError):
-    """Adaptive integration hit its depth cap with the estimate above tolerance."""
+    """Adaptive integration hit its depth cap with the estimate above tolerance.
 
-    def __init__(self, msg, value=None, error_estimate=None):
+    ``capped_cell`` is where: the worst depth-capped cell's centre and its
+    distance to the singular set, or None when no cell was capped.
+    """
+
+    def __init__(self, msg, value=None, error_estimate=None, capped_cell=None):
         super().__init__(msg)
         self.value = value
         self.error_estimate = error_estimate
+        self.capped_cell = capped_cell
 
 
 class AmbiguousWinding(RelaxAreaError):

@@ -34,8 +34,6 @@ FD_STEP = 1e-5
 
 #: tolerance on | |u|-1 | for exact circle/sphere-valued constructions
 SPHERE_TOL_EXACT = 1e-9
-#: relaxed tolerance for interpolated constructions
-SPHERE_TOL_INTERP = 1e-6
 
 
 def minor_pairs(n: int) -> list[tuple[int, int]]:

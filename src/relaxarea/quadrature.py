@@ -18,6 +18,25 @@ growth |f| <= C / dist^g, with C sampled from the cell's own nodes times a
 safety factor of 4.  Difference domains with awkward geometry fall back to
 stratified Monte Carlo with a fixed seed; the deterministic result is kept
 whenever it converged.
+
+A depth-capped cell is final, as in DCUHRE: it is never split again and
+its error stays in the sum.  So a refusal can be decided before the cell
+budget runs out.  With C_k the capped error of component k summed over all
+charts, V_k the sum over charts of |chart value_k| and U_k their uncapped
+error, component k is *decided* once
+
+    C_k > tol * max(V_k + U_k, SCALE_FLOOR).
+
+The bound is safe: the final absolute error is at least C_k, because
+refinement only replaces uncapped cells, and refinement moves each chart's
+value by at most its uncapped error, so the final |value_k| is at most
+V_k + U_k.  (This trusts the cell error estimates, as the convergence test
+itself does.)  Every chart's first cells are evaluated before any is
+refined, so the sums cover the whole integral: a chart that cannot meet
+tol on its own value does not refuse an integral that converges as a
+whole.  Charts refine in turn, and a chart stops once each component has
+met tol on the chart or been decided; a component that can still converge
+keeps refining.
 """
 
 from __future__ import annotations
@@ -46,16 +65,24 @@ MC_SEED = 0x5EED
 SCALE_FLOOR = 1e-6
 
 
+#: a depth-capped cell: its centre in physical coordinates and its distance
+#: to the singular set (inf without one)
+CappedCell = namedtuple("CappedCell", "centre distance")
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     """Value, relative error estimate, node count and convergence flag; (K,)
-    arrays for an (N, K) integrand, converged when all components are."""
+    arrays for an (N, K) integrand, converged when all components are.
+    ``capped_cell`` is the depth-capped cell with the largest relative error,
+    None when no cell was capped."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
     nodes_used: int
     converged: bool
     abs_error: float | np.ndarray = 0.0
+    capped_cell: CappedCell | None = None
 
 
 @functools.cache
@@ -119,16 +146,30 @@ def _split_box_at_breaks(box, axes, breaks):
 
 
 class _ChartIntegrator:
-    def __init__(self, f, chart, singular_set, growth):
+    """One chart's refinement tree: its cells in a heap ranked by weighted
+    error, the depth-capped cells that are final, and running totals."""
+
+    def __init__(self, f, chart, singular_set, growth, max_depth, breaks):
         self.f = f
         self.chart = chart
         self.singular_set = singular_set
         self.growth = growth
+        self.max_depth = max_depth
         self.weight = None  # per component, set by the first batch
         self.dim = len(chart.box)
         self.P8, self.W8 = _tensor_rule(GAUSS_ORDER, self.dim)
         self.P4, self.W4 = _tensor_rule(ERROR_ORDER, self.dim)
         self.nodes_used = 0
+        lo, hi = _split_box_at_breaks(chart.box, chart.axes, breaks)
+        cells = self.eval_cells(lo, hi, (0,) * self.dim)
+        self.total_val = sum(c.value for c in cells)
+        self.total_err = sum(c.err for c in cells)
+        self.capped_err = 0.0  # the part of total_err that no split can lower
+        self.seq = itertools.count()
+        self.heap = [(c.rank, next(self.seq), c) for c in cells]
+        heapq.heapify(self.heap)
+        self.capped = []  # the depth-capped cells, which are final
+        self.where = []  # the CappedCell of each, in the same order
 
     def eval_cells(self, lo, hi, splits):
         """Evaluate the cells [lo, hi] (C, dim) with one integrand call."""
@@ -157,8 +198,8 @@ class _ChartIntegrator:
         rough = np.array([np.abs(np.diff(grid, n=2, axis=1 + a)).reshape(
             C, -1).sum(axis=1) for a in range(self.dim)]).T
         rank = (-weighted.max(axis=1)).tolist()
-        chat = np.zeros_like(err)
-        if self.singular_set is not None:
+        chat = [None] * C  # read only by capped_error, so only capped cells
+        if self.singular_set is not None and min(splits) >= self.max_depth:
             d = distance_to_chain(X[:n8], self.singular_set)
             chat = (np.abs(raw[:n8]) * (d ** self.growth)[:, None]).reshape(
                 C, -1, raw.shape[1]).max(axis=1)
@@ -166,64 +207,84 @@ class _ChartIntegrator:
                       rough[i]) for i in range(C)]
 
     def capped_error(self, cell):
-        """Analytic bound for a depth-capped cell touching the singular set."""
-        if self.singular_set is None:
-            return cell.err
+        """Analytic bound for a depth-capped cell touching the singular set,
+        and where the cell is."""
         X = self.chart.to_physical(np.vstack(  # Gauss-8 points, then the centre
             [cell.lo + self.P8 * (cell.hi - cell.lo), 0.5 * (cell.lo + cell.hi)]))
+        centre = tuple(float(x) for x in X[-1])
+        if self.singular_set is None:
+            return cell.err, CappedCell(centre, math.inf)
         g, n = self.growth, X.shape[1]
         diam = float(np.linalg.norm(X[:-1].max(axis=0) - X[:-1].min(axis=0)))
         dist = float(distance_to_chain(X[-1:], self.singular_set)[0])
+        where = CappedCell(centre, dist)
         if n - g <= 0 or dist > 2.0 * diam:
-            return cell.err
+            return cell.err, where
         surf = 2.0 * math.pi if n == 2 else 4.0 * math.pi
         bound = 4.0 * cell.chat * surf * diam ** (n - g) / (n - g)
-        return np.minimum(cell.err, bound)
+        return np.minimum(cell.err, bound), where
+
+    def refine_worst(self):
+        """Split the worst cell in two, or keep it as final if it is at the
+        depth cap; True in the second case."""
+        _, _, cell = heapq.heappop(self.heap)
+        open_axes = [a for a, s in enumerate(cell.splits) if s < self.max_depth]
+        if not open_axes:
+            err, where = self.capped_error(cell)
+            self.total_err += err - cell.err
+            self.capped_err += err
+            self.capped.append(cell._replace(err=err))
+            self.where.append(where)
+            return True
+        axis = max(open_axes, key=lambda a: cell.rough[a])
+        lo, hi = np.array([cell.lo] * 2), np.array([cell.hi] * 2)
+        hi[0, axis] = lo[1, axis] = 0.5 * (cell.lo[axis] + cell.hi[axis])
+        splits = tuple(s + (a == axis) for a, s in enumerate(cell.splits))
+        children = self.eval_cells(lo, hi, splits)
+        self.total_val += sum(c.value for c in children) - cell.value
+        self.total_err += sum(c.err for c in children) - cell.err
+        for c in children:
+            heapq.heappush(self.heap, (c.rank, next(self.seq), c))
+        return False
+
+
+def _decided(integs, tol):
+    """Components whose refusal is decided: their depth-capped error alone
+    exceeds tol times the largest |value| that refinement can still reach."""
+    capped = sum(i.capped_err for i in integs)
+    reach = sum(np.abs(i.total_val) + (i.total_err - i.capped_err)
+                for i in integs)
+    return capped > tol * np.maximum(reach, SCALE_FLOOR)
 
 
 def _integrate_charts(f, charts, tol, singular_set, growth, breaks, max_depth,
                       max_cells):
-    all_cells = []
-    nodes = 0
-    for chart in charts:
-        integ = _ChartIntegrator(f, chart, singular_set, growth)
-        lo, hi = _split_box_at_breaks(chart.box, chart.axes, breaks or {})
-        cells = integ.eval_cells(lo, hi, (0,) * integ.dim)
-        total_val = sum(c.value for c in cells)
-        total_err = sum(c.err for c in cells)
-        seq = itertools.count()
-        heap = [(c.rank, next(seq), c) for c in cells]
-        heapq.heapify(heap)
-        kept = []
-
-        while heap:
-            scale = np.maximum(np.abs(total_val), SCALE_FLOOR)
-            if np.all(total_err <= tol * scale) or len(kept) + len(heap) >= max_cells:
+    # the first cells of every chart come before any refinement, so that a
+    # refusal is decided against the whole integral, not one chart of it
+    integs = [_ChartIntegrator(f, chart, singular_set, growth, max_depth,
+                               breaks or {}) for chart in charts]
+    decided = any_capped = False  # nothing is decided before a cell is capped
+    for integ in integs:
+        while integ.heap:
+            scale = np.maximum(np.abs(integ.total_val), SCALE_FLOOR)
+            met = integ.total_err <= tol * scale
+            if (np.all(met | decided)
+                    or len(integ.capped) + len(integ.heap) >= max_cells):
                 break
-            _, _, cell = heapq.heappop(heap)
-            open_axes = [a for a, s in enumerate(cell.splits) if s < max_depth]
-            if not open_axes:
-                capped = cell._replace(err=integ.capped_error(cell))
-                total_err += capped.err - cell.err
-                kept.append(capped)
-                continue
-            axis = max(open_axes, key=lambda a: cell.rough[a])
-            lo, hi = np.array([cell.lo] * 2), np.array([cell.hi] * 2)
-            hi[0, axis] = lo[1, axis] = 0.5 * (cell.lo[axis] + cell.hi[axis])
-            splits = tuple(s + (a == axis) for a, s in enumerate(cell.splits))
-            children = integ.eval_cells(lo, hi, splits)
-            total_val += sum(c.value for c in children) - cell.value
-            total_err += sum(c.err for c in children) - cell.err
-            for c in children:
-                heapq.heappush(heap, (c.rank, next(seq), c))
-
-        kept.extend(c for _, _, c in heap)
-        all_cells.extend(kept)
-        nodes += integ.nodes_used
+            any_capped = integ.refine_worst() or any_capped
+            if any_capped:
+                decided = decided | _decided(integs, tol)
 
     # deterministic reduction: fixed cell order regardless of refinement schedule
+    all_cells = [c for i in integs for c in i.capped + [c for _, _, c in i.heap]]
     all_cells.sort(key=lambda c: (c.splits, tuple(c.lo), tuple(c.hi)))
-    return sum(c.value for c in all_cells), sum(c.err for c in all_cells), nodes
+    value = sum(c.value for c in all_cells)
+    err = sum(c.err for c in all_cells)
+    scale = np.maximum(np.abs(value), SCALE_FLOOR)
+    shares = [(np.max(c.err / scale), w) for i in integs
+              for c, w in zip(i.capped, i.where)]
+    worst = max(shares, key=lambda p: p[0])[1] if shares else None
+    return value, err, sum(i.nodes_used for i in integs), worst
 
 
 def _stratified_mc(f, domain, seed):
@@ -249,11 +310,13 @@ def montecarlo_volume(domain: Domain, seed: int = MC_SEED) -> float:
     return float(_stratified_mc(ones, domain, seed)[0][0])
 
 
-def _result(value, abs_err, nodes, tol, scalar) -> QuadratureResult:
+def _result(value, abs_err, nodes, tol, scalar,
+            capped_cell=None) -> QuadratureResult:
     rel = abs_err / np.maximum(np.abs(value), SCALE_FLOOR)
     if scalar:
         value, rel, abs_err = float(value[0]), float(rel[0]), float(abs_err[0])
-    return QuadratureResult(value, rel, nodes, bool(np.all(rel <= tol)), abs_err)
+    return QuadratureResult(value, rel, nodes, bool(np.all(rel <= tol)), abs_err,
+                            capped_cell)
 
 
 def _components(res: QuadratureResult, tol: float) -> list:
@@ -261,21 +324,25 @@ def _components(res: QuadratureResult, tol: float) -> list:
     if np.ndim(res.value) == 0:
         return [res]
     return [QuadratureResult(float(v), float(e), res.nodes_used, bool(e <= tol),
-                             float(a))
+                             float(a), res.capped_cell)
             for v, e, a in zip(res.value, res.error_estimate, res.abs_error)]
 
 
 def _refuse_unconverged(names, results, tol):
     """NoConvergence naming each result that missed tol, with the worst one's
-    value and estimate, if any did."""
+    value and estimate and the tree's worst depth-capped cell, if any did."""
     missed = [(name, r) for name, r in zip(names, results) if not r.converged]
     if missed:
         worst = max((r for _, r in missed), key=lambda r: r.error_estimate)
-        raise NoConvergence(
-            "; ".join(f"{name} did not reach tol={tol:g} "
-                      f"(estimate {r.error_estimate:.3g})" for name, r in missed),
-            value=worst.value, error_estimate=worst.error_estimate,
-        )
+        msg = "; ".join(f"{name} did not reach tol={tol:g} "
+                        f"(estimate {r.error_estimate:.3g})" for name, r in missed)
+        where = worst.capped_cell
+        if where is not None:
+            centre = ", ".join(f"{x:.6g}" for x in where.centre)
+            msg += (f"; worst depth-capped cell at ({centre}), "
+                    f"{where.distance:.3g} from the singular set")
+        raise NoConvergence(msg, value=worst.value,
+                            error_estimate=worst.error_estimate, capped_cell=where)
 
 
 def integrate(
@@ -301,6 +368,18 @@ def integrate(
     each meets ``tol`` relative to its own value; the result then holds
     (K,) arrays and is converged when all components are.  ``max_cells``
     caps the cells of each chart.
+
+    Refinement stops early once the depth-capped cells decide that a
+    component cannot meet ``tol``: their summed error exceeds ``tol`` times
+    the largest |value| that refinement can still reach (the sum over
+    charts of |value| plus uncapped error; see the module docstring).
+    Components that can still converge refine on.  With
+    ``raise_on_failure=False`` an unconverged result is returned as the
+    tree stood when it stopped: the value of all its cells, their summed
+    error with capped cells at their bound, every node evaluated, and in
+    ``capped_cell`` the capped cell with the largest relative error.
+    Otherwise ``NoConvergence`` carries that value, relative error and
+    capped cell.
     """
     if tol < 1e-10:
         raise InvalidParams("tol must be >= 1e-10")
@@ -310,8 +389,9 @@ def integrate(
     charts = domain.charts()
     det = None
     if charts is not None:
-        det = _result(*_integrate_charts(g, charts, tol, singular_set, growth,
-                                         breaks, max_depth, max_cells), tol, g.scalar)
+        value, err, nodes, where = _integrate_charts(
+            g, charts, tol, singular_set, growth, breaks, max_depth, max_cells)
+        det = _result(value, err, nodes, tol, g.scalar, where)
         if det.converged:
             return det
     masked = charts is not None and any(ch.mask is not None for ch in charts)

@@ -143,6 +143,8 @@ class TestErrorPaths:
         code, _, err = run(capsys, "area", "--field", "vortex",
                            "--domain", "cube2", "--tol", "1e-8")
         assert code == 3
+        assert err.startswith("error: area did not reach tol=1e-08 (estimate ")
+        assert "from the singular set" in err  # where the refusal lies
 
     def test_unwritable_output_exits_4(self, capsys):
         code, _, err = run(capsys, "area", "--field", "constant",

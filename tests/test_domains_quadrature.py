@@ -223,18 +223,98 @@ class TestSingularGrading:
             area_functional(v, Cube(2, 1.0), 1e-8)
 
 
+class TestFailFast:
+    """A depth-capped cell is final, so a refusal is decided as soon as the
+    capped error alone exceeds tol times the largest reachable |value|."""
+
+    def test_refusal_does_not_depend_on_the_cell_budget(self):
+        v = make_example_field("vortex", d=1)
+        raised = []
+        for max_cells in (2000, 20000):
+            with pytest.raises(NoConvergence) as info:
+                area_functional(v, Cube(2, 1.0), 1e-8, max_cells=max_cells)
+            raised.append(info.value)
+        assert str(raised[0]) == str(raised[1])
+        assert raised[0].value == raised[1].value
+        assert raised[0].error_estimate == raised[1].error_estimate
+
+    def test_refusal_is_decided_within_200_integrand_calls(self):
+        v = make_example_field("vortex", d=1)
+        calls = []
+
+        def area(X):
+            calls.append(len(X))
+            return area_integrand(v.jacobian_many(X))
+
+        with pytest.raises(NoConvergence):
+            integrate(area, Cube(2, 1.0), 1e-8, singular_set=v.singular_set,
+                      breaks=v.chart_breaks, max_cells=20000)
+        assert len(calls) < 200
+
+    def test_refusal_names_the_worst_capped_cell(self):
+        v = make_example_field("vortex", d=1)  # singular at the origin
+        res = area_functional(v, Cube(2, 1.0), 1e-8, raise_on_failure=False)
+        centre, dist = res.capped_cell
+        assert dist == pytest.approx(math.hypot(*centre), rel=1e-12)
+        assert dist < 2.0 * 2.0**-14  # a cell at the depth cap of 14 halvings
+        with pytest.raises(NoConvergence, match=(
+                r"^area did not reach tol=1e-08 \(estimate .*\); worst "
+                r"depth-capped cell at \(.*\), .* from the singular set$")) as info:
+            area_functional(v, Cube(2, 1.0), 1e-8)
+        assert info.value.capped_cell == res.capped_cell
+        assert area_functional(v, Ball(2, 1.0), 1e-6).capped_cell is None
+
+    def test_chart_that_misses_tol_alone_does_not_refuse_the_whole(self):
+        v = make_example_field("vortex", d=1)
+        # the second of the two charts is this box, which holds the vortex
+        # point; its capped error exceeds 1e-6 of its own value, but not of
+        # the whole's
+        small = Cube(2, 0.5, center=(0.25, 0.0))
+        dom = Difference(Cube(2, 1.0, center=(-0.25, 0.5)),
+                         Cube(2, 0.5, center=(0.25, 1.0)))
+        boxes = [ch.box for ch in dom.charts()]
+        assert len(boxes) == 2
+        assert np.array_equal(np.array(boxes[1]).T, small.bounding_box())
+        with pytest.raises(NoConvergence):
+            area_functional(v, small, 1e-6, max_cells=200)
+        assert area_functional(v, dom, 1e-6, max_cells=200).converged
+
+    def test_converging_component_refines_past_a_decided_one(self):
+        v = make_example_field("vortex", d=1)
+
+        def bump(X):  # smooth, but needs a few hundred cells to reach 1e-8
+            return np.exp(-((X[:, 0] - 0.5) ** 2 + (X[:, 1] - 0.3) ** 2) / 0.003)
+
+        def pair(X):
+            return np.stack([bump(X), REFERENCE_INTEGRANDS["tv"](
+                v.jacobian_many(X))], axis=1)
+
+        res = integrate(pair, Cube(2, 1.0), 1e-8, singular_set=v.singular_set,
+                        raise_on_failure=False)
+        alone = integrate(bump, Cube(2, 1.0), 1e-8)
+        assert res.error_estimate[0] <= 1e-8 < res.error_estimate[1]
+        assert abs(res.value[0] - alone.value) <= res.abs_error[0] + alone.abs_error
+        assert res.nodes_used < 1000 * 80  # decided, not run to 20000 cells
+        with pytest.raises(NoConvergence, match=r"^component 1 did not reach") as info:
+            integrate(pair, Cube(2, 1.0), 1e-8, singular_set=v.singular_set)
+        assert "component 0" not in str(info.value)
+
+
 class TestMonteCarloFallback:
+    # one cell cannot resolve the masked chart, so Monte Carlo wins
     def test_awkward_difference_uses_mc(self):
         dom = Difference(Ball(2, 1.0), Ball(2, 0.5, center=(0.4, 0.0)))
-        res = integrate(ones, dom, 1e-2, raise_on_failure=False)
+        res = integrate(ones, dom, 1e-2, max_cells=1, raise_on_failure=False)
+        assert res.nodes_used == 16 * 256  # MC samples
         exact = math.pi - math.pi * 0.25
         assert abs(res.value - exact) <= 0.05 * exact
 
     def test_mc_deterministic_for_fixed_seed(self):
         dom = Difference(Ball(2, 1.0), Ball(2, 0.5, center=(0.4, 0.0)))
-        r1 = integrate(ones, dom, 1e-2, raise_on_failure=False)
-        r2 = integrate(ones, dom, 1e-2, raise_on_failure=False)
-        assert r1.value == r2.value
+        r1 = integrate(ones, dom, 1e-2, max_cells=1, raise_on_failure=False)
+        r2 = integrate(ones, dom, 1e-2, max_cells=1, raise_on_failure=False)
+        assert r1.nodes_used == r2.nodes_used == 16 * 256
+        assert r1.value == r2.value and r1.abs_error == r2.abs_error
 
     def test_volume_of_awkward_difference(self):
         dom = Difference(Ball(2, 1.0), Ball(2, 0.5, center=(0.4, 0.0)))
@@ -325,11 +405,14 @@ class TestGraphFunctionals:
         res = area_functional(make_example_field(kind, **params), dom, tol)
         assert res.converged and res.nodes_used == nodes
 
-    def test_scalar_refusal_unchanged(self):
+    def test_scalar_refusal_value(self):
         v = make_example_field("vortex", d=1)
         with pytest.raises(NoConvergence) as info:
             area_functional(v, Cube(2, 1.0), 1e-8, max_cells=2000)
-        assert info.value.value == 8.364443029588742  # bit for bit
+        assert info.value.value == 8.364443030508168  # bit for bit
+        # the value of the same refusal run on to its 2000-cell cap
+        estimate = info.value.error_estimate * info.value.value
+        assert abs(info.value.value - 8.364443029588742) <= estimate
 
     def test_vector_integrand_through_monte_carlo(self):
         dom = Difference(Ball(2, 1.0), Ball(2, 0.5, center=(0.4, 0.0)))

@@ -351,6 +351,19 @@ class TestChains:
         text = chain_csv_text(SingularChain.empty(2, 0))
         assert text == "k,x0_0,x0_1,x1_0,x1_1,multiplicity\n"
 
+    @pytest.mark.parametrize("chain", [
+        SingularChain.segments(3, [], spacing=0.1),
+        SingularChain.segments(3, []),
+        SingularChain(2, 0, (), 0.25),
+    ])
+    def test_empty_chain_round_trips_k_and_spacing(self, tmp_path, chain):
+        path = tmp_path / "empty.csv"
+        chain.to_csv(path)
+        back = SingularChain.from_csv(path)
+        assert (back.n, back.k, back.spacing, len(back)) == (
+            chain.n, chain.k, chain.spacing, 0)
+        assert chain_csv_text(back) == path.read_text()
+
 
 class TestRelaxedRhs:
     def test_vortex_rhs(self):
