@@ -274,6 +274,8 @@ def _run_sweep(args, cfg):
     if args.family not in field_of:
         raise InvalidParams(f"unknown sweep family {args.family!r}")
     values = _float_list(args.values)
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise InvalidParams("sweep values must be finite and positive")
     dom = _build_domain(args)
     lines = ["param,value,error_estimate"]
     for v in values:

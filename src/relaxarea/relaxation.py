@@ -2,9 +2,13 @@
 
 A study evaluates the graph area, the total-variation energy and the minor
 mass of a one-parameter family of fields, then extrapolates each metric
-with the power model a + b * x^p (p fitted on [0.5, 2], grid then refine).
-Every bound realized by the constructions decays like a power of the
-parameter, so the model summarizes both the limit and the observed rate.
+with the power model a + b * x^p.  p is searched on [0.5, 2], on a coarse
+grid and then on a fine one; each grid is one closed-form least-squares
+pass over all its exponents at once, and a single ``lstsq`` at the chosen
+p gives the returned coefficients.  Every bound realized by the
+constructions decays like a power of the parameter, so the model
+summarizes both the limit and the observed rate.  A schedule needs at
+least 3 distinct parameter values.
 
 The subadditivity experiment localizes the two counterexample fillings of
 the 3d vortex to concentric balls and records the resulting gap bounds;
@@ -16,13 +20,14 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domains import Ball, Cone
-from .errors import InsufficientData, IoFailure
+from .errors import InsufficientData, InvalidParams, IoFailure
 from .fields import VectorField, make_example_field, chain_centers_radii
 from .quadrature import area_functional, graph_functionals
 from .recovery import (
@@ -89,27 +94,54 @@ def _lstsq_for_p(x, y, p):
     return coef, float(resid @ resid)
 
 
+def _best_p(x, y, grid):
+    """The grid exponent whose line fit of y on x^p has the least SSE.
+
+    One array pass over the whole grid: each row of X = x^p gets the
+    closed-form two-parameter least squares from centred sums, and its SSE
+    is summed from the explicit residuals (syy - sxy^2/sxx would cancel for
+    a nearly exact fit).  argmin returns the first of equal values.
+    """
+    X = x[None, :] ** grid[:, None]
+    Xbar = X.mean(axis=1)
+    Xc = X - Xbar[:, None]
+    ybar = y.mean()
+    b = (Xc @ (y - ybar)) / np.einsum("ij,ij->i", Xc, Xc)
+    a = ybar - b * Xbar
+    r = a[:, None] + b[:, None] * X - y
+    return grid[np.argmin(np.einsum("ij,ij->i", r, r))]
+
+
 def fit_power_model(x, y):
     """Least-squares fit of a + b * x^p with p in [0.5, 2].
 
+    p is searched on 61 points of [0.5, 2], then on 51 points within 0.025
+    of the best; each grid is one closed-form array pass (``_best_p``), and
+    one ``lstsq`` at the chosen p gives the returned a and b.
+
     Returns (a, b, p, residual) where residual is the max fit error
     relative to the data scale.  Constant data short-circuits to
-    (mean, 0, None, 0).
+    (mean, 0, None, 0).  x must be finite and non-negative
+    (``InvalidParams``) and, unless y is constant, hold at least 3 distinct
+    values (``InsufficientData``): through 2 points every p fits exactly.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    xs = x.tolist()
+    if not all(math.isfinite(v) and v >= 0.0 for v in xs):
+        raise InvalidParams("power-model abscissae must be finite and >= 0")
+    if not all(map(math.isfinite, y.tolist())):
+        raise InvalidParams("power-model data must be finite")
     scale = float(np.max(np.abs(y)))
     if scale == 0.0 or float(np.ptp(y)) <= 1e-12 * max(scale, 1.0):
         return float(np.mean(y)), 0.0, None, 0.0
+    if len(set(xs)) < 3:
+        raise InsufficientData("power-model fit needs at least 3 distinct x")
 
-    def best_on(grid):
-        results = [(_lstsq_for_p(x, y, p), p) for p in grid]
-        (coef, sse), p = min(results, key=lambda t: t[0][1])
-        return coef, sse, p
-
-    coef, _, p = best_on(np.linspace(0.5, 2.0, 61))
+    p = _best_p(x, y, np.linspace(0.5, 2.0, 61))
     lo, hi = max(0.5, p - 0.025), min(2.0, p + 0.025)
-    coef, _, p = best_on(np.linspace(lo, hi, 51))
+    p = _best_p(x, y, np.linspace(lo, hi, 51))
+    coef, _ = _lstsq_for_p(x, y, p)
     a, b = float(coef[0]), float(coef[1])
     fit = a + b * x**p
     residual = float(np.max(np.abs(fit - y))) / scale
@@ -174,11 +206,12 @@ def study_from_rows(row_fn, schedule,
                     parameter: str = "eps") -> ConvergenceReport:
     """Study driven by a custom row function param -> StudyRow.
 
-    The schedule needs at least 3 values; no row runs for a shorter one.
+    The schedule needs at least 3 distinct values; no row runs otherwise.
     """
     schedule = list(schedule)
-    if len(schedule) < 3:
-        raise InsufficientData("schedule needs at least 3 parameter values")
+    if len(set(schedule)) < 3:
+        raise InsufficientData(
+            "schedule needs at least 3 distinct parameter values")
     rows = sorted((row_fn(p) for p in schedule), key=lambda r: r.param)
     return _finalize(ConvergenceReport(parameter, rows))
 
@@ -278,9 +311,19 @@ def study_chain_disk(chain_field: VectorField, j: int, fracs=(0.4, 0.2, 0.1, 0.0
     return report, ref.value
 
 
+def _check_k_schedule(k_schedule):
+    """Reject a k < 2 or a non-integer k before any 1/k is taken."""
+    k_schedule = list(k_schedule)
+    for k in k_schedule:
+        if not float(k).is_integer() or k < 2:
+            raise InvalidParams(f"k must be an integer >= 2, got {k}")
+    return k_schedule
+
+
 def study_counterexample(variant: str, k_schedule, tol: float = 1e-6,
                          radius: float = 1.0) -> ConvergenceReport:
     """Graph energies of the filling sequence over B_radius, fitted in 1/k."""
+    k_schedule = _check_k_schedule(k_schedule)
 
     def builder(invk):
         return counterexample_sequence(variant, int(round(1.0 / invk)))
@@ -292,6 +335,7 @@ def study_counterexample(variant: str, k_schedule, tol: float = 1e-6,
 def study_cylinder_analogue_2d(k_schedule,
                                tol: float = 1e-6) -> ConvergenceReport:
     """The 2d negative control: TV should overshoot the vortex by ~2 pi."""
+    k_schedule = _check_k_schedule(k_schedule)
     dom = Ball(2, 1.0)
 
     def builder(invk):
@@ -338,11 +382,16 @@ def subadditivity_experiment(radii, k_schedule,
     filling costs ~4 pi r, so the optimal local bound is their minimum.
     The annulus between two radii carries no defect (gap 0); a measure
     extension would force gap(R) <= gap(r) for r < R, so observing
-    gap(R) > gap(r) witnesses the failure of subadditivity.
+    gap(R) > gap(r) witnesses the failure of subadditivity.  The k
+    schedule needs at least 3 distinct integers k >= 2, checked before
+    any area is computed.
     """
     radii = sorted(float(r) for r in radii)
     if not radii or radii[0] <= 0 or radii[-1] > 1.0:
         raise InsufficientData("radii must lie in (0, 1]")
+    k_schedule = _check_k_schedule(k_schedule)
+    if len(set(k_schedule)) < 3:
+        raise InsufficientData("k schedule needs at least 3 distinct values")
     base = make_example_field("sphere_vortex")
     base_area = {
         r: area_functional(base, Ball(3, r), tol).value for r in radii

@@ -106,7 +106,8 @@ class TestSubaddCli:
     def test_violation_line(self, capsys, tmp_path):
         path = tmp_path / "subadd.csv"
         code, out, _ = run(capsys, "subadd", "--radii", "0.2,0.9",
-                           "--k", "8,16", "--tol", "1e-4", "--out", str(path))
+                           "--k", "8,16,32", "--tol", "1e-4",
+                           "--out", str(path))
         assert code == 0
         assert "violation=True" in out
         blob = json.loads((tmp_path / "subadd.json").read_text())
@@ -123,6 +124,35 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == "param,value,error_estimate"
         assert len(lines) == 3
+
+
+class TestRejectedSchedules:
+    @pytest.mark.parametrize("argv", [
+        ("relax", "--study", "cyl2d", "--k", "0,4,8"),
+        ("counterexample", "--variant", "ball", "--k", "0,2,4"),
+    ])
+    def test_zero_k_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: k must be an integer >= 2")
+
+    def test_zero_sweep_value_exits_2(self, capsys):
+        code, _, err = run(capsys, "sweep", "--family", "ball",
+                           "--values", "0,0.5")
+        assert code == 2
+        assert err.startswith("error: sweep values must be finite and positive")
+
+    def test_duplicate_schedule_values_exit_2(self, capsys):
+        code, out, err = run(capsys, "relax", "--study", "smoothing",
+                             "--eps", "0.2,0.2,0.1")
+        assert code == 2 and out == ""
+        assert "at least 3 distinct" in err
+
+    def test_subadd_short_k_schedule_exits_2(self, capsys):
+        code, _, err = run(capsys, "subadd", "--radii", "0.2,0.9",
+                           "--k", "8,16")
+        assert code == 2
+        assert "at least 3 distinct" in err
 
 
 class TestErrorPaths:

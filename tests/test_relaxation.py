@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from conftest import VORTEX_AREA_B2, VORTEX_TV_B2, planar_tv_area_b3_oracle
 
 from relaxarea.domains import Ball
-from relaxarea.errors import InsufficientData
+from relaxarea.errors import InsufficientData, InvalidParams
 from relaxarea.fields import make_example_field
+from relaxarea import relaxation
 from relaxarea.relaxation import (
     ConvergenceReport,
     StudyRow,
@@ -83,6 +84,103 @@ class TestFit:
         rep = ConvergenceReport("eps", rows)
         limit, _, _ = extrapolate_limit(rep, "area")
         assert limit == pytest.approx(1.0, abs=1e-6)
+
+
+def reference_fit(x, y):
+    """The per-p search: one lstsq per grid point, 61 coarse then 51 fine."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    scale = float(np.max(np.abs(y)))
+    if scale == 0.0 or float(np.ptp(y)) <= 1e-12 * max(scale, 1.0):
+        return float(np.mean(y)), 0.0, None, 0.0
+
+    def best_on(grid):
+        results = [(relaxation._lstsq_for_p(x, y, p), p) for p in grid]
+        (coef, sse), p = min(results, key=lambda t: t[0][1])
+        return coef, sse, p
+
+    coef, _, p = best_on(np.linspace(0.5, 2.0, 61))
+    lo, hi = max(0.5, p - 0.025), min(2.0, p + 0.025)
+    coef, _, p = best_on(np.linspace(lo, hi, 51))
+    a, b = float(coef[0]), float(coef[1])
+    fit = a + b * x**p
+    return a, b, float(p), float(np.max(np.abs(fit - y))) / scale
+
+
+@st.composite
+def power_law_data(draw):
+    """3- to 7-point schedules of a + b x^p plus noise up to 1e-1."""
+    n = draw(st.integers(3, 7))
+    start = draw(st.floats(0.001, 0.2))
+    gaps = draw(st.lists(st.floats(1e-3, 0.3), min_size=n - 1,
+                         max_size=n - 1))
+    x = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    p = draw(st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+                       st.floats(0.5, 2.0)))
+    a = draw(st.floats(-10, 10))
+    b = draw(st.floats(0.01, 10)) * draw(st.sampled_from([-1.0, 1.0]))
+    noise = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-1)))
+    shape = np.array(draw(st.lists(st.floats(-1, 1), min_size=n,
+                                   max_size=n)))
+    return x, a + b * x**p + noise * shape
+
+
+class TestVectorizedFit:
+    @given(power_law_data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_p_search_exactly(self, data):
+        x, y = data
+        assert fit_power_model(x, y) == reference_fit(x, y)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_exact_power_law_on_grid_points(self, p):
+        x = np.array([0.2, 0.1, 0.05, 0.025, 0.0125])
+        y = 1.5 - 0.7 * x**p
+        fit = fit_power_model(x, y)
+        assert fit == reference_fit(x, y)
+        assert fit[2] == pytest.approx(p, abs=1e-12)
+
+    def test_one_lstsq_per_fit(self, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        x = np.array([0.2, 0.1, 0.05, 0.025])
+        fit_power_model(x, 2.0 + 0.3 * x**1.3 + [1e-4, -1e-4, 1e-4, -1e-4])
+        assert len(calls) == 1
+        fit_power_model(x, np.full(4, 2.5))  # constant data: no fit at all
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("x", [[0.2, 0.2, 0.1], [0.2, 0.1, 0.2, 0.1],
+                                   [0.1, 0.1, 0.1]])
+    def test_fewer_than_three_distinct_x(self, x):
+        with pytest.raises(InsufficientData):
+            fit_power_model(x, [1.2, 1.3, 1.1, 1.0][:len(x)])
+
+    def test_constant_data_short_circuits_before_distinct_check(self):
+        assert fit_power_model([0.2, 0.2, 0.1], [2.5] * 3) == (2.5, 0.0,
+                                                              None, 0.0)
+
+    @pytest.mark.parametrize("x", [[0.2, -0.1, 0.05], [0.2, np.nan, 0.05],
+                                   [0.2, np.inf, 0.05]])
+    def test_negative_or_non_finite_x(self, x):
+        with pytest.raises(InvalidParams):
+            fit_power_model(x, [1.2, 1.1, 1.05])
+
+    def test_non_finite_y(self):
+        with pytest.raises(InvalidParams):
+            fit_power_model([0.2, 0.1, 0.05], [1.2, np.nan, 1.05])
+
+    def test_zero_abscissa_is_allowed(self):
+        x = np.array([0.0, 0.05, 0.1, 0.2])
+        y = 1.0 + 0.5 * x**1.5
+        fit = fit_power_model(x, y)
+        assert fit == reference_fit(x, y)
+        assert fit[0] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestStrictCheck:
@@ -171,6 +269,17 @@ class TestStudies:
 
         with pytest.raises(InsufficientData):
             study_from_rows(no_row, [0.1, 0.05])
+        with pytest.raises(InsufficientData):
+            study_from_rows(no_row, [0.2, 0.2, 0.1])
+
+    @pytest.mark.parametrize("study", [
+        lambda ks: study_counterexample("ball", ks),
+        study_cylinder_analogue_2d,
+    ])
+    @pytest.mark.parametrize("ks", [[0, 4, 8], [1, 4, 8], [2.5, 4, 8]])
+    def test_k_below_two_is_rejected_before_any_row(self, study, ks):
+        with pytest.raises(InvalidParams):
+            study(ks)
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +322,15 @@ class TestSubadditivity:
     def test_bad_radii(self):
         with pytest.raises(InsufficientData):
             subadditivity_experiment([0.0, 0.5], [8, 16], tol=1e-5)
+
+    @pytest.mark.parametrize("ks", [[8, 16], [8, 16, 16]])
+    def test_k_schedule_needs_three_distinct_values(self, ks):
+        with pytest.raises(InsufficientData):
+            subadditivity_experiment([0.2, 0.9], ks, tol=1e-5)
+
+    def test_k_below_two_is_rejected(self):
+        with pytest.raises(InvalidParams):
+            subadditivity_experiment([0.2, 0.9], [0, 8, 16], tol=1e-5)
 
 
 class TestSerialization:
