@@ -208,24 +208,63 @@ def interior_boundary(chain: SingularChain, lo, hi, margin: float) -> SingularCh
     )
 
 
+#: points per block of ``distance_to_chain``: the (block, n) scratch arrays
+#: of one block stay in cache while every cell of the chain is visited
+DISTANCE_BLOCK = 2**14
+
+
 def distance_to_chain(X: np.ndarray, chain: SingularChain) -> np.ndarray:
-    """Euclidean distance from each point of X (N, n) to the chain support."""
+    """Euclidean distance from each point of X (N, n) to the chain support.
+
+    The points are taken in blocks of ``DISTANCE_BLOCK`` rows, and each
+    block visits every cell with a few preallocated (block, n) scratch
+    arrays, so a call allocates the (N,) output and no (N, n) temporary.
+    Per point and cell the float recipe is fixed: a point or a zero-length
+    segment ``a`` gives ``W = X - a``; a segment ``a -> b`` with
+    ``ab = b - a`` gives ``t = clip((X - a) @ ab / (ab @ ab), 0, 1)`` and
+    ``W = X - (a + t * ab)``.  The squared distance is ``W[:, 0]**2 +
+    W[:, 1]**2 + ...`` summed column by column in axis order, which is the
+    order ``np.linalg.norm(W, axis=1)`` sums in.  The minimum over cells
+    is taken on squared distances and one ``sqrt`` is applied at the end;
+    ``sqrt`` is correctly rounded and monotone, so this equals the minimum
+    of the per-cell norms bit for bit (NaN propagates through both).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    N, n = X.shape
+    out = np.empty(N)
     if len(chain.cells) == 0:
-        return np.full(X.shape[0], np.inf)
-    best = np.full(X.shape[0], np.inf)
+        out.fill(np.inf)
+        return out
+    segs = []  # (a, ab, ab @ ab) per cell; ab is None for points
     for simplex, _ in chain.cells:
         if chain.k == 0:
-            d = np.linalg.norm(X - np.asarray(simplex)[None, :], axis=1)
-        else:
-            a, b = simplex[0], simplex[1]
-            ab = b - a
-            denom = float(ab @ ab)
-            if denom == 0.0:
-                d = np.linalg.norm(X - a[None, :], axis=1)
-            else:
-                t = np.clip((X - a[None, :]) @ ab / denom, 0.0, 1.0)
-                proj = a[None, :] + t[:, None] * ab[None, :]
-                d = np.linalg.norm(X - proj, axis=1)
-        best = np.minimum(best, d)
-    return best
+            segs.append((np.asarray(simplex, dtype=float), None, 0.0))
+            continue
+        a, b = simplex[0], simplex[1]
+        ab = b - a
+        denom = float(ab @ ab)
+        segs.append((a, ab, denom) if denom != 0.0 else (a, None, 0.0))
+    W = np.empty((min(N, DISTANCE_BLOCK), n))
+    t = np.empty(W.shape[0])
+    sq = np.empty(W.shape[0])
+    for start in range(0, N, DISTANCE_BLOCK):
+        Xb = X[start:start + DISTANCE_BLOCK]
+        m = Xb.shape[0]
+        best, Wb, tb, sqb = out[start:start + m], W[:m], t[:m], sq[:m]
+        for i, (a, ab, denom) in enumerate(segs):
+            np.subtract(Xb, a, out=Wb)
+            if ab is not None:
+                np.matmul(Wb, ab, out=tb)
+                tb /= denom
+                np.clip(tb, 0.0, 1.0, out=tb)
+                np.multiply(tb[:, None], ab, out=Wb)
+                np.add(a, Wb, out=Wb)
+                np.subtract(Xb, Wb, out=Wb)
+            acc = best if i == 0 else sqb
+            np.multiply(Wb[:, 0], Wb[:, 0], out=acc)
+            for j in range(1, n):  # t is spent: it holds each square
+                acc += np.multiply(Wb[:, j], Wb[:, j], out=tb)
+            if i:
+                np.minimum(best, sqb, out=best)
+        np.sqrt(best, out=best)
+    return out

@@ -276,6 +276,14 @@ def _run_sweep(args, cfg):
     values = _float_list(args.values)
     if not all(math.isfinite(v) and v > 0 for v in values):
         raise InvalidParams("sweep values must be finite and positive")
+    if args.family in ("ball", "cylinder"):
+        for v in values:  # each value is 1/k; none may round to another k
+            inv = 1 / v
+            k = round(inv) if math.isfinite(inv) else 0
+            if k < 2 or abs(inv - k) > 1e-9 * k:
+                raise InvalidParams(
+                    f"sweep value {v!r} of family {args.family} is not 1/k "
+                    "for an integer k >= 2")
     dom = _build_domain(args)
     lines = ["param,value,error_estimate"]
     for v in values:

@@ -12,6 +12,12 @@ contributes the dual edge crossing it, with orientation fixed by the
 right-hand rule (counterclockwise in the face plane seen from the positive
 dual direction).  The sign convention is pinned here once;
 acceptance-level claims use masses and |multiplicities|.
+
+The lattice passes avoid full-grid copies: node coordinates are written
+into one (N, n) array, the node angles are evaluated on it directly when
+every node clears the singular-set guard (masked copies are made only when
+some node does not), and the plaquette sums read the edge arrays in the
+lattice's own index order.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .quadrature import graph_functionals
 #: below that a wrapped increment is provably the true lift step (same trust
 #: threshold as the loop-sampling criterion)
 PLAQUETTE_MARGIN = math.pi / 2
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,20 @@ class GridSpec:
 
 
 def _wrap(d):
-    return (d + math.pi) % (2.0 * math.pi) - math.pi
+    """``d`` wrapped into [-pi, pi), for ``d`` a difference of two principal
+    angles, so within [-2pi, 2pi] (or NaN).
+
+    One conditional shift by 2pi replaces ``(d + pi) % 2pi - pi``; on that
+    range the two agree bit for bit (NaN stays NaN), because each shift is
+    either exact or the same rounded addition that ``np.remainder`` makes.
+    Outside it they differ: ``recovery`` wraps unbounded phases with the
+    modulo form.
+    """
+    y = d + math.pi
+    y -= _TWO_PI * (y >= _TWO_PI)
+    y += _TWO_PI * (y < 0)
+    y -= math.pi
+    return y
 
 
 def _singular_distance(field: VectorField, X: np.ndarray) -> np.ndarray:
@@ -94,15 +114,19 @@ def _angles(field: VectorField, X: np.ndarray, dist: np.ndarray | None = None
     """Target angles at sample points; with ``dist`` (their distances to the
     declared singular set) given, NaN within the guard and no recomputed
     distances for the rest."""
+    ok = None if dist is None else dist > SINGULAR_GUARD
+    if ok is None or np.all(ok):  # every point clears the guard: no copies
+        return _principal_angles(field.evaluate_many(X, dist))
     ang = np.full(X.shape[0], np.nan)
-    ok = np.ones(X.shape[0], dtype=bool) if dist is None else dist > SINGULAR_GUARD
     if np.any(ok):
-        U = field.evaluate_many(X[ok], None if dist is None else dist[ok])
-        norms = np.hypot(U[:, 0], U[:, 1])
-        a = np.arctan2(U[:, 1], U[:, 0])
-        a[norms < 1e-12] = np.nan  # vanishing values cannot wind
-        ang[ok] = a
+        ang[ok] = _principal_angles(field.evaluate_many(X[ok], dist[ok]))
     return ang
+
+
+def _principal_angles(U: np.ndarray) -> np.ndarray:
+    a = np.arctan2(U[:, 1], U[:, 0])
+    a[np.hypot(U[:, 0], U[:, 1]) < 1e-12] = np.nan  # vanishing values cannot wind
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +301,7 @@ def _edge_increments(field, grid, A, D, axis) -> np.ndarray:
     """
     lo, hi = _edge_ends(A.ndim, axis)
     d = _wrap(A[hi] - A[lo])
-    flag = np.abs(d) > math.pi - PLAQUETTE_MARGIN
-    flag |= ~np.isfinite(A[lo]) | ~np.isfinite(A[hi])
+    flag = ~(np.abs(d) <= math.pi - PLAQUETTE_MARGIN)  # a NaN endpoint fails too
     flag |= _near_singular_edges(field, grid, D, axis)
     i0 = np.nonzero(flag)
     if len(i0[0]):
@@ -292,10 +315,14 @@ def _edge_increments(field, grid, A, D, axis) -> np.ndarray:
 
 def _lattice_nodes(field: VectorField, grid: GridSpec):
     """Node angles (NaN on the singular set) and node distances to it."""
-    G = np.meshgrid(*[grid.axis_nodes(a) for a in range(field.n)], indexing="ij")
-    X = np.stack([g.ravel() for g in G], axis=1)
+    shape = (grid.resolution,) * field.n
+    X = np.empty(shape + (field.n,))
+    for a in range(field.n):  # node coordinates written in place, no meshgrid
+        X[..., a] = grid.axis_nodes(a).reshape([-1 if i == a else 1
+                                                for i in range(field.n)])
+    X = X.reshape(-1, field.n)
     D = _singular_distance(field, X)
-    return _angles(field, X, D).reshape(G[0].shape), D.reshape(G[0].shape)
+    return _angles(field, X, D).reshape(shape), D.reshape(shape)
 
 
 def grid_edge_data_2d(field: VectorField, grid: GridSpec):
@@ -320,18 +347,27 @@ def region_boundary_winding(d1: np.ndarray, d2: np.ndarray,
     return int(round(total / (2.0 * math.pi)))
 
 
-def _windings_from_circ(circ, where: str):
-    if not np.all(np.isfinite(circ)):
-        bad = np.argwhere(~np.isfinite(circ))[0]
-        raise AmbiguousWinding(f"{where}: sample on the singular set",
-                               index=tuple(int(v) for v in bad))
-    scaled = circ / (2.0 * math.pi)
-    mult = np.round(scaled).astype(np.int64)
-    off = np.abs(scaled - mult)
-    if np.any(off > 0.25):
-        bad = np.argwhere(off > 0.25)[0]
-        raise AmbiguousWinding(f"{where}: non-integer plaquette circulation",
-                               index=tuple(int(v) for v in bad))
+def _windings_from_circ(circ, where: str, order=None):
+    """Windings of the circulations ``circ`` (overwritten), as integer-valued
+    floats; callers convert the nonzero ones.
+
+    An error names the first offending plaquette in C order of
+    ``circ.transpose(order)``: a non-finite circulation before a
+    non-integer one.
+    """
+    circ /= _TWO_PI
+    mult = np.rint(circ)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported below
+        off = circ - mult
+    np.abs(off, out=off)
+    if not np.all(off <= 0.25):  # NaN fails the test too
+        for msg, bad in (("sample on the singular set", ~np.isfinite(circ)),
+                         ("non-integer plaquette circulation", off > 0.25)):
+            if np.any(bad):
+                first = np.argwhere(bad if order is None
+                                    else bad.transpose(order))[0]
+                raise AmbiguousWinding(f"{where}: {msg}",
+                                       index=tuple(int(v) for v in first))
     return mult
 
 
@@ -365,12 +401,15 @@ def extract_lines_3d(field: VectorField, grid: GridSpec) -> SingularChain:
     cells = []
     for a in range(3):
         b, c = (a + 1) % 3, (a + 2) % 3
-        # move (b, c, a) -> (axis0, axis1, axis2); plaquettes live in (b, c)
-        d1 = np.transpose(edges[b], (b, c, a))
-        d2 = np.transpose(edges[c], (b, c, a))
-        circ = d1[:, :-1, :] + d2[1:, :, :] - d1[:, 1:, :] - d2[:-1, :, :]
-        mult = _windings_from_circ(circ, f"3d sweep, normal axis {a}")
-        for ib, ic, ia in np.argwhere(mult != 0):
+        # plaquettes live in (b, c); sum in the lattice's own index order
+        lo_b, hi_b = _edge_ends(3, b)
+        lo_c, hi_c = _edge_ends(3, c)
+        eb, ec = edges[b], edges[c]
+        circ = eb[lo_c] + ec[hi_b] - eb[hi_c] - ec[lo_b]
+        mult = _windings_from_circ(circ, f"3d sweep, normal axis {a}",
+                                   order=(b, c, a))
+        for at in np.argwhere(mult != 0):
+            ib, ic, ia = at[b], at[c], at[a]
             p = np.empty(3)
             p[b] = nodes[b][ib] + h / 2
             p[c] = nodes[c][ic] + h / 2
@@ -378,7 +417,7 @@ def extract_lines_3d(field: VectorField, grid: GridSpec) -> SingularChain:
             p0, p1 = p.copy(), p.copy()
             p0[a] -= h / 2
             p1[a] += h / 2
-            cells.append(((p0, p1), int(mult[ib, ic, ia])))
+            cells.append(((p0, p1), int(mult[tuple(at)])))
     cells.sort(key=lambda cell: tuple(np.concatenate([cell[0][0], cell[0][1]])))
     return SingularChain.segments(3, cells, spacing=h)
 

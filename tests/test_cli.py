@@ -142,6 +142,27 @@ class TestRejectedSchedules:
         assert code == 2
         assert err.startswith("error: sweep values must be finite and positive")
 
+    @pytest.mark.parametrize("family", ["ball", "cylinder"])
+    @pytest.mark.parametrize("value", ["0.3", "1.0"])
+    def test_sweep_value_not_reciprocal_k_exits_2(self, capsys, tmp_path,
+                                                  family, value):
+        # 0.3 would round to k = 3, 1.0 is k = 1
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--family", family,
+                             "--values", f"0.5,{value}", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: sweep value {float(value)!r} of family")
+        assert not path.exists()
+
+    def test_sweep_accepts_rounded_reciprocals(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, *_ = run(capsys, "sweep", "--family", "ball", "--quantity",
+                       "area", "--values", "0.33333333333333331,0.5",
+                       "--domain", "ball3", "--tol", "1e-3", "--out", str(path))
+        assert code == 0
+        rows = path.read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["0.33333333333333331", "0.5"]
+
     def test_duplicate_schedule_values_exit_2(self, capsys):
         code, out, err = run(capsys, "relax", "--study", "smoothing",
                              "--eps", "0.2,0.2,0.1")

@@ -30,7 +30,11 @@ from relaxarea.topology import (
     region_boundary_winding,
     relaxed_area_rhs,
     winding_number,
+    _edge_increments,
+    _lattice_nodes,
     _near_singular_edges,
+    _windings_from_circ,
+    _wrap,
 )
 
 
@@ -293,6 +297,126 @@ class TestPrunedProximityMask:
             make_example_field("vortex", d=2, center=center), grid)
         line = line_field(1, center, (0.0, 0.0, 0.0))
         _assert_pruned_mask_exact(line, GridSpec(3, 32))
+
+
+def modulo_wrap(d):
+    """The reference wrap into [-pi, pi)."""
+    return (d + math.pi) % (2.0 * math.pi) - math.pi
+
+
+class TestWrap:
+    """The conditional-shift wrap equals the modulo form on [-2pi, 2pi]."""
+
+    def test_bit_identical_to_modulo_form(self):
+        two_pi = 2.0 * math.pi
+        specials = [two_pi, -two_pi, math.pi, -math.pi, 0.0, -0.0, np.nan]
+        for v in (math.pi, -math.pi, two_pi, -two_pi):
+            lo, hi = np.nextafter(v, -np.inf), np.nextafter(v, np.inf)
+            specials += [lo, hi, np.nextafter(lo, -np.inf),
+                         np.nextafter(hi, np.inf)]
+        specials = [v for v in specials if np.isnan(v) or abs(v) <= two_pi]
+        d = np.concatenate([
+            np.random.default_rng(8).uniform(-two_pi, two_pi, 10**6),
+            np.array(specials)])
+        got, want = _wrap(d), modulo_wrap(d)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert np.array_equal(got[ok], want[ok])
+        assert np.array_equal(np.signbit(got[ok]), np.signbit(want[ok]))
+
+    def test_range(self):
+        d = np.random.default_rng(9).uniform(-2 * math.pi, 2 * math.pi, 10**5)
+        w = _wrap(d)
+        assert np.all((w >= -math.pi) & (w < math.pi))
+
+
+def reference_windings(circ, where):
+    """Windings of circulations, checked in their own C order."""
+    if not np.all(np.isfinite(circ)):
+        bad = np.argwhere(~np.isfinite(circ))[0]
+        raise AmbiguousWinding(f"{where}: sample on the singular set",
+                               index=tuple(int(v) for v in bad))
+    scaled = circ / (2.0 * math.pi)
+    mult = np.round(scaled).astype(np.int64)
+    off = np.abs(scaled - mult)
+    if np.any(off > 0.25):
+        bad = np.argwhere(off > 0.25)[0]
+        raise AmbiguousWinding(f"{where}: non-integer plaquette circulation",
+                               index=tuple(int(v) for v in bad))
+    return mult
+
+
+def reference_lines_3d(field, grid):
+    """``extract_lines_3d`` with the sweep on transposed (b, c, a) views."""
+    nodes = [grid.axis_nodes(a) for a in range(3)]
+    A, D = _lattice_nodes(field, grid)
+    edges = [_edge_increments(field, grid, A, D, axis) for axis in range(3)]
+    h = grid.h
+    cells = []
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        d1 = np.transpose(edges[b], (b, c, a))
+        d2 = np.transpose(edges[c], (b, c, a))
+        circ = d1[:, :-1, :] + d2[1:, :, :] - d1[:, 1:, :] - d2[:-1, :, :]
+        mult = reference_windings(circ, f"3d sweep, normal axis {a}")
+        for ib, ic, ia in np.argwhere(mult != 0):
+            p = np.empty(3)
+            p[b] = nodes[b][ib] + h / 2
+            p[c] = nodes[c][ic] + h / 2
+            p[a] = nodes[a][ia]
+            p0, p1 = p.copy(), p.copy()
+            p0[a] -= h / 2
+            p1[a] += h / 2
+            cells.append(((p0, p1), int(mult[ib, ic, ia])))
+    cells.sort(key=lambda cell: tuple(np.concatenate([cell[0][0], cell[0][1]])))
+    return SingularChain.segments(3, cells, spacing=h)
+
+
+class TestLatticeOrderSweep:
+    """The sweep in lattice index order gives the transposed-view chain."""
+
+    def test_random_line_fields(self):
+        rng = np.random.default_rng(16)
+        grid = GridSpec(3, 16)
+        for trial in range(20):
+            f = line_field(int(rng.integers(0, 3)), rng.uniform(-0.3, 0.3, 2),
+                           rng.uniform(-0.5, 0.5, 3))
+            chain = extract_lines_3d(f, grid)
+            assert len(chain) > 0
+            assert chain_csv_text(chain) == chain_csv_text(
+                reference_lines_3d(f, grid))
+
+    def test_planar_vortex(self):
+        f = make_example_field("planar_vortex")
+        grid = GridSpec(3, 24)
+        assert chain_csv_text(extract_lines_3d(f, grid)) == chain_csv_text(
+            reference_lines_3d(f, grid))
+
+    @pytest.mark.parametrize("order", [(1, 2, 0), (2, 0, 1), (0, 1, 2)])
+    def test_error_names_the_first_plaquette_in_sweep_order(self, order):
+        rng = np.random.default_rng(4)
+        circ = 2 * math.pi * rng.integers(-2, 3, (5, 6, 7)).astype(float)
+        circ[1, 4, 2] += 3.0  # two non-integer plaquettes whose C order
+        circ[3, 0, 5] -= 3.0  # differs between the axis orders
+        views = [circ]
+        bad_finite = circ.copy()
+        bad_finite[4, 1, 0] = np.nan  # reported before the non-integer ones
+        bad_finite[0, 5, 6] = np.inf
+        views.append(bad_finite)
+        for lattice in views:
+            with pytest.raises(AmbiguousWinding) as want:
+                reference_windings(lattice.transpose(order), "w")
+            with pytest.raises(AmbiguousWinding) as got:
+                _windings_from_circ(lattice.copy(), "w", order=order)
+            assert str(got.value) == str(want.value)
+            assert got.value.index == want.value.index
+
+    def test_windings_match_reference(self):
+        rng = np.random.default_rng(5)
+        circ = (2 * math.pi * rng.integers(-3, 4, (9, 9))
+                + rng.uniform(-0.2, 0.2, (9, 9)))
+        got = _windings_from_circ(circ.copy(), "w")
+        assert np.array_equal(got, reference_windings(circ, "w"))
 
 
 class TestChains:
