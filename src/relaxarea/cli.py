@@ -62,12 +62,21 @@ class RunConfig:
             raise InvalidParams(f"tolerance must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
 
 
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v]
+def _number_list(text, flag, kind=float):
+    """The comma-separated values of ``flag``, each parsed by ``kind``."""
+    try:
+        return [kind(v) for v in text.split(",") if v]
+    except ValueError:
+        raise InvalidParams(f"{flag} takes comma-separated {kind.__name__} "
+                            f"values, got {text!r}") from None
 
 
-def _int_list(text):
-    return [int(v) for v in text.split(",") if v]
+def _positive(values, what):
+    """The values, refused unless each is finite and positive."""
+    for v in values:
+        if not 0 < v < math.inf:
+            raise InvalidParams(f"{what} must be finite and positive, got {v!r}")
+    return values
 
 
 def _build_field(args):
@@ -156,6 +165,9 @@ def _run_jacobian(args, cfg):
 
 def _run_recover(args, cfg):
     name = args.construction
+    _positive([args.eps], "--eps")
+    if args.delta is not None:
+        _positive([args.delta], "--delta")
     if name == "smoothing":
         base = make_example_field("vortex", d=args.d)
         f = vortex_smoothing_2d(base, (0.0, 0.0), args.d, args.eps)
@@ -170,14 +182,14 @@ def _run_recover(args, cfg):
               f"cone_m2={rep.minor.value:.12g}")
     elif name == "point":
         base = disk_defect_field_3d()
-        delta = args.delta if args.delta else args.eps**2
+        delta = args.eps**2 if args.delta is None else args.delta
         f = remove_point_singularity(base, (0, 0, 0), args.eps, delta,
                                      linear_disk_filler(args.eps))
         ring, core = point_removal_report(f, (0, 0, 0), args.eps, delta, cfg.tol)
         print(f"ring_mass={ring.mass.value:.12g} core_mass={core.mass.value:.12g}")
     elif name == "cone4":
         base = cone_defect_field_4d()
-        delta = args.delta if args.delta else args.eps**2
+        delta = args.eps**2 if args.delta is None else args.delta
         f = homogeneous_cone_extension(base, (-1.0, 1.0), args.eps, delta,
                                        cone_defect_filler((-1.0, 1.0), args.eps))
         shell, core = cone_extension_report(f, (-1.0, 1.0), args.eps, delta,
@@ -195,19 +207,22 @@ _STUDIES = ("smoothing", "dipole", "dipole-grad", "chain", "cyl2d")
 def _run_relax(args, cfg):
     name = args.study
     verdicts = {}
+    if name in ("smoothing", "dipole", "dipole-grad"):
+        eps = _positive(_number_list(args.eps, "--eps"), "--eps values")
     if name == "smoothing":
-        report = rx.study_vortex_smoothing(_float_list(args.eps), cfg.tol)
+        report = rx.study_vortex_smoothing(eps, cfg.tol)
         verdicts["tv_vs_2pi"] = rx.strict_bv_check(report, 2 * math.pi)
     elif name == "dipole":
-        report = rx.study_cone_dipole(_float_list(args.eps), cfg.tol)
+        report = rx.study_cone_dipole(eps, cfg.tol)
     elif name == "dipole-grad":
-        report = rx.study_dipole_gradient(_float_list(args.eps), cfg.tol)
+        report = rx.study_dipole_gradient(eps, cfg.tol)
     elif name == "chain":
         chain = make_example_field("vortex_chain", m=args.m)
         report, ref = rx.study_chain_disk(chain, args.disk, tol=cfg.tol)
         verdicts["disk_gap"] = f"{report.limits['area'] - ref:.6g}"
     elif name == "cyl2d":
-        report = rx.study_cylinder_analogue_2d(_int_list(args.k), cfg.tol)
+        report = rx.study_cylinder_analogue_2d(
+            _number_list(args.k, "--k", int), cfg.tol)
         verdicts["tv_vs_2pi"] = rx.strict_bv_check(report, 2 * math.pi)
     else:
         raise InvalidParams(f"unknown study {name!r}; choose from {_STUDIES}")
@@ -228,7 +243,7 @@ def _json_sibling(path):
 
 
 def _run_counterexample(args, cfg):
-    ks = _int_list(args.k)
+    ks = _number_list(args.k, "--k", int)
     report = rx.study_counterexample(args.variant, ks, cfg.tol,
                                      radius=args.radius)
     line = f"variant={args.variant} limit_A={report.limits['area']:.10g}"
@@ -252,8 +267,8 @@ def _run_counterexample(args, cfg):
 
 def _run_subadd(args, cfg):
     report = rx.subadditivity_experiment(
-        _float_list(args.radii), _int_list(args.k), cfg.tol
-    )
+        _number_list(args.radii, "--radii"), _number_list(args.k, "--k", int),
+        cfg.tol)
     print(f"violation={report.violation_witnessed} witness={report.witness} "
           + " ".join(f"min[{r:g}]={report.chosen_min[r]:.6g}"
                      for r in report.radii))
@@ -273,9 +288,7 @@ def _run_sweep(args, cfg):
     }
     if args.family not in field_of:
         raise InvalidParams(f"unknown sweep family {args.family!r}")
-    values = _float_list(args.values)
-    if not all(math.isfinite(v) and v > 0 for v in values):
-        raise InvalidParams("sweep values must be finite and positive")
+    values = _positive(_number_list(args.values, "--values"), "sweep values")
     if args.family in ("ball", "cylinder"):
         for v in values:  # each value is 1/k; none may round to another k
             inv = 1 / v

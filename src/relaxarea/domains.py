@@ -28,6 +28,14 @@ class Chart:
     mask: Callable[[np.ndarray], np.ndarray] | None = None
 
 
+def _centre(n, center):
+    """The centre as an (n,) array, the origin by default; finite or refused."""
+    c = np.zeros(n) if center is None else np.asarray(center, float)
+    if not np.all(np.isfinite(c)):
+        raise InvalidGeometry(f"domain centre must be finite, got {center!r}")
+    return c
+
+
 def _unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
@@ -59,13 +67,14 @@ class Ball(Domain):
     kind = "ball"
 
     def __init__(self, n: int, radius: float, center=None):
-        if radius <= 0:
-            raise InvalidGeometry("ball radius must be positive")
+        if not 0 < radius < math.inf:
+            raise InvalidGeometry(f"ball radius must be positive and finite, "
+                                  f"got {radius!r}")
         if not 2 <= n <= 4:
             raise InvalidGeometry("balls supported for n in 2..4")
         self.n = n
         self.radius = float(radius)
-        self.center = np.zeros(n) if center is None else np.asarray(center, float)
+        self.center = _centre(n, center)
 
     def membership(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -85,14 +94,15 @@ class Annulus(Domain):
     kind = "annulus"
 
     def __init__(self, n: int, r_in: float, r_out: float, center=None):
-        if not (0 <= r_in < r_out):
-            raise InvalidGeometry("annulus needs 0 <= r_in < r_out")
+        if not 0 <= r_in < r_out < math.inf:
+            raise InvalidGeometry(f"annulus needs 0 <= r_in < r_out < inf, "
+                                  f"got {r_in!r}, {r_out!r}")
         if not 2 <= n <= 4:
             raise InvalidGeometry("annuli supported for n in 2..4")
         self.n = n
         self.r_in = float(r_in)
         self.r_out = float(r_out)
-        self.center = np.zeros(n) if center is None else np.asarray(center, float)
+        self.center = _centre(n, center)
 
     def membership(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -159,11 +169,12 @@ class Cube(Domain):
     kind = "cube"
 
     def __init__(self, n: int, half_side: float, center=None):
-        if half_side <= 0:
-            raise InvalidGeometry("cube half_side must be positive")
+        if not 0 < half_side < math.inf:
+            raise InvalidGeometry(f"cube half_side must be positive and "
+                                  f"finite, got {half_side!r}")
         self.n = n
         self.half_side = float(half_side)
-        self.center = np.zeros(n) if center is None else np.asarray(center, float)
+        self.center = _centre(n, center)
 
     def membership(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -195,10 +206,12 @@ class Cone(Domain):
     def __init__(self, n: int, base: tuple, eps: float, codim: int = 2,
                  t_min: float = 0.0):
         a, b = float(base[0]), float(base[1])
-        if not (b > a):
-            raise InvalidGeometry("degenerate cone base segment")
-        if eps <= 0:
-            raise InvalidGeometry("cone aperture must be positive")
+        if not -math.inf < a < b < math.inf:
+            raise InvalidGeometry(f"cone base segment must be finite and "
+                                  f"non-degenerate, got {base!r}")
+        if not 0 < eps < math.inf:
+            raise InvalidGeometry(f"cone aperture must be positive and finite, "
+                                  f"got {eps!r}")
         if codim not in (2, 3) or n != codim + 1:
             raise InvalidGeometry("cone supports (n, codim) in {(3,2), (4,3)}")
         if not 0.0 <= t_min < 1.0:

@@ -2,15 +2,31 @@
 
 The engine runs a tensor Gauss rule of order 8 per axis on each cell of a
 chart's parameter box, estimates the cell error against the embedded
-order-4 rule, and subdivides the worst cell dyadically (splitting along
-the axis with the roughest value profile) until the summed estimate meets
-the requested relative tolerance or the depth cap of 14 is reached.
+order-4 rule, and refines in waves until the summed estimate meets the
+requested relative tolerance.  A cell is split dyadically, along the axis
+with the roughest value profile, up to the depth cap of 14 halvings per
+axis.
 
 An integrand returns (N,) or (N, K) values.  The K components share one
 refinement tree, as in DCUHRE (Berntsen, Espelid & Genz, ACM TOMS 17,
 1991), and each must meet the tolerance on its own.  Weighted by
 1 / max(|initial chart total|, SCALE_FLOOR), a cell's largest component
 error ranks it, and that component's value profile picks the split axis.
+
+Waves follow the parallel globally adaptive rule of Bull & Freeman (the
+vectorized mode of S. G. Johnson's ``cubature`` works alike).  In each
+wave a chart orders its cells by rank, worst first, and takes the fewest
+leading cells whose summed error reaches its excess
+total_err - tol * max(|total_val|, SCALE_FLOOR) in every component that
+has neither met tol nor been decided; it takes no cell whose weighted
+error is below half of the worst one's, and always at least one.  Taken
+cells at the depth cap become final; the others are split, and all their
+children are evaluated with one integrand call.  On every acceptance
+integral the waves grow the same tree as splitting the one worst cell per
+call did, so values, errors and node counts are unchanged; they save
+integrand calls, most of all in a refusal, which reaches the depth cap in
+about one call per level.  ``max_cells`` caps the cells of each chart: a wave splits no more cells
+than that budget has left.
 
 Cells that hit the cap while touching a declared singular set have their
 error replaced by an analytic bound C * diam^(n-g) for the declared local
@@ -31,18 +47,18 @@ The bound is safe: the final absolute error is at least C_k, because
 refinement only replaces uncapped cells, and refinement moves each chart's
 value by at most its uncapped error, so the final |value_k| is at most
 V_k + U_k.  (This trusts the cell error estimates, as the convergence test
-itself does.)  Every chart's first cells are evaluated before any is
-refined, so the sums cover the whole integral: a chart that cannot meet
-tol on its own value does not refuse an integral that converges as a
-whole.  Charts refine in turn, and a chart stops once each component has
-met tol on the chart or been decided; a component that can still converge
-keeps refining.
+itself does.)  Neither argument depends on how many cells a step splits,
+so both hold for waves.  Every chart's first cells are evaluated before
+any is refined, so the sums cover the whole integral: a chart that cannot
+meet tol on its own value does not refuse an integral that converges as a
+whole.  The test runs after every wave, over all charts; a chart stops
+once each component has met tol on the chart or been decided, and a
+component that can still converge keeps refining.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 from collections import namedtuple
@@ -59,6 +75,13 @@ GAUSS_ORDER = 8
 ERROR_ORDER = 4
 MAX_DEPTH = 14
 MC_SEED = 0x5EED
+
+#: most points per call of the integrand: a wave's children are passed in
+#: equal blocks of at most this many, so that a wide wave does not raise the
+#: peak memory of the integrand's temporaries, nor spill them out of cache
+#: (a 3d counterexample field's graph integrand costs 35% more per point at
+#: 3456 points than at 1152)
+BLOCK_POINTS = 2048
 
 #: floor used to turn absolute error estimates into relative ones; integrals
 #: smaller than this are resolved in absolute terms at tol * floor
@@ -119,7 +142,11 @@ class _Integrand:
         self.scalar = True
 
     def __call__(self, X, live):
-        out = np.asarray(self.f(X[live]), dtype=float)
+        Y = X[live]
+        blocks = max(1, -(-len(Y) // BLOCK_POINTS))
+        step = max(1, -(-len(Y) // blocks))  # equal blocks, one if Y is empty
+        out = np.concatenate([np.asarray(self.f(Y[i:i + step]), dtype=float)
+                              for i in range(0, max(len(Y), 1), step)])
         self.scalar = out.ndim == 1
         raw = np.zeros((X.shape[0], 1 if self.scalar else out.shape[1]))
         raw[live] = out.reshape(-1, raw.shape[1])
@@ -128,9 +155,37 @@ class _Integrand:
         return raw
 
 
-#: ``splits``: halvings per axis; value, err, chat (sampled C): (K,); ``rank``:
-#: minus the largest weighted error; ``rough``: its component's (dim,) profile
-_Cell = namedtuple("_Cell", "lo hi splits value err chat rank rough")
+class _Cells:
+    """Cells as the rows of one float array, so that taking and joining
+    cells are single operations.  Its column blocks: halvings per axis
+    ``splits`` and corners ``lo``, ``hi`` (dim each), so that the leading
+    columns order cells as the reduction does; ``value``, ``err`` and
+    ``chat`` (K each; chat is read only at the depth cap and NaN below it);
+    ``rank``, minus the largest weighted error; and ``rough``, the value
+    profile of that component (dim)."""
+
+    def __init__(self, rows, dim):
+        self.rows, self.dim = rows, dim
+        self.K = (rows.shape[1] - 4 * dim - 1) // 3
+
+    splits = property(lambda c: c.rows[:, :c.dim])
+    lo = property(lambda c: c.rows[:, c.dim:2 * c.dim])
+    hi = property(lambda c: c.rows[:, 2 * c.dim:3 * c.dim])
+    value = property(lambda c: c.rows[:, 3 * c.dim:3 * c.dim + c.K])
+    err = property(lambda c: c.rows[:, 3 * c.dim + c.K:3 * c.dim + 2 * c.K])
+    chat = property(lambda c: c.rows[:, 3 * c.dim + 2 * c.K:3 * c.dim + 3 * c.K])
+    rank = property(lambda c: c.rows[:, 3 * c.dim + 3 * c.K])
+    rough = property(lambda c: c.rows[:, 3 * c.dim + 3 * c.K + 1:])
+
+    def __len__(self):
+        return self.rows.shape[0]
+
+    def take(self, idx):
+        return _Cells(self.rows[idx], self.dim)
+
+    @staticmethod
+    def join(parts):
+        return _Cells(np.concatenate([c.rows for c in parts]), parts[0].dim)
 
 
 def _split_box_at_breaks(box, axes, breaks):
@@ -146,8 +201,8 @@ def _split_box_at_breaks(box, axes, breaks):
 
 
 class _ChartIntegrator:
-    """One chart's refinement tree: its cells in a heap ranked by weighted
-    error, the depth-capped cells that are final, and running totals."""
+    """One chart's refinement tree: its open cells in the order they were
+    made, the depth-capped cells that are final, and their totals."""
 
     def __init__(self, f, chart, singular_set, growth, max_depth, breaks):
         self.f = f
@@ -161,15 +216,16 @@ class _ChartIntegrator:
         self.P4, self.W4 = _tensor_rule(ERROR_ORDER, self.dim)
         self.nodes_used = 0
         lo, hi = _split_box_at_breaks(chart.box, chart.axes, breaks)
-        cells = self.eval_cells(lo, hi, (0,) * self.dim)
-        self.total_val = sum(c.value for c in cells)
-        self.total_err = sum(c.err for c in cells)
-        self.capped_err = 0.0  # the part of total_err that no split can lower
-        self.seq = itertools.count()
-        self.heap = [(c.rank, next(self.seq), c) for c in cells]
-        heapq.heapify(self.heap)
-        self.capped = []  # the depth-capped cells, which are final
+        self.open = self.eval_cells(lo, hi, np.zeros(lo.shape, dtype=int))
+        self.capped = []  # batches of depth-capped cells, which are final
         self.where = []  # the CappedCell of each, in the same order
+        self.n_capped = 0
+        self.capped_val = self.capped_err = 0.0  # their sums
+        self._total()
+
+    def _total(self):
+        self.total_val = self.open.value.sum(axis=0) + self.capped_val
+        self.total_err = self.open.err.sum(axis=0) + self.capped_err
 
     def eval_cells(self, lo, hi, splits):
         """Evaluate the cells [lo, hi] (C, dim) with one integrand call."""
@@ -197,55 +253,97 @@ class _ChartIntegrator:
         grid = F8[np.arange(C), top].reshape((C,) + (GAUSS_ORDER,) * self.dim)
         rough = np.array([np.abs(np.diff(grid, n=2, axis=1 + a)).reshape(
             C, -1).sum(axis=1) for a in range(self.dim)]).T
-        rank = (-weighted.max(axis=1)).tolist()
-        chat = [None] * C  # read only by capped_error, so only capped cells
-        if self.singular_set is not None and min(splits) >= self.max_depth:
-            d = distance_to_chain(X[:n8], self.singular_set)
-            chat = (np.abs(raw[:n8]) * (d ** self.growth)[:, None]).reshape(
-                C, -1, raw.shape[1]).max(axis=1)
-        return [_Cell(lo[i], hi[i], splits, value[i], err[i], chat[i], rank[i],
-                      rough[i]) for i in range(C)]
+        # read only by _cap, so sampled only at the depth cap
+        chat = np.full(value.shape, np.nan)
+        at_cap = (self.singular_set is not None
+                  and splits.min(axis=1) >= self.max_depth)
+        if np.count_nonzero(at_cap):
+            X8 = X[:n8].reshape(C, -1, X.shape[1])[at_cap]
+            d = distance_to_chain(X8.reshape(-1, X.shape[1]), self.singular_set)
+            chat[at_cap] = (np.abs(raw[:n8].reshape(C, -1, raw.shape[1])[at_cap])
+                            * (d ** self.growth).reshape(X8.shape[:2])[:, :, None]
+                            ).max(axis=1)
+        return _Cells(np.concatenate([splits, lo, hi, value, err, chat,
+                                      -weighted.max(axis=1)[:, None], rough],
+                                     axis=1), self.dim)
 
-    def capped_error(self, cell):
-        """Analytic bound for a depth-capped cell touching the singular set,
-        and where the cell is."""
-        X = self.chart.to_physical(np.vstack(  # Gauss-8 points, then the centre
-            [cell.lo + self.P8 * (cell.hi - cell.lo), 0.5 * (cell.lo + cell.hi)]))
-        centre = tuple(float(x) for x in X[-1])
+    def wave(self, tol, decided, max_cells):
+        """Split or cap the worst open cells, in rank order, until what is
+        left would meet tol; False, doing nothing, once the chart has stopped.
+        """
+        cells = self.open
+        excess = self.total_err - tol * np.maximum(np.abs(self.total_val),
+                                                   SCALE_FLOOR)
+        todo = (excess > 0) & ~decided
+        budget = max_cells - len(cells) - self.n_capped
+        if not len(cells) or budget <= 0 or not np.count_nonzero(todo):
+            return False
+        # take and count_nonzero rather than indexing and any(): on a wave's
+        # small arrays they cost a third as much
+        order = cells.rank.argsort(kind="stable")
+        rank = cells.rank.take(order)
+        # the fewest leading cells whose errors cover every open excess, but
+        # only those within half of the worst, and at least one
+        short = cells.err.take(order, axis=0).cumsum(axis=0) < excess
+        need = 1 + int(short.sum(axis=0)[todo].max())
+        n = max(1, min(need, int(rank.searchsorted(0.5 * rank[0], "right"))))
+        splittable = (cells.splits.take(order[:n], axis=0).min(axis=1)
+                      < self.max_depth)
+        if n > budget:  # each split adds a cell, capping none
+            n = int(splittable.cumsum().searchsorted(budget, "right"))
+        sel, splittable = order[:n], splittable[:n]
+        parts = [cells.rows.take(np.sort(order[n:]), axis=0)]
+        n_split = np.count_nonzero(splittable)
+        if n_split < n:
+            self._cap(cells.take(sel[~splittable]))
+        if n_split:
+            parts.append(self._split(cells.rows.take(sel[splittable], axis=0)).rows)
+        self.open = _Cells(np.concatenate(parts), self.dim)
+        self._total()
+        return True
+
+    def _split(self, rows):
+        """The children of halving each cell of ``rows`` (of a _Cells table)
+        along its roughest open axis, evaluated with one integrand call."""
+        kids = _Cells(rows.repeat(2, axis=0), self.dim)
+        lo, hi, splits = kids.lo, kids.hi, kids.splits
+        rough = np.where(splits < self.max_depth, kids.rough, -np.inf)
+        cut = rough.argmax(axis=1)[:, None] == np.arange(self.dim)
+        mid = 0.5 * (lo + hi)
+        np.copyto(hi[0::2], mid[0::2], where=cut[0::2])
+        np.copyto(lo[1::2], mid[1::2], where=cut[1::2])
+        splits += cut
+        return self.eval_cells(lo, hi, splits)
+
+    def _cap(self, cells):
+        """Keep depth-capped cells as final, the error of each that touches
+        the singular set cut to its analytic bound, and note where they are.
+        """
+        C = len(cells)
+        span = (cells.hi - cells.lo)[:, None, :]
+        X = self.chart.to_physical(np.concatenate(  # Gauss-8 points, centres
+            [(cells.lo[:, None, :] + self.P8 * span).reshape(-1, self.dim),
+             0.5 * (cells.lo + cells.hi)]))
+        X8, centres = X[:-C].reshape(C, -1, X.shape[1]), X[-C:]
         if self.singular_set is None:
-            return cell.err, CappedCell(centre, math.inf)
+            dist = np.full(C, math.inf)
+        else:
+            dist = distance_to_chain(centres, self.singular_set)
         g, n = self.growth, X.shape[1]
-        diam = float(np.linalg.norm(X[:-1].max(axis=0) - X[:-1].min(axis=0)))
-        dist = float(distance_to_chain(X[-1:], self.singular_set)[0])
-        where = CappedCell(centre, dist)
-        if n - g <= 0 or dist > 2.0 * diam:
-            return cell.err, where
         surf = 2.0 * math.pi if n == 2 else 4.0 * math.pi
-        bound = 4.0 * cell.chat * surf * diam ** (n - g) / (n - g)
-        return np.minimum(cell.err, bound), where
-
-    def refine_worst(self):
-        """Split the worst cell in two, or keep it as final if it is at the
-        depth cap; True in the second case."""
-        _, _, cell = heapq.heappop(self.heap)
-        open_axes = [a for a, s in enumerate(cell.splits) if s < self.max_depth]
-        if not open_axes:
-            err, where = self.capped_error(cell)
-            self.total_err += err - cell.err
-            self.capped_err += err
-            self.capped.append(cell._replace(err=err))
-            self.where.append(where)
-            return True
-        axis = max(open_axes, key=lambda a: cell.rough[a])
-        lo, hi = np.array([cell.lo] * 2), np.array([cell.hi] * 2)
-        hi[0, axis] = lo[1, axis] = 0.5 * (cell.lo[axis] + cell.hi[axis])
-        splits = tuple(s + (a == axis) for a, s in enumerate(cell.splits))
-        children = self.eval_cells(lo, hi, splits)
-        self.total_val += sum(c.value for c in children) - cell.value
-        self.total_err += sum(c.err for c in children) - cell.err
-        for c in children:
-            heapq.heappush(self.heap, (c.rank, next(self.seq), c))
-        return False
+        err = cells.err.copy()
+        for i in range(C):
+            diam = float(np.linalg.norm(X8[i].max(axis=0) - X8[i].min(axis=0)))
+            if n - g > 0 and dist[i] <= 2.0 * diam:  # never without a set
+                bound = 4.0 * cells.chat[i] * surf * diam ** (n - g) / (n - g)
+                err[i] = np.minimum(err[i], bound)
+        self.where += [CappedCell(tuple(float(x) for x in c), float(d))
+                       for c, d in zip(centres, dist)]
+        cells.err[:] = err
+        self.capped.append(cells)
+        self.n_capped += C
+        self.capped_val = self.capped_val + cells.value.sum(axis=0)
+        self.capped_err = self.capped_err + err.sum(axis=0)
 
 
 def _decided(integs, tol):
@@ -263,27 +361,25 @@ def _integrate_charts(f, charts, tol, singular_set, growth, breaks, max_depth,
     # refusal is decided against the whole integral, not one chart of it
     integs = [_ChartIntegrator(f, chart, singular_set, growth, max_depth,
                                breaks or {}) for chart in charts]
-    decided = any_capped = False  # nothing is decided before a cell is capped
-    for integ in integs:
-        while integ.heap:
-            scale = np.maximum(np.abs(integ.total_val), SCALE_FLOOR)
-            met = integ.total_err <= tol * scale
-            if (np.all(met | decided)
-                    or len(integ.capped) + len(integ.heap) >= max_cells):
-                break
-            any_capped = integ.refine_worst() or any_capped
-            if any_capped:
-                decided = decided | _decided(integs, tol)
+    decided = np.zeros(np.shape(integs[0].total_err), dtype=bool)
+    live = integs
+    while live:
+        live = [i for i in live if i.wave(tol, decided, max_cells)]
+        if any(i.n_capped for i in integs):  # else nothing can be decided
+            decided = decided | _decided(integs, tol)
 
-    # deterministic reduction: fixed cell order regardless of refinement schedule
-    all_cells = [c for i in integs for c in i.capped + [c for _, _, c in i.heap]]
-    all_cells.sort(key=lambda c: (c.splits, tuple(c.lo), tuple(c.hi)))
-    value = sum(c.value for c in all_cells)
-    err = sum(c.err for c in all_cells)
-    scale = np.maximum(np.abs(value), SCALE_FLOOR)
-    shares = [(np.max(c.err / scale), w) for i in integs
-              for c, w in zip(i.capped, i.where)]
-    worst = max(shares, key=lambda p: p[0])[1] if shares else None
+    # deterministic reduction: the cells in a fixed order, by splits, then lo,
+    # then hi, whatever the schedule, summed one after another
+    capped = [c for i in integs for c in i.capped]
+    cells = _Cells.join(capped + [i.open for i in integs])
+    order = np.lexsort(cells.rows[:, :3 * cells.dim].T[::-1])
+    value = cells.value[order].cumsum(axis=0)[-1]
+    err = cells.err[order].cumsum(axis=0)[-1]
+    worst = None
+    if capped:
+        scale = np.maximum(np.abs(value), SCALE_FLOOR)
+        shares = (_Cells.join(capped).err / scale).max(axis=1)
+        worst = [w for i in integs for w in i.where][int(np.argmax(shares))]
     return value, err, sum(i.nodes_used for i in integs), worst
 
 
@@ -366,8 +462,13 @@ def integrate(
 
     The K components of an (N, K) integrand share one refinement tree and
     each meets ``tol`` relative to its own value; the result then holds
-    (K,) arrays and is converged when all components are.  ``max_cells``
-    caps the cells of each chart.
+    (K,) arrays and is converged when all components are.
+
+    Refinement runs in waves: each chart splits its worst cells, worst
+    first, until their errors would cover the excess over ``tol``, but
+    none below half of the worst cell's weighted error, and evaluates all
+    the children with one call of f (see the module docstring).
+    ``max_cells`` caps the cells of each chart, not of the integral.
 
     Refinement stops early once the depth-capped cells decide that a
     component cannot meet ``tol``: their summed error exceeds ``tol`` times

@@ -440,8 +440,8 @@ def homogeneous_cone_extension(field: VectorField, base, eps: float,
             Y = X[core].copy()
             Y[:, :3] *= eps / delta
             Jv = filler.jacobian_many(Y)
-            J[core] = Jv.copy()
-            J[core][:, :, :3] *= eps / delta
+            Jv[:, :, :3] *= eps / delta
+            J[core] = Jv
         return J
 
     keep = None

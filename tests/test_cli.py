@@ -163,6 +163,41 @@ class TestRejectedSchedules:
         rows = path.read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["0.33333333333333331", "0.5"]
 
+    @pytest.mark.parametrize("argv, flag, bad", [
+        (("relax", "--study", "dipole", "--eps", "0.2,0.1,-0.05"),
+         "--eps", "-0.05"),
+        (("relax", "--study", "smoothing", "--eps", "0.2,0.1,nan"),
+         "--eps", "nan"),
+        (("relax", "--study", "dipole-grad", "--eps", "inf,0.2,0.1"),
+         "--eps", "inf"),
+        (("relax", "--study", "cyl2d", "--k", "4,8,nan"), "--k", "nan"),
+        (("counterexample", "--variant", "ball", "--k", "4,inf,8"), "--k",
+         "inf"),
+        (("recover", "--construction", "cone4", "--eps", "nan"), "--eps",
+         "nan"),
+        (("recover", "--construction", "point", "--eps", "-0.2"), "--eps",
+         "-0.2"),
+        (("recover", "--construction", "point", "--eps", "0.2", "--delta",
+          "0"), "--delta", "0.0"),
+        (("recover", "--construction", "cone4", "--eps", "0.2", "--delta",
+          "inf"), "--delta", "inf"),
+    ])
+    def test_non_finite_or_non_positive_value_exits_2(self, capsys, tmp_path,
+                                                      argv, flag, bad):
+        path = tmp_path / "out.csv"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag}") and bad in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_radius_exits_2(self, capsys, radius):
+        for domain in ("ball2", "cube2"):
+            code, out, err = run(capsys, "area", "--domain", domain,
+                                 f"--radius={radius}")
+            assert code == 2 and out == ""
+            assert "must be positive and finite" in err
+
     def test_duplicate_schedule_values_exit_2(self, capsys):
         code, out, err = run(capsys, "relax", "--study", "smoothing",
                              "--eps", "0.2,0.2,0.1")
