@@ -151,6 +151,7 @@ def _run_energy(args, cfg):
 
 
 def _run_jacobian(args, cfg):
+    _positive([args.radius], "--radius")
     field = _build_field(args)
     grid = GridSpec(field.n, args.grid, half_side=args.radius)
     if field.n == 2:

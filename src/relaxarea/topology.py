@@ -13,16 +13,41 @@ right-hand rule (counterclockwise in the face plane seen from the positive
 dual direction).  The sign convention is pinned here once;
 acceptance-level claims use masses and |multiplicities|.
 
-The lattice passes avoid full-grid copies: node coordinates are written
-into one (N, n) array, the node angles are evaluated on it directly when
-every node clears the singular-set guard (masked copies are made only when
-some node does not), and the plaquette sums read the edge arrays in the
-lattice's own index order.
+Lattice nodes are processed in blocks, each given by its per-axis node
+coordinates and the lattice index of its first node.  A block's node
+coordinates are written into one (N, n) array, its node angles are
+evaluated on it directly when every node clears the singular-set guard
+(masked copies are made only when some node does not), and index tuples
+are built only for the edges and plaquettes that are hit.  The 2d grid is
+one block.
+
+The 3d lattice is streamed in slabs of whole axis-0 node layers, about
+SLAB_NODES nodes each, so no full-lattice array is made.  A slab
+evaluates the angles and distances of its new layers and lifts their
+axis-1 and axis-2 edges; the last layer of the previous slab is carried
+over with its angles, distances and axis-1 and axis-2 edges, so the
+axis-0 edges from it into the slab and the faces with normal 1 or 2
+between consecutive layers are taken in the slab as well.  Faces with
+normal 0 are summed on the new layers only.  So every node is evaluated
+once, every edge lifted once and every face summed once, in any slab
+size; the cells are sorted by position at the end, so the chain does not
+depend on the slab size either.
+
+Node distances to the declared singular set are culled by tiles of
+CULL_TILE x CULL_TILE nodes in each layer.  Distance is 1-Lipschitz, so
+every node of a tile lies at least ``dist(centre) - half-diagonal`` from
+the set.  A tile whose bound (less a float slack) exceeds
+``(PROXIMITY_LENGTHS + 1) * h`` stores that bound on its nodes, and only
+the other tiles get exact distances.  The node distances are read only
+against thresholds below that value: the Lipschitz prune of
+near-singular edges and SINGULAR_GUARD.  A stored bound therefore decides
+every test as the exact distance would.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +92,25 @@ class GridSpec:
     offset: float = 0.5
 
     def __post_init__(self):
-        if self.resolution < 8:
-            raise InvalidParams("grid resolution must be >= 8 per axis")
-        if self.center is None:
-            object.__setattr__(self, "center", (0.0,) * self.n)
+        if (not isinstance(self.resolution, numbers.Integral)
+                or isinstance(self.resolution, bool) or self.resolution < 8):
+            raise InvalidParams("grid resolution must be an integer >= 8 per "
+                                f"axis, got {self.resolution!r}")
+        if not 0 < self.half_side < math.inf:
+            raise InvalidParams("grid half side must be finite and positive, "
+                                f"got {self.half_side!r}")
+        if not 0 <= self.offset < 1:
+            raise InvalidParams("grid offset must lie in [0, 1), "
+                                f"got {self.offset!r}")
+        center = (0.0,) * self.n if self.center is None else self.center
+        try:
+            c = np.asarray(center, dtype=float)
+        except (TypeError, ValueError):
+            c = None
+        if c is None or c.shape != (self.n,) or not np.all(np.isfinite(c)):
+            raise InvalidParams(f"grid center must be {self.n} finite values, "
+                                f"got {center!r}")
+        object.__setattr__(self, "center", tuple(c.tolist()))
 
     @property
     def h(self) -> float:
@@ -203,6 +243,12 @@ _LIFT_LEVELS = 40
 #: guards is loose by about 0.47 h at the proximity limit (parallelogram law),
 #: so rounding of nodes, midpoints and distances cannot drop a near edge
 _PRUNE_SLACK = 1e-9
+#: lattice nodes per slab of ``extract_lines_3d`` (whole axis-0 layers, at
+#: least one): 4 layers of a 128^3 lattice, so each float array of a slab
+#: is 0.5 MB while its numpy passes still run over thousands of nodes
+SLAB_NODES = 2**16
+#: tile side, in nodes along each of the last two axes, of the distance cull
+CULL_TILE = 8
 
 
 def _edge_error(msg, P0, P1, index, edge) -> AmbiguousWinding:
@@ -268,68 +314,119 @@ def _edge_ends(ndim: int, axis: int):
     return lo, hi
 
 
-def _near_singular_edges(field, grid, D, axis) -> np.ndarray:
+def _hits(mask: np.ndarray):
+    """Flat positions of the True entries of ``mask`` and their index tuple."""
+    flat = np.flatnonzero(mask)
+    return flat, np.unravel_index(flat, mask.shape)
+
+
+def _near_singular_edges(field, coords, h, D, axis) -> np.ndarray:
     """Edges along ``axis`` with midpoints within PROXIMITY_LENGTHS * h of
-    the declared singular set, given the node distances ``D`` to it.
+    the declared singular set, on the block of nodes with per-axis
+    coordinates ``coords`` and node distances ``D`` to that set.
 
     Distance is 1-Lipschitz, so dist(mid) >= min(node dist) - h/2; only
     edges that bound cannot clear get an exact distance at their midpoint
     ``node + h/2``.
     """
     lo, hi = _edge_ends(D.ndim, axis)
-    h = grid.h
     limit = PROXIMITY_LENGTHS * h
-    nodes = [grid.axis_nodes(i) for i in range(D.ndim)]
     maybe = np.minimum(D[lo], D[hi]) - h / 2 < limit + _PRUNE_SLACK * h
-    idx = np.nonzero(maybe)
-    mids = np.stack([(c[:-1] + h / 2 if i == axis else c)[at]
-                     for i, (c, at) in enumerate(zip(nodes, idx))], axis=1)
+    flat, at = _hits(maybe)
+    mids = np.stack([(c[:-1] + h / 2 if i == axis else c)[k]
+                     for i, (c, k) in enumerate(zip(coords, at))], axis=1)
     near = np.zeros(maybe.shape, dtype=bool)
-    near[idx] = _singular_distance(field, mids) < limit
+    near.reshape(-1)[flat] = _singular_distance(field, mids) < limit
     return near
 
 
-def _edge_increments(field, grid, A, D, axis) -> np.ndarray:
+def _edge_increments(field, coords, origin, h, A, D, axis) -> np.ndarray:
     """Wrapped increments of the node angles ``A`` along lattice ``axis``,
     with each untrustworthy one replaced by its continuous lift.
 
-    Flagged edges carry near-wrap increments or a NaN endpoint, or lie close
-    to the declared singular set (where a |degree| >= 2 defect can alias a
-    full extra turn into a small wrapped value); their endpoint arrays are
-    lifted together.  Every plaquette sweep reads these shared increments,
-    so plaquette sums telescope exactly.
+    ``A`` and ``D`` live on a block of nodes with per-axis coordinates
+    ``coords`` whose first node has lattice index ``origin``; errors name
+    edges by their lattice index.  Flagged edges carry near-wrap increments
+    or a NaN endpoint, or lie close to the declared singular set (where a
+    |degree| >= 2 defect can alias a full extra turn into a small wrapped
+    value); their endpoint arrays are lifted together.  Every plaquette
+    sweep reads these shared increments, so plaquette sums telescope
+    exactly.
     """
     lo, hi = _edge_ends(A.ndim, axis)
     d = _wrap(A[hi] - A[lo])
     flag = ~(np.abs(d) <= math.pi - PLAQUETTE_MARGIN)  # a NaN endpoint fails too
-    flag |= _near_singular_edges(field, grid, D, axis)
-    i0 = np.nonzero(flag)
-    if len(i0[0]):
-        i1 = tuple(at + 1 if i == axis else at for i, at in enumerate(i0))
-        nodes = [grid.axis_nodes(i) for i in range(A.ndim)]
-        P0 = np.stack([c[at] for c, at in zip(nodes, i0)], axis=1)
-        P1 = np.stack([c[at] for c, at in zip(nodes, i1)], axis=1)
-        d[i0] = _lift_edges(field, P0, P1, A[i0], A[i1], np.stack(i0, axis=1))
+    flag |= _near_singular_edges(field, coords, h, D, axis)
+    flat, i0 = _hits(flag)
+    if len(flat):
+        i1 = tuple(k + 1 if i == axis else k for i, k in enumerate(i0))
+        P0 = np.stack([c[k] for c, k in zip(coords, i0)], axis=1)
+        P1 = np.stack([c[k] for c, k in zip(coords, i1)], axis=1)
+        index = np.stack(i0, axis=1) + np.asarray(origin)
+        d.reshape(-1)[flat] = _lift_edges(field, P0, P1, A[i0], A[i1], index)
     return d
 
 
-def _lattice_nodes(field: VectorField, grid: GridSpec):
-    """Node angles (NaN on the singular set) and node distances to it."""
-    shape = (grid.resolution,) * field.n
-    X = np.empty(shape + (field.n,))
-    for a in range(field.n):  # node coordinates written in place, no meshgrid
-        X[..., a] = grid.axis_nodes(a).reshape([-1 if i == a else 1
-                                                for i in range(field.n)])
-    X = X.reshape(-1, field.n)
-    D = _singular_distance(field, X)
+def _block_points(coords) -> np.ndarray:
+    """The (N, n) nodes of the block with per-axis coordinates ``coords``,
+    rows in the block's C order, written in place (no meshgrid); each
+    column is contiguous, so a field reads one axis in one pass."""
+    n = len(coords)
+    X = np.empty((n,) + tuple(len(c) for c in coords))
+    for a, c in enumerate(coords):
+        X[a] = c.reshape([-1 if i == a else 1 for i in range(n)])
+    return X.reshape(n, -1).T
+
+
+def _node_distances(field, X, coords, h) -> np.ndarray:
+    """Distances of the block nodes ``X`` to the declared singular set, or
+    certified lower bounds of them above ``(PROXIMITY_LENGTHS + 1) * h``.
+
+    The nodes are cut into tiles of CULL_TILE x CULL_TILE along the last
+    two axes, one node deep along the others.  Distance is 1-Lipschitz, so
+    every node of a tile is at least ``dist(centre) - half-diagonal`` away;
+    a tile whose bound clears ``(PROXIMITY_LENGTHS + 1) * h`` keeps that
+    bound (less a float slack) on its nodes, and the other tiles get exact
+    distances.  Every reader compares a distance with a threshold below
+    that value (the proximity prune and SINGULAR_GUARD), so a bound decides
+    it as the exact distance would.
+    """
+    if field.singular_set is None:
+        return np.full(X.shape[0], np.inf)
+    *lead, c1, c2 = coords
+    tiles = []  # per axis: tile centres and half-extents (the last is ragged)
+    for c in (c1, c2):
+        first = np.arange(0, len(c), CULL_TILE)
+        last = np.minimum(first + CULL_TILE, len(c)) - 1
+        tiles.append(((c[first] + c[last]) / 2, (c[last] - c[first]) / 2))
+    (m1, r1), (m2, r2) = tiles
+    centres = _block_points(lead + [m1, m2])
+    bound = (distance_to_chain(centres, field.singular_set).reshape(
+        tuple(len(c) for c in lead) + (len(m1), len(m2)))
+        - np.hypot(r1[:, None], r2[None, :]) - _PRUNE_SLACK * h)
+    D = np.repeat(np.repeat(bound, CULL_TILE, axis=-2)[..., :len(c1), :],
+                  CULL_TILE, axis=-1)[..., :len(c2)].reshape(-1)
+    exact = np.flatnonzero(D <= (PROXIMITY_LENGTHS + 1) * h)
+    D[exact] = distance_to_chain(X[exact], field.singular_set)
+    return D
+
+
+def _block_nodes(field, coords, h):
+    """Node angles (NaN on the singular set) on the block with per-axis
+    coordinates ``coords``, and the node distances of ``_node_distances``."""
+    X = _block_points(coords)
+    D = _node_distances(field, X, coords, h)
+    shape = tuple(len(c) for c in coords)
     return _angles(field, X, D).reshape(shape), D.reshape(shape)
 
 
 def grid_edge_data_2d(field: VectorField, grid: GridSpec):
     """Node angles and (lift-corrected) edge increments on the grid."""
-    A, D = _lattice_nodes(field, grid)
-    d1, d2 = (_edge_increments(field, grid, A, D, axis) for axis in (0, 1))
-    return grid.axis_nodes(0), grid.axis_nodes(1), A, d1, d2
+    coords = [grid.axis_nodes(0), grid.axis_nodes(1)]
+    A, D = _block_nodes(field, coords, grid.h)
+    d1, d2 = (_edge_increments(field, coords, (0, 0), grid.h, A, D, axis)
+              for axis in (0, 1))
+    return coords[0], coords[1], A, d1, d2
 
 
 def plaquette_windings_2d(d1: np.ndarray, d2: np.ndarray):
@@ -347,13 +444,14 @@ def region_boundary_winding(d1: np.ndarray, d2: np.ndarray,
     return int(round(total / (2.0 * math.pi)))
 
 
-def _windings_from_circ(circ, where: str, order=None):
+def _windings_from_circ(circ, where: str, order=None, origin=None):
     """Windings of the circulations ``circ`` (overwritten), as integer-valued
     floats; callers convert the nonzero ones.
 
     An error names the first offending plaquette in C order of
     ``circ.transpose(order)``: a non-finite circulation before a
-    non-integer one.
+    non-integer one.  ``origin`` (in ``circ``'s own axis order) is added
+    to the index it reports.
     """
     circ /= _TWO_PI
     mult = np.rint(circ)
@@ -361,11 +459,13 @@ def _windings_from_circ(circ, where: str, order=None):
         off = circ - mult
     np.abs(off, out=off)
     if not np.all(off <= 0.25):  # NaN fails the test too
+        order = list(range(circ.ndim)) if order is None else list(order)
+        shift = np.zeros(circ.ndim, dtype=int) if origin is None else origin
         for msg, bad in (("sample on the singular set", ~np.isfinite(circ)),
                          ("non-integer plaquette circulation", off > 0.25)):
             if np.any(bad):
-                first = np.argwhere(bad if order is None
-                                    else bad.transpose(order))[0]
+                first = (np.argwhere(bad.transpose(order))[0]
+                         + np.asarray(shift)[order])
                 raise AmbiguousWinding(f"{where}: {msg}",
                                        index=tuple(int(v) for v in first))
     return mult
@@ -385,39 +485,74 @@ def extract_vortices_2d(field: VectorField, grid: GridSpec) -> SingularChain:
     return SingularChain.points(2, cells)
 
 
+def _slab_cells(mult, a, origin, nodes, h):
+    """Dual edges of the nonzero windings ``mult`` (faces of normal ``a``,
+    lattice axis order, first axis-0 layer at ``origin``)."""
+    b, c = (a + 1) % 3, (a + 2) % 3
+    flat, at = _hits(mult != 0)
+    cells = []
+    for f, i0, i1, i2 in zip(flat, at[0] + origin, at[1], at[2]):
+        i = (i0, i1, i2)
+        p = np.empty(3)
+        p[b] = nodes[b][i[b]] + h / 2
+        p[c] = nodes[c][i[c]] + h / 2
+        p[a] = nodes[a][i[a]]
+        p0, p1 = p.copy(), p.copy()
+        p0[a] -= h / 2
+        p1[a] += h / 2
+        cells.append(((p0, p1), int(mult.flat[f])))
+    return cells
+
+
 def extract_lines_3d(field: VectorField, grid: GridSpec) -> SingularChain:
     """Dual-edge chain of nonzero 2-face windings on the sampling lattice.
 
     For a face with normal along axis a, the winding is taken
     counterclockwise in the (a+1, a+2) plane, and a winding d assigns
     multiplicity d to the dual edge through the face along +a.
+
+    The lattice is streamed in slabs of axis-0 layers (SLAB_NODES nodes),
+    each extended by the last layer of the slab before it (see the module
+    docstring), so every node is evaluated, every edge lifted and every
+    face summed once, and no full-lattice array is made.
     """
     if field.n != 3 or field.m != 2:
         raise InvalidParams("extract_lines_3d expects an n=3, m=2 field")
     nodes = [grid.axis_nodes(a) for a in range(3)]
-    A, D = _lattice_nodes(field, grid)
-    edges = [_edge_increments(field, grid, A, D, axis) for axis in range(3)]
-    h = grid.h
+    h, res = grid.h, grid.resolution
+    step = max(1, SLAB_NODES // res**2)
     cells = []
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        # plaquettes live in (b, c); sum in the lattice's own index order
-        lo_b, hi_b = _edge_ends(3, b)
-        lo_c, hi_c = _edge_ends(3, c)
-        eb, ec = edges[b], edges[c]
-        circ = eb[lo_c] + ec[hi_b] - eb[hi_c] - ec[lo_b]
-        mult = _windings_from_circ(circ, f"3d sweep, normal axis {a}",
-                                   order=(b, c, a))
-        for at in np.argwhere(mult != 0):
-            ib, ic, ia = at[b], at[c], at[a]
-            p = np.empty(3)
-            p[b] = nodes[b][ib] + h / 2
-            p[c] = nodes[c][ic] + h / 2
-            p[a] = nodes[a][ia]
-            p0, p1 = p.copy(), p.copy()
-            p0[a] -= h / 2
-            p1[a] += h / 2
-            cells.append(((p0, p1), int(mult[tuple(at)])))
+    carried = None  # A, D and axis-1 and axis-2 edges of the previous layer
+    for start in range(0, res, step):
+        stop = min(start + step, res)
+        new = [nodes[0][start:stop], nodes[1], nodes[2]]
+        A, D = _block_nodes(field, new, h)
+        k = 0 if carried is None else 1  # layers carried over
+        first = start - k
+        if k:
+            A, D = np.concatenate([carried[0], A]), np.concatenate([carried[1], D])
+        block = [nodes[0][first:stop], nodes[1], nodes[2]]
+        edges = [_edge_increments(field, block, (first, 0, 0), h, A, D, 0)]
+        for axis in (1, 2):
+            e = _edge_increments(field, new, (start, 0, 0), h, A[k:], D[k:], axis)
+            edges.append(np.concatenate([carried[1 + axis], e]) if k else e)
+        for a in range(3):
+            b, c = (a + 1) % 3, (a + 2) % 3
+            # plaquettes live in (b, c); sum in the lattice's own index order;
+            # normal-0 faces on the new layers, the others between layers
+            lo_b, hi_b = _edge_ends(3, b)
+            lo_c, hi_c = _edge_ends(3, c)
+            eb, ec = edges[b], edges[c]
+            at = first
+            if a == 0:
+                eb, ec, at = eb[k:], ec[k:], start
+            circ = eb[lo_c] + ec[hi_b]
+            circ -= eb[hi_c]
+            circ -= ec[lo_b]
+            mult = _windings_from_circ(circ, f"3d sweep, normal axis {a}",
+                                       order=(b, c, a), origin=(at, 0, 0))
+            cells += _slab_cells(mult, a, at, nodes, h)
+        carried = [x[-1:].copy() for x in (A, D, edges[1], edges[2])]
     cells.sort(key=lambda cell: tuple(np.concatenate([cell[0][0], cell[0][1]])))
     return SingularChain.segments(3, cells, spacing=h)
 

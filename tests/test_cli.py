@@ -181,6 +181,12 @@ class TestRejectedSchedules:
           "0"), "--delta", "0.0"),
         (("recover", "--construction", "cone4", "--eps", "0.2", "--delta",
           "inf"), "--delta", "inf"),
+        (("jacobian", "--field", "planar_vortex", "--grid", "16",
+          "--radius", "-1"), "--radius", "-1.0"),
+        (("jacobian", "--grid", "16", "--radius", "0"), "--radius", "0.0"),
+        (("jacobian", "--field", "planar_vortex", "--grid", "16",
+          "--radius", "nan"), "--radius", "nan"),
+        (("jacobian", "--grid", "16", "--radius", "inf"), "--radius", "inf"),
     ])
     def test_non_finite_or_non_positive_value_exits_2(self, capsys, tmp_path,
                                                       argv, flag, bad):

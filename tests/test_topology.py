@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from relaxarea.chains import (
 )
 from relaxarea.domains import Ball
 from relaxarea.errors import AmbiguousWinding, InvalidParams, SingularOnLoop
+from relaxarea import topology
 from relaxarea.fields import VectorField, make_example_field, chain_centers_radii
 from relaxarea.topology import (
     PROXIMITY_LENGTHS,
@@ -30,9 +32,11 @@ from relaxarea.topology import (
     region_boundary_winding,
     relaxed_area_rhs,
     winding_number,
+    _angles,
+    _block_points,
     _edge_increments,
-    _lattice_nodes,
     _near_singular_edges,
+    _node_distances,
     _windings_from_circ,
     _wrap,
 )
@@ -246,6 +250,24 @@ class TestExtract3d:
         with pytest.raises(InvalidParams):
             GridSpec(2, 4)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(resolution=16.5), dict(resolution=7), dict(resolution=True),
+        dict(half_side=-1.0), dict(half_side=0.0), dict(half_side=math.nan),
+        dict(half_side=math.inf), dict(center=(0, 0)),
+        dict(center=(0, 0, math.nan)), dict(center=(0, 0, math.inf)),
+        dict(center="abc"), dict(offset=1.0), dict(offset=-0.1),
+        dict(offset=math.nan),
+    ])
+    def test_grid_rejects_invalid_geometry(self, kwargs):
+        args = dict(n=3, resolution=16) | kwargs
+        with pytest.raises(InvalidParams):
+            GridSpec(**args)
+
+    def test_grid_accepts_numpy_integers_and_integer_centers(self):
+        grid = GridSpec(3, np.int64(16), center=(0, 1, 2), offset=0.0)
+        assert grid.center == (0.0, 1.0, 2.0)
+        assert grid.axis_nodes(1)[0] == 0.0
+
 
 def _midpoint_mask(field, grid, axis):
     """Reference proximity mask: the distance of every edge midpoint."""
@@ -265,7 +287,9 @@ def _assert_pruned_mask_exact(field, grid):
     for axis in range(grid.n):
         expect = _midpoint_mask(field, grid, axis)
         assert expect.any()
-        assert np.array_equal(_near_singular_edges(field, grid, D, axis), expect)
+        coords = [grid.axis_nodes(i) for i in range(grid.n)]
+        assert np.array_equal(
+            _near_singular_edges(field, coords, grid.h, D, axis), expect)
 
 
 class TestPrunedProximityMask:
@@ -346,11 +370,22 @@ def reference_windings(circ, where):
     return mult
 
 
+def reference_nodes(field, grid):
+    """Node angles and exact node distances over the whole lattice."""
+    G = np.meshgrid(*[grid.axis_nodes(a) for a in range(grid.n)], indexing="ij")
+    X = np.stack([g.ravel() for g in G], axis=1)
+    D = (np.full(len(X), np.inf) if field.singular_set is None
+         else distance_to_chain(X, field.singular_set))
+    return _angles(field, X, D).reshape(G[0].shape), D.reshape(G[0].shape)
+
+
 def reference_lines_3d(field, grid):
-    """``extract_lines_3d`` with the sweep on transposed (b, c, a) views."""
+    """``extract_lines_3d`` in one full-lattice pass with exact node
+    distances, and the sweep on transposed (b, c, a) views."""
     nodes = [grid.axis_nodes(a) for a in range(3)]
-    A, D = _lattice_nodes(field, grid)
-    edges = [_edge_increments(field, grid, A, D, axis) for axis in range(3)]
+    A, D = reference_nodes(field, grid)
+    edges = [_edge_increments(field, nodes, (0, 0, 0), grid.h, A, D, axis)
+             for axis in range(3)]
     h = grid.h
     cells = []
     for a in range(3):
@@ -417,6 +452,98 @@ class TestLatticeOrderSweep:
                 + rng.uniform(-0.2, 0.2, (9, 9)))
         got = _windings_from_circ(circ.copy(), "w")
         assert np.array_equal(got, reference_windings(circ, "w"))
+
+
+def slab_monkeypatch(monkeypatch, grid, layers, tile):
+    """Shrink the slabs of ``extract_lines_3d`` to ``layers`` node layers
+    and its distance-cull tiles to ``tile`` nodes a side."""
+    monkeypatch.setattr(topology, "SLAB_NODES", layers * grid.resolution**2)
+    monkeypatch.setattr(topology, "CULL_TILE", tile)
+
+
+class TestSlabStreaming:
+    """Any slab and tile size gives the full-lattice reference chain."""
+
+    def test_random_line_fields(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        for trial in range(24):
+            grid = GridSpec(3, (16, 24, 40)[trial % 3])
+            slab_monkeypatch(monkeypatch, grid, (3, 7)[trial % 2],
+                             2 + trial % 4)
+            f = line_field(int(rng.integers(0, 3)), rng.uniform(-0.3, 0.3, 2),
+                           rng.uniform(-0.5, 0.5, 3))
+            chain = extract_lines_3d(f, grid)
+            assert len(chain) > 0
+            assert chain_csv_text(chain) == chain_csv_text(
+                reference_lines_3d(f, grid))
+
+    @pytest.mark.parametrize("resolution, layers, tile",
+                             [(24, 3, 5), (24, 1, 2), (64, 7, 3)])
+    def test_planar_vortex(self, monkeypatch, resolution, layers, tile):
+        f = make_example_field("planar_vortex")
+        grid = GridSpec(3, resolution)
+        slab_monkeypatch(monkeypatch, grid, layers, tile)
+        assert chain_csv_text(extract_lines_3d(f, grid)) == chain_csv_text(
+            reference_lines_3d(f, grid))
+
+    def test_error_index_is_global(self, monkeypatch):
+        grid = GridSpec(3, 16)
+        slab_monkeypatch(monkeypatch, grid, 3, 4)
+        node = float(grid.axis_nodes(0)[11])  # in the fourth slab
+        f = line_field(1, (node, node), (0.0, 0.0, 0.0))
+        with pytest.raises(AmbiguousWinding) as err:
+            extract_lines_3d(f, grid)
+        assert err.value.index == (10, 0, 11)
+        assert all(type(i) is int for i in err.value.index)
+
+
+class TestDistanceCull:
+    """A node without an exact distance stores a lower bound of it above
+    every threshold the node distances are compared with."""
+
+    @pytest.mark.parametrize("field, grid, tile", [
+        (make_example_field("planar_vortex"), GridSpec(3, 32), 8),
+        (make_example_field("planar_vortex"), GridSpec(3, 24), 5),
+        (line_field(0, (0.1, -0.2), (0.1, -0.2, 0.3)), GridSpec(3, 40), 3),
+        (make_example_field("vortex", d=2, center=(0.13, -0.21)),
+         GridSpec(2, 64), 4),
+    ], ids=["planar32", "planar24-ragged", "line40", "vortex2d"])
+    def test_skipped_nodes_hold_certified_bounds(self, monkeypatch, field,
+                                                 grid, tile):
+        monkeypatch.setattr(topology, "CULL_TILE", tile)
+        coords = [grid.axis_nodes(a) for a in range(grid.n)]
+        X = _block_points(coords)
+        D = _node_distances(field, X, coords, grid.h)
+        exact = distance_to_chain(X, field.singular_set)
+        skipped = D != exact
+        assert skipped.any()
+        assert np.all(D[skipped] <= exact[skipped])
+        assert np.all(D[skipped] > (PROXIMITY_LENGTHS + 1) * grid.h)
+
+    def test_most_nodes_skip_the_exact_distance_at_128(self, monkeypatch):
+        rows = []
+
+        def counted(X, chain):
+            rows.append(len(X))
+            return distance_to_chain(X, chain)
+
+        monkeypatch.setattr(topology, "distance_to_chain", counted)
+        extract_lines_3d(make_example_field("planar_vortex"), GridSpec(3, 128))
+        # tile centres, near tiles, edge midpoints and lifts together
+        assert sum(rows) < 128**3 // 4
+
+
+class TestExtractionMemory:
+    def test_peak_below_one_full_lattice_array(self):
+        field, grid = make_example_field("planar_vortex"), GridSpec(3, 128)
+        extract_lines_3d(field, grid)  # warm
+        tracemalloc.start()
+        try:
+            extract_lines_3d(field, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.resolution**3 * 8
 
 
 class TestChains:
