@@ -14,7 +14,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidParams, IoFailure
+from .domains import Ball, Cube
+from .errors import InvalidGeometry, InvalidParams, IoFailure
+
+#: proximity guard around declared singular simplices: field evaluation
+#: raises inside it, and a point this close to a domain's boundary cannot be
+#: placed inside or outside the domain
+SINGULAR_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,42 @@ class SingularChain:
                 kept.append((simplex, mult))
         return SingularChain(self.n, self.k, tuple(kept), self.spacing)
 
+    def restricted(self, domain) -> "SingularChain":
+        """The part of the chain inside ``domain``, a ``Ball`` or a ``Cube``.
+
+        Segments are clipped in closed form to the closed domain: a ball by
+        the roots of the ray-sphere quadratic, a cube slab by slab, each
+        parameter clamped to [0, 1].  An endpoint inside stays bit for bit;
+        a segment that meets the domain in one point or not at all is
+        dropped.  Points strictly inside are kept.  ``InvalidGeometry`` is
+        raised for a point within SINGULAR_GUARD of the boundary, which
+        cannot be placed on either side, and for any other domain.
+        """
+        if not isinstance(domain, (Ball, Cube)) or domain.n != self.n:
+            raise InvalidGeometry(
+                f"a chain in R^{self.n} restricts only to a Ball or a Cube "
+                f"in R^{self.n}, got {type(domain).__name__} in "
+                f"R^{getattr(domain, 'n', '?')}")
+        kept = []
+        for simplex, mult in self.cells:
+            if self.k == 0:
+                depth = _depth(domain, simplex)
+                if abs(depth) <= SINGULAR_GUARD:
+                    raise InvalidGeometry(
+                        f"singular point {tuple(map(float, simplex))} lies "
+                        f"within {SINGULAR_GUARD:g} of the {domain.kind} "
+                        "boundary")
+                if depth > 0:
+                    kept.append((simplex, mult))
+                continue
+            a, b = simplex[0], simplex[1]
+            t0, t1 = _clip(domain, a, b - a)
+            if t0 < t1:
+                p0 = a if t0 == 0.0 else a + t0 * (b - a)
+                p1 = b if t1 == 1.0 else a + t1 * (b - a)
+                kept.append((np.stack([p0, p1]), mult))
+        return SingularChain(self.n, self.k, tuple(kept), self.spacing)
+
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path) -> None:
@@ -90,6 +132,40 @@ class SingularChain:
         except OSError as exc:
             raise IoFailure(f"cannot read chain CSV from {path}: {exc}") from exc
         return chain_from_csv_text(text)
+
+
+def _depth(domain, p) -> float:
+    """Distance of the point ``p`` to the boundary of a ball or a cube,
+    positive inside and negative outside (outside a cube, its largest
+    excess over a face along one axis)."""
+    w = np.asarray(p, dtype=float) - domain.center
+    if isinstance(domain, Ball):
+        return domain.radius - float(np.linalg.norm(w))
+    return float(np.min(domain.half_side - np.abs(w)))
+
+
+def _clip(domain, a, ab):
+    """Parameters ``t0 <= t1`` in [0, 1] of the part of the segment
+    ``a + t ab`` inside a ball or a cube (``t0 > t1`` when there is none)."""
+    w = a - domain.center
+    if isinstance(domain, Ball):
+        qa, qb = float(ab @ ab), float(w @ ab)
+        qc = float(w @ w) - domain.radius**2
+        disc = qb * qb - qa * qc
+        if qa == 0.0 or disc <= 0.0:
+            return 1.0, 0.0
+        root = np.sqrt(disc)
+        return max((-qb - root) / qa, 0.0), min((-qb + root) / qa, 1.0)
+    t0, t1 = 0.0, 1.0
+    for wi, di in zip(w, ab):
+        if di == 0.0:
+            if abs(wi) > domain.half_side:
+                return 1.0, 0.0
+            continue
+        lo, hi = sorted(((-domain.half_side - wi) / di,
+                         (domain.half_side - wi) / di))
+        t0, t1 = max(t0, lo), min(t1, hi)
+    return t0, t1
 
 
 def chain_csv_header(n: int) -> list[str]:
@@ -244,13 +320,19 @@ def distance_to_chain(X: np.ndarray, chain: SingularChain) -> np.ndarray:
         ab = b - a
         denom = float(ab @ ab)
         segs.append((a, ab, denom) if denom != 0.0 else (a, None, 0.0))
-    W = np.empty((min(N, DISTANCE_BLOCK), n))
+    # a lone last row joins the block before it: numpy takes ``@`` of a
+    # one-row matrix as a dot product, which can round otherwise than the
+    # matrix-vector product that gives the same row in a longer call
+    bounds = list(range(0, N, DISTANCE_BLOCK)) + [N]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    W = np.empty((max(np.diff(bounds), default=0), n))
     t = np.empty(W.shape[0])
     sq = np.empty(W.shape[0])
-    for start in range(0, N, DISTANCE_BLOCK):
-        Xb = X[start:start + DISTANCE_BLOCK]
+    for start, stop in zip(bounds, bounds[1:]):
+        Xb = X[start:stop]
         m = Xb.shape[0]
-        best, Wb, tb, sqb = out[start:start + m], W[:m], t[:m], sq[:m]
+        best, Wb, tb, sqb = out[start:stop], W[:m], t[:m], sq[:m]
         for i, (a, ab, denom) in enumerate(segs):
             np.subtract(Xb, a, out=Wb)
             if ab is not None:

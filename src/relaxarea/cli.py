@@ -12,6 +12,7 @@ identical configurations reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -135,12 +136,15 @@ def _run_area(args, cfg):
 def _run_energy(args, cfg):
     field = _build_field(args)
     dom = _build_domain(args)
+    # the singular current inside the domain, refused before any quadrature
+    inside = (None if field.singular_set is None
+              else field.singular_set.restricted(dom))
     grad, tva, minor = graph_functionals(field, dom, cfg.tol,
                                          ("tv", "tv_area", "minor"))
     line = (f"tv={grad.value:.12g} tv_area={tva.value:.12g} "
             f"m2={minor.value:.12g}")
-    if field.singular_set is not None:
-        rhs = tva.value + math.pi * chain_mass(field.singular_set)
+    if inside is not None:
+        rhs = tva.value + math.pi * chain_mass(inside)
         line += f" relaxed_rhs={rhs:.12g}"
     print(line)
     if cfg.out:
@@ -349,12 +353,28 @@ def _read_config(argv):
     return defaults, rest
 
 
-def build_parser(defaults=None):
-    """The full parser; ``defaults`` (a config file's flag values) replace
-    the built-in defaults of every subcommand, and explicit flags win.  A
-    required flag is required only when the config does not supply it."""
-    # the subcommand itself comes from the command line only
-    config = {k: v for k, v in (defaults or {}).items() if k != "subcommand"}
+def build_parser():
+    """The full parser with the built-in defaults (one per process)."""
+    return _build_parser()[0]
+
+
+def _apply_config(commands, config):
+    """Make a config's flag values the defaults of the subcommand parsers
+    ``commands``, and a flag it supplies optional.  Returns each replaced
+    (action, default, required), so a caller can restore them."""
+    replaced = []
+    for p in commands:
+        for action in p._actions:
+            if action.dest in config:
+                replaced.append((action, action.default, action.required))
+                action.default, action.required = config[action.dest], False
+    return replaced
+
+
+@functools.cache
+def _build_parser():
+    """(the full parser with built-in defaults, its subcommand parsers),
+    built once per process."""
     parser = argparse.ArgumentParser(
         prog="relaxarea",
         description="Graph-area functionals and singularity experiments "
@@ -397,14 +417,14 @@ def build_parser(defaults=None):
                    help="half side of the sampling cube")
 
     p = command("recover", "build one recovery map and report its masses")
-    p.add_argument("--construction", required="construction" not in config,
+    p.add_argument("--construction", required=True,
                    choices=["smoothing", "dipole", "point", "cone4"])
-    p.add_argument("--eps", type=float, required="eps" not in config)
+    p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--d", type=int, default=1)
 
     p = command("relax", "convergence study along a schedule")
-    p.add_argument("--study", required="study" not in config,
+    p.add_argument("--study", required=True,
                    choices=list(_STUDIES))
     p.add_argument("--eps", default="0.2,0.1,0.05,0.025")
     p.add_argument("--k", default="4,8,16,32")
@@ -412,7 +432,7 @@ def build_parser(defaults=None):
     p.add_argument("--disk", type=int, default=1)
 
     p = command("counterexample", "filling sequences of the 3d vortex")
-    p.add_argument("--variant", required="variant" not in config,
+    p.add_argument("--variant", required=True,
                    choices=["ball", "cylinder"])
     p.add_argument("--k", default="4,8,16,32")
     p.add_argument("--radius", type=float, default=1.0)
@@ -430,10 +450,7 @@ def build_parser(defaults=None):
     p.add_argument("--values", default="0.2,0.1,0.05,0.025")
     p.add_argument("--d", type=int, default=1)
 
-    # after the flags, so config values override their built-in defaults
-    for p in commands:
-        p.set_defaults(**config)
-    return parser
+    return parser, commands
 
 
 _RUNNERS = {
@@ -451,7 +468,13 @@ _RUNNERS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     defaults, argv = _read_config(argv)
-    args = build_parser(defaults).parse_args(argv)
+    parser, commands = _build_parser()
+    replaced = _apply_config(commands, defaults)
+    try:
+        args = parser.parse_args(argv)
+    finally:  # the config's defaults hold for this call only
+        for action, default, required in replaced:
+            action.default, action.required = default, required
     try:
         cfg = RunConfig(args.subcommand, args.tol, args.out)
         return _RUNNERS[args.subcommand](args, cfg)

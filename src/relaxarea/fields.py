@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chains import SingularChain, distance_to_chain
+from .chains import SINGULAR_GUARD, SingularChain, distance_to_chain
 from .errors import (
     InvalidParams,
     NonFinite,
@@ -25,9 +25,6 @@ from .errors import (
     SingularPoint,
     StencilCrossesSingularity,
 )
-
-#: proximity guard around declared singular simplices (evaluation raises inside)
-SINGULAR_GUARD = 1e-12
 
 #: relative central-difference step (sqrt(machine eps) balance)
 FD_STEP = 1e-5
@@ -266,7 +263,7 @@ def _planar_vortex() -> VectorField:
         r = np.hypot(X[:, 0], X[:, 1])
         if np.any(r <= SINGULAR_GUARD):
             raise SingularPoint("planar vortex evaluated on its axis")
-        return np.stack([X[:, 0] / r, X[:, 1] / r], axis=1)
+        return X[:, :2] / r[:, None]
 
     def jac(X):
         r2 = X[:, 0] ** 2 + X[:, 1] ** 2

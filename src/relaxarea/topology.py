@@ -1,17 +1,26 @@
 """Topological degree and extraction of the singularity current.
 
 Winding numbers are sums of principal-branch angle increments.  Lattice
-extraction computes per-plaquette windings from corner values; edges whose
-wrapped increment reaches pi/2, or which pass near the declared singular
-set (where a higher-degree defect can alias a full turn into a small
-wrapped value), are re-measured by bisecting the edge until every
-sub-increment is an unambiguous fraction of a turn.  Lifted values are
-written back into the shared edge arrays, so plaquette sums telescope
-exactly to boundary windings.  In 3d a nonzero winding on a 2-face
-contributes the dual edge crossing it, with orientation fixed by the
-right-hand rule (counterclockwise in the face plane seen from the positive
-dual direction).  The sign convention is pinned here once;
-acceptance-level claims use masses and |multiplicities|.
+extraction counts plaquette windings in integers.  The differences
+``delta = A[hi] - A[lo]`` of the principal node angles ``A`` telescope
+exactly around every plaquette, so a face's winding is the signed sum of
+its edges' integer turn counts ``K``, an edge's increment being
+``delta + 2 pi K`` (the residue test of phase unwrapping, which counts
+branch-cut crossings).  An edge whose wrapped difference stays below pi/2
+takes the count of the wrap, in {-1, 0, 1}.  Edges whose wrapped
+difference reaches pi/2, or which pass near the declared singular set
+(where a higher-degree defect can alias a full turn into a small wrapped
+value), are re-measured by bisecting the edge until every sub-increment is
+an unambiguous fraction of a turn; a lift ``L`` gives
+``K = rint((L - delta) / 2 pi)`` and is refused unless it lies within a
+quarter turn of ``delta + 2 pi K``.  Every face reads the one count of each
+of its edges, and the counts are int8 (int64 once a lifted count could
+overflow a sum of four), so the sums are exact and there is no float
+circulation to round.  In 3d a nonzero winding on a 2-face contributes the
+dual edge crossing it, with orientation fixed by the right-hand rule
+(counterclockwise in the face plane seen from the positive dual
+direction).  The sign convention is pinned here once; acceptance-level
+claims use masses and |multiplicities|.
 
 Lattice nodes are processed in blocks, each given by its per-axis node
 coordinates and the lattice index of its first node.  A block's node
@@ -23,10 +32,10 @@ one block.
 
 The 3d lattice is streamed in slabs of whole axis-0 node layers, about
 SLAB_NODES nodes each, so no full-lattice array is made.  A slab
-evaluates the angles and distances of its new layers and lifts their
-axis-1 and axis-2 edges; the last layer of the previous slab is carried
-over with its angles, distances and axis-1 and axis-2 edges, so the
-axis-0 edges from it into the slab and the faces with normal 1 or 2
+evaluates the angles and distances of its new layers and counts the turns
+of their axis-1 and axis-2 edges; the last layer of the previous slab is
+carried over with its angles, distances and axis-1 and axis-2 counts, so
+the axis-0 edges from it into the slab and the faces with normal 1 or 2
 between consecutive layers are taken in the slab as well.  Faces with
 normal 0 are summed on the new layers only.  So every node is evaluated
 once, every edge lifted once and every face summed once, in any slab
@@ -165,7 +174,8 @@ def _angles(field: VectorField, X: np.ndarray, dist: np.ndarray | None = None
 
 def _principal_angles(U: np.ndarray) -> np.ndarray:
     a = np.arctan2(U[:, 1], U[:, 0])
-    a[np.hypot(U[:, 0], U[:, 1]) < 1e-12] = np.nan  # vanishing values cannot wind
+    # vanishing values (norm below 1e-12) cannot wind
+    a[U[:, 0] ** 2 + U[:, 1] ** 2 < 1e-24] = np.nan
     return a
 
 
@@ -340,22 +350,38 @@ def _near_singular_edges(field, coords, h, D, axis) -> np.ndarray:
     return near
 
 
-def _edge_increments(field, coords, origin, h, A, D, axis) -> np.ndarray:
-    """Wrapped increments of the node angles ``A`` along lattice ``axis``,
-    with each untrustworthy one replaced by its continuous lift.
+#: largest |turn count| for which a sum of four counts fits in int8
+_INT8_TURNS = 127 // 4
+
+
+def _turn_counts(field, coords, origin, h, A, D, axis):
+    """Angle differences ``delta = A[hi] - A[lo]`` along lattice ``axis``
+    and the edges' integer turn counts ``K``: each edge's increment is
+    ``delta + 2 pi K``.
 
     ``A`` and ``D`` live on a block of nodes with per-axis coordinates
     ``coords`` whose first node has lattice index ``origin``; errors name
-    edges by their lattice index.  Flagged edges carry near-wrap increments
-    or a NaN endpoint, or lie close to the declared singular set (where a
-    |degree| >= 2 defect can alias a full extra turn into a small wrapped
-    value); their endpoint arrays are lifted together.  Every plaquette
-    sweep reads these shared increments, so plaquette sums telescope
-    exactly.
+    edges by their lattice index.  An edge whose wrapped difference stays
+    below pi/2 in magnitude takes the count of the wrap, ``K`` in
+    {-1, 0, 1}: |wrap(delta)| is ``pi - ||delta| - pi|``.  Flagged edges
+    carry near-wrap differences or a NaN endpoint, or lie close to the
+    declared singular set (where a |degree| >= 2 defect can alias a full
+    extra turn into a small wrapped value); their endpoint arrays are lifted
+    together, and a lift ``L`` gives ``K = rint((L - delta) / 2 pi)``.  The
+    principal angles telescope around every plaquette, so a face's winding
+    is the signed sum of its edges' counts.
+
+    ``K`` is int8, widened to int64 when a lifted count could make a sum
+    of four counts overflow it.
     """
     lo, hi = _edge_ends(A.ndim, axis)
-    d = _wrap(A[hi] - A[lo])
-    flag = ~(np.abs(d) <= math.pi - PLAQUETTE_MARGIN)  # a NaN endpoint fails too
+    delta = A[hi] - A[lo]
+    K = np.less(delta, -math.pi).view(np.int8)
+    K -= np.greater_equal(delta, math.pi).view(np.int8)
+    gap = np.abs(delta)
+    gap -= math.pi
+    np.abs(gap, out=gap)
+    flag = ~(gap >= PLAQUETTE_MARGIN)  # a NaN endpoint fails too
     flag |= _near_singular_edges(field, coords, h, D, axis)
     flat, i0 = _hits(flag)
     if len(flat):
@@ -363,8 +389,28 @@ def _edge_increments(field, coords, origin, h, A, D, axis) -> np.ndarray:
         P0 = np.stack([c[k] for c, k in zip(coords, i0)], axis=1)
         P1 = np.stack([c[k] for c, k in zip(coords, i1)], axis=1)
         index = np.stack(i0, axis=1) + np.asarray(origin)
-        d.reshape(-1)[flat] = _lift_edges(field, P0, P1, A[i0], A[i1], index)
-    return d
+        turns = _lift_edges(field, P0, P1, A[i0], A[i1], index)
+        turns -= delta.reshape(-1)[flat]
+        turns /= _TWO_PI
+        lifted = np.rint(turns)
+        whole = np.abs(turns - lifted) <= 0.25
+        if not np.all(whole):
+            raise _edge_error("lifted increment is not a whole number of "
+                              "turns from the angle difference",
+                              P0, P1, index, int(np.argmin(whole)))
+        if np.max(np.abs(lifted)) > _INT8_TURNS:
+            K = K.astype(np.int64)
+        K.reshape(-1)[flat] = lifted
+    return delta, K
+
+
+def _edge_increments(field, coords, origin, h, A, D, axis) -> np.ndarray:
+    """Increments ``delta + 2 pi K`` of the node angles ``A`` along lattice
+    ``axis``, from the angle differences and turn counts of ``_turn_counts``
+    (same arguments)."""
+    delta, K = _turn_counts(field, coords, origin, h, A, D, axis)
+    delta += _TWO_PI * K
+    return delta
 
 
 def _block_points(coords) -> np.ndarray:
@@ -430,7 +476,8 @@ def grid_edge_data_2d(field: VectorField, grid: GridSpec):
 
 
 def plaquette_windings_2d(d1: np.ndarray, d2: np.ndarray):
-    """Counterclockwise circulation (radians) per plaquette from shared edges."""
+    """Counterclockwise sum per plaquette of the shared edge values: a
+    circulation in radians for increments, a winding for turn counts."""
     return d1[:, :-1] + d2[1:, :] - d1[:, 1:] - d2[:-1, :]
 
 
@@ -444,42 +491,18 @@ def region_boundary_winding(d1: np.ndarray, d2: np.ndarray,
     return int(round(total / (2.0 * math.pi)))
 
 
-def _windings_from_circ(circ, where: str, order=None, origin=None):
-    """Windings of the circulations ``circ`` (overwritten), as integer-valued
-    floats; callers convert the nonzero ones.
-
-    An error names the first offending plaquette in C order of
-    ``circ.transpose(order)``: a non-finite circulation before a
-    non-integer one.  ``origin`` (in ``circ``'s own axis order) is added
-    to the index it reports.
-    """
-    circ /= _TWO_PI
-    mult = np.rint(circ)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported below
-        off = circ - mult
-    np.abs(off, out=off)
-    if not np.all(off <= 0.25):  # NaN fails the test too
-        order = list(range(circ.ndim)) if order is None else list(order)
-        shift = np.zeros(circ.ndim, dtype=int) if origin is None else origin
-        for msg, bad in (("sample on the singular set", ~np.isfinite(circ)),
-                         ("non-integer plaquette circulation", off > 0.25)):
-            if np.any(bad):
-                first = (np.argwhere(bad.transpose(order))[0]
-                         + np.asarray(shift)[order])
-                raise AmbiguousWinding(f"{where}: {msg}",
-                                       index=tuple(int(v) for v in first))
-    return mult
-
-
 def extract_vortices_2d(field: VectorField, grid: GridSpec) -> SingularChain:
     """Integer point chain of per-plaquette windings on the sampling grid."""
     if field.n != 2 or field.m != 2:
         raise InvalidParams("extract_vortices_2d expects an n=2, m=2 field")
-    xs, ys, _, d1, d2 = grid_edge_data_2d(field, grid)
-    mult = _windings_from_circ(plaquette_windings_2d(d1, d2), "2d sweep")
+    coords = [grid.axis_nodes(0), grid.axis_nodes(1)]
+    A, D = _block_nodes(field, coords, grid.h)
+    K1, K2 = (_turn_counts(field, coords, (0, 0), grid.h, A, D, axis)[1]
+              for axis in (0, 1))
+    mult = plaquette_windings_2d(K1, K2)
     cells = []
     for i, j in np.argwhere(mult != 0):
-        center = (xs[i] + grid.h / 2, ys[j] + grid.h / 2)
+        center = (coords[0][i] + grid.h / 2, coords[1][j] + grid.h / 2)
         cells.append((center, int(mult[i, j])))
     cells.sort(key=lambda c: c[0])
     return SingularChain.points(2, cells)
@@ -522,7 +545,7 @@ def extract_lines_3d(field: VectorField, grid: GridSpec) -> SingularChain:
     h, res = grid.h, grid.resolution
     step = max(1, SLAB_NODES // res**2)
     cells = []
-    carried = None  # A, D and axis-1 and axis-2 edges of the previous layer
+    carried = None  # A, D and axis-1 and axis-2 turns of the previous layer
     for start in range(0, res, step):
         stop = min(start + step, res)
         new = [nodes[0][start:stop], nodes[1], nodes[2]]
@@ -532,27 +555,25 @@ def extract_lines_3d(field: VectorField, grid: GridSpec) -> SingularChain:
         if k:
             A, D = np.concatenate([carried[0], A]), np.concatenate([carried[1], D])
         block = [nodes[0][first:stop], nodes[1], nodes[2]]
-        edges = [_edge_increments(field, block, (first, 0, 0), h, A, D, 0)]
+        turns = [_turn_counts(field, block, (first, 0, 0), h, A, D, 0)[1]]
         for axis in (1, 2):
-            e = _edge_increments(field, new, (start, 0, 0), h, A[k:], D[k:], axis)
-            edges.append(np.concatenate([carried[1 + axis], e]) if k else e)
+            K = _turn_counts(field, new, (start, 0, 0), h, A[k:], D[k:], axis)[1]
+            turns.append(np.concatenate([carried[1 + axis], K]) if k else K)
         for a in range(3):
             b, c = (a + 1) % 3, (a + 2) % 3
-            # plaquettes live in (b, c); sum in the lattice's own index order;
+            # plaquettes live in (b, c), summed in integers;
             # normal-0 faces on the new layers, the others between layers
             lo_b, hi_b = _edge_ends(3, b)
             lo_c, hi_c = _edge_ends(3, c)
-            eb, ec = edges[b], edges[c]
+            kb, kc = turns[b], turns[c]
             at = first
             if a == 0:
-                eb, ec, at = eb[k:], ec[k:], start
-            circ = eb[lo_c] + ec[hi_b]
-            circ -= eb[hi_c]
-            circ -= ec[lo_b]
-            mult = _windings_from_circ(circ, f"3d sweep, normal axis {a}",
-                                       order=(b, c, a), origin=(at, 0, 0))
+                kb, kc, at = kb[k:], kc[k:], start
+            mult = kb[lo_c] + kc[hi_b]
+            mult -= kb[hi_c]
+            mult -= kc[lo_b]
             cells += _slab_cells(mult, a, at, nodes, h)
-        carried = [x[-1:].copy() for x in (A, D, edges[1], edges[2])]
+        carried = [x[-1:].copy() for x in (A, D, turns[1], turns[2])]
     cells.sort(key=lambda cell: tuple(np.concatenate([cell[0][0], cell[0][1]])))
     return SingularChain.segments(3, cells, spacing=h)
 
@@ -564,6 +585,8 @@ def extract_lines_3d(field: VectorField, grid: GridSpec) -> SingularChain:
 
 def relaxed_area_rhs(field: VectorField, domain, chain: SingularChain,
                      tol: float, **kwargs) -> float:
-    """Total-variation graph area plus pi times the singularity mass."""
+    """Total-variation graph area plus pi times the mass of the part of
+    ``chain`` inside ``domain`` (``SingularChain.restricted``)."""
+    inside = chain.restricted(domain)
     tv_area, = graph_functionals(field, domain, tol, ("tv_area",), **kwargs)
-    return tv_area.value + math.pi * chain_mass(chain)
+    return tv_area.value + math.pi * chain_mass(inside)

@@ -40,6 +40,24 @@ class TestEnergy:
         assert tv == pytest.approx(math.pi**2, rel=1e-4)
         assert "relaxed_rhs=" in out
 
+    def test_relaxed_rhs_counts_only_the_chain_inside(self, capsys):
+        # a length of 1 of the z-axis lies in the ball, so pi, not 2 pi
+        code, out, _ = run(capsys, "energy", "--field", "planar_vortex",
+                           "--domain", "ball3", "--radius", "0.5",
+                           "--tol", "1e-5")
+        assert code == 0
+        tv_area = float(out.split("tv_area=")[1].split()[0])
+        rhs = float(out.split("relaxed_rhs=")[1].split()[0])
+        assert rhs == pytest.approx(tv_area + math.pi, abs=1e-10)
+        assert rhs == pytest.approx(5.68386, abs=1e-5)
+
+    def test_point_on_the_domain_boundary_exits_2(self, capsys):
+        # vortex_chain m=3 has a vortex at x = 0.5, on this ball's boundary
+        code, _, err = run(capsys, "energy", "--field", "vortex_chain",
+                           "--domain", "ball2", "--radius", "0.5")
+        assert code == 2
+        assert "boundary" in err
+
 
 class TestJacobian:
     def test_chain_extraction_and_csv(self, capsys, tmp_path):
@@ -312,6 +330,25 @@ class TestErrorPaths:
             main(["--config", str(cfg), "recover"])
         assert exc.value.code == 2
         assert "required: --eps" in capsys.readouterr().err
+
+    def test_config_defaults_do_not_leak_into_the_next_call(self, capsys,
+                                                           tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"study": "smoothing",
+                                   "eps": "0.2,0.1,0.05"}))
+        code, out, _ = run(capsys, "--config", str(cfg), "relax")
+        assert code == 0 and "study=smoothing" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["relax"])
+        assert exc.value.code == 2
+        assert "required: --study" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"field": "constant", "domain": "ball2"}))
+        code, out, _ = run(capsys, "--config", str(cfg), "area")
+        assert float(out.split("area=")[1].split()[0]) == pytest.approx(
+            math.pi, rel=1e-6)
+        code, out, _ = run(capsys, "area", "--domain", "ball2")
+        assert float(out.split("area=")[1].split()[0]) == pytest.approx(
+            7.2118, abs=5e-4)
 
     @pytest.mark.parametrize("flag", ["--conf", "--con", "--confi"])
     def test_abbreviated_config_names_config(self, capsys, tmp_path, flag):

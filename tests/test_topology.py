@@ -17,7 +17,7 @@ from relaxarea.chains import (
     distance_to_chain,
     interior_boundary,
 )
-from relaxarea.domains import Ball
+from relaxarea.domains import Ball, Cube
 from relaxarea.errors import AmbiguousWinding, InvalidParams, SingularOnLoop
 from relaxarea import topology
 from relaxarea.fields import VectorField, make_example_field, chain_centers_radii
@@ -37,7 +37,6 @@ from relaxarea.topology import (
     _edge_increments,
     _near_singular_edges,
     _node_distances,
-    _windings_from_circ,
     _wrap,
 )
 
@@ -427,32 +426,6 @@ class TestLatticeOrderSweep:
         assert chain_csv_text(extract_lines_3d(f, grid)) == chain_csv_text(
             reference_lines_3d(f, grid))
 
-    @pytest.mark.parametrize("order", [(1, 2, 0), (2, 0, 1), (0, 1, 2)])
-    def test_error_names_the_first_plaquette_in_sweep_order(self, order):
-        rng = np.random.default_rng(4)
-        circ = 2 * math.pi * rng.integers(-2, 3, (5, 6, 7)).astype(float)
-        circ[1, 4, 2] += 3.0  # two non-integer plaquettes whose C order
-        circ[3, 0, 5] -= 3.0  # differs between the axis orders
-        views = [circ]
-        bad_finite = circ.copy()
-        bad_finite[4, 1, 0] = np.nan  # reported before the non-integer ones
-        bad_finite[0, 5, 6] = np.inf
-        views.append(bad_finite)
-        for lattice in views:
-            with pytest.raises(AmbiguousWinding) as want:
-                reference_windings(lattice.transpose(order), "w")
-            with pytest.raises(AmbiguousWinding) as got:
-                _windings_from_circ(lattice.copy(), "w", order=order)
-            assert str(got.value) == str(want.value)
-            assert got.value.index == want.value.index
-
-    def test_windings_match_reference(self):
-        rng = np.random.default_rng(5)
-        circ = (2 * math.pi * rng.integers(-3, 4, (9, 9))
-                + rng.uniform(-0.2, 0.2, (9, 9)))
-        got = _windings_from_circ(circ.copy(), "w")
-        assert np.array_equal(got, reference_windings(circ, "w"))
-
 
 def slab_monkeypatch(monkeypatch, grid, layers, tile):
     """Shrink the slabs of ``extract_lines_3d`` to ``layers`` node layers
@@ -495,6 +468,96 @@ class TestSlabStreaming:
             extract_lines_3d(f, grid)
         assert err.value.index == (10, 0, 11)
         assert all(type(i) is int for i in err.value.index)
+
+
+def _edge_key(P0, P1, index):
+    """(lower node, axis) of each edge passed to ``_lift_edges``."""
+    axes = np.argmax(np.abs(P1 - P0), axis=1)
+    return [tuple(map(int, i)) + (int(a),) for i, a in zip(index, axes)]
+
+
+def lift_monkeypatch(monkeypatch, extra):
+    """Make ``_lift_edges`` add ``extra(key)`` turns to the lift of the edge
+    with ``_edge_key`` ``key``, and record every key it is called with."""
+    seen = []
+    lift = topology._lift_edges
+
+    def patched(field, P0, P1, B0, B1, index):
+        keys = _edge_key(P0, P1, index)
+        seen.extend(keys)
+        turns = np.array([extra(k) for k in keys], dtype=float)
+        return lift(field, P0, P1, B0, B1, index) + 2 * math.pi * turns
+
+    monkeypatch.setattr(topology, "_lift_edges", patched)
+    return seen
+
+
+class TestTurnCounts:
+    """Windings are integer sums of edge turn counts."""
+
+    def test_counts_are_int8_and_increments_match(self):
+        f = make_example_field("planar_vortex")
+        grid = GridSpec(3, 16)
+        coords = [grid.axis_nodes(a) for a in range(3)]
+        A, D = reference_nodes(f, grid)
+        for axis in range(3):
+            delta, K = topology._turn_counts(f, coords, (0, 0, 0), grid.h,
+                                             A, D, axis)
+            assert K.dtype == np.int8 and set(np.unique(K)) <= {-1, 0, 1}
+            inc = _edge_increments(f, coords, (0, 0, 0), grid.h, A, D, axis)
+            assert np.array_equal(inc, delta + 2 * math.pi * K)
+            assert np.all(np.abs(modulo_wrap(inc) - inc) < 1e-12)
+
+    def test_non_integer_lift_names_the_edge_across_slabs(self, monkeypatch):
+        f = make_example_field("planar_vortex")
+        grid = GridSpec(3, 16)
+        slab_monkeypatch(monkeypatch, grid, 3, 4)
+        seen = lift_monkeypatch(monkeypatch, lambda key: 0)
+        extract_lines_3d(f, grid)
+        # a lifted axis-1 edge whose lower node lies in the fourth slab
+        target = next(k for k in seen if k[0] == 10 and k[3] == 1)
+        lift_monkeypatch(monkeypatch, lambda key: 0.4 * (key == target))
+        with pytest.raises(AmbiguousWinding) as err:
+            extract_lines_3d(f, grid)
+        assert err.value.index == target[:3]
+        assert all(type(i) is int for i in err.value.index)
+        assert "whole number of turns" in str(err.value)
+        lo = tuple(float(grid.axis_nodes(a)[i]) for a, i in enumerate(target[:3]))
+        assert str(lo) in str(err.value)
+
+    def test_non_integer_lift_in_2d(self, monkeypatch):
+        f = make_example_field("vortex", d=2, center=(0.13, -0.21))
+        lift_monkeypatch(monkeypatch, lambda key: -0.3)
+        with pytest.raises(AmbiguousWinding) as err:
+            extract_vortices_2d(f, GridSpec(2, 32))
+        assert "whole number of turns" in str(err.value)
+        assert len(err.value.index) == 2
+
+    def test_counts_beyond_int8_never_wrap_2d(self, monkeypatch):
+        f = make_example_field("vortex", d=2, center=(0.13, -0.21))
+        grid = GridSpec(2, 32)
+        lift_monkeypatch(monkeypatch, lambda key: 200 * (key[0] % 3 == 0))
+        chain = extract_vortices_2d(f, grid)
+        *_, d1, d2 = grid_edge_data_2d(f, grid)
+        want = reference_windings(plaquette_windings_2d(d1, d2), "2d")
+        got = np.zeros_like(want)
+        for p, m in chain.cells:
+            i, j = (int(round((p[a] - grid.axis_nodes(a)[0]) / grid.h - 0.5))
+                    for a in range(2))
+            got[i, j] = m
+        assert max(abs(m) for _, m in chain.cells) > 127
+        assert np.array_equal(got, want)
+
+    def test_counts_beyond_int8_never_wrap_3d(self, monkeypatch):
+        # int64 counts of one layer meet int8 counts carried between slabs
+        f = make_example_field("planar_vortex")
+        grid = GridSpec(3, 16)
+        slab_monkeypatch(monkeypatch, grid, 3, 4)
+        lift_monkeypatch(monkeypatch, lambda key: 150 * (key[0] == 5))
+        chain = extract_lines_3d(f, grid)
+        assert max(abs(m) for _, m in chain.cells) > 127
+        assert chain_csv_text(chain) == chain_csv_text(
+            reference_lines_3d(f, grid))
 
 
 class TestDistanceCull:
@@ -628,9 +691,44 @@ class TestRelaxedRhs:
         rhs = relaxed_area_rhs(c, Ball(2, 1.0), SingularChain.empty(2, 0), 1e-8)
         assert rhs == pytest.approx(math.pi, rel=1e-9)
 
+    def test_only_the_chain_inside_counts(self):
+        # a constant field: tv_area is the volume, the rest pi * inner mass
+        flat2 = make_example_field("constant", value=(1.0, 0.0))
+        points = make_example_field("vortex_chain", m=3).singular_set
+        rhs = relaxed_area_rhs(flat2, Ball(2, 0.3), points, 1e-8)
+        assert rhs == pytest.approx(math.pi * 0.09 + math.pi, rel=1e-9)
+        flat3 = lift_field(lambda X: 0.0 * X[:, 0], n=3)
+        axis = make_example_field("planar_vortex").singular_set
+        rhs = relaxed_area_rhs(flat3, Cube(3, 0.5), axis, 1e-8)
+        assert rhs == pytest.approx(1.0 + math.pi, rel=1e-9)
+
     def test_planar_vortex_rhs(self):
         pv = make_example_field("planar_vortex")
         rhs = relaxed_area_rhs(pv, Ball(3, 1.0), pv.singular_set, 1e-7)
         from conftest import planar_tv_area_b3_oracle
         assert rhs == pytest.approx(planar_tv_area_b3_oracle() + 2 * math.pi,
                                     rel=1e-6)
+
+
+class TestRestrictedMass:
+    """The two sources of the singular current agree inside a domain: the
+    lattice chain and the declared chain, both restricted to the domain,
+    have masses within 2h.  Only axis-parallel lines are checked: the
+    dual-edge staircase of an oblique line has the l1 length of the line,
+    not its Euclidean length, so oblique lines are left out."""
+
+    @pytest.mark.parametrize("resolution", [32, 64])
+    @pytest.mark.parametrize("domain", [Ball(3, 0.5), Ball(3, 1.0),
+                                        Cube(3, 0.5), Cube(3, 1.0)],
+                             ids=["ball0.5", "ball1", "cube0.5", "cube1"])
+    @pytest.mark.parametrize("field", [
+        make_example_field("planar_vortex"),
+        line_field(1, (0.1, -0.2), (0.3, -0.2, 0.1)),
+    ], ids=["planar", "line"])
+    def test_extracted_mass_matches_declared_mass(self, field, domain,
+                                                   resolution):
+        grid = GridSpec(3, resolution)
+        extracted = extract_lines_3d(field, grid).restricted(domain)
+        declared = field.singular_set.restricted(domain)
+        assert chain_mass(declared) > 0.5
+        assert abs(chain_mass(extracted) - chain_mass(declared)) <= 2 * grid.h
