@@ -1,0 +1,8 @@
+"""``python -m relaxarea``: the command-line interface, as ``relaxarea``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

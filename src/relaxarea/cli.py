@@ -18,8 +18,10 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import relaxation as rx
-from .chains import chain_csv_text, chain_mass
+from .chains import SINGULAR_GUARD, chain_csv_text, chain_mass, distance_to_chain
 from .domains import Ball, Cone, make_domain
 from .errors import (
     AmbiguousWinding,
@@ -158,6 +160,14 @@ def _run_jacobian(args, cfg):
     _positive([args.radius], "--radius")
     field = _build_field(args)
     grid = GridSpec(field.n, args.grid, half_side=args.radius)
+    # an odd resolution puts the middle node on the grid centre
+    if (args.grid % 2 and field.singular_set is not None
+            and distance_to_chain(np.array([grid.center]), field.singular_set)[0]
+            <= SINGULAR_GUARD):
+        raise InvalidParams(
+            f"--grid {args.grid} puts the middle lattice node on the singular "
+            f"set at the grid centre; use an even grid, such as "
+            f"{args.grid - 1} or {args.grid + 1}")
     if field.n == 2:
         chain = extract_vortices_2d(field, grid)
     else:

@@ -345,7 +345,19 @@ def chain_centers_radii(m: int) -> tuple[np.ndarray, np.ndarray]:
     return centers, radii
 
 
-def _chain_angle(X, centers, radii):
+def _chain_keys(centers, radii):
+    """Square sides as ``np.searchsorted(keys, x1, "right")`` keys.
+
+    The search gives each point its region code: 0 for the lead strip,
+    2j + 1 for square j, 2j for the gap between squares j - 1 and j, and 2m
+    for the tail strip (and for NaN, which sorts last).  A point on a
+    square's right side gets the gap or strip after it, whose angle there
+    equals the square's.
+    """
+    return np.stack([centers[:, 0] - radii, centers[:, 0] + radii], axis=1).ravel()
+
+
+def _chain_angle(X, centers, radii, region=None):
     """Target angle of the vortex-chain map (values are (cos T, sin T)).
 
     Regions: inscribed disks carry alternating-orientation vortices, the
@@ -353,85 +365,92 @@ def _chain_angle(X, centers, radii):
     horizontal lines, gap trapezoids interpolate matching half-circle
     traces, end strips extend the outermost arcs, and the two remaining
     components are the constants (1,0) above and (-1,0) below.
+
+    x1 alone names each point's only candidate region (``region``, the
+    codes of :func:`_chain_keys`); each region present is then evaluated
+    on its own points.
     """
     m = len(radii)
     x1, x2 = X[:, 0], X[:, 1]
+    if region is None:
+        region = np.searchsorted(_chain_keys(centers, radii), x1, "right")
     T = np.where(x2 >= 0.0, 0.0, np.pi)  # default: the two constant components
-    done = np.zeros(len(x1), dtype=bool)
 
     def arc_angle(s):
         return np.arcsin(np.clip(s, -1.0, 1.0))
 
-    for j in range(m):  # squares (disks inside them)
-        cx, h = centers[j, 0], radii[j]
-        odd = (j % 2) == 0  # paper indices start at 1
-        insq = ~done & (np.abs(x1 - cx) <= h) & (np.abs(x2) <= h)
-        if np.any(insq):
-            dx, dy = x1[insq] - cx, x2[insq]
+    for r in np.flatnonzero(np.bincount(region, minlength=2 * m + 1)):
+        idx = np.flatnonzero(region == r)
+        j = r // 2
+        if r % 2:  # square j (the disk inside it)
+            cx, h = centers[j, 0], radii[j]
+            idx = idx[np.abs(x2[idx]) <= h]
+            dx, dy = x1[idx] - cx, x2[idx]
             rr = np.hypot(dx, dy)
             theta = np.where(
                 rr < h,
                 np.arctan2(dy, dx),
                 np.where(dx >= 0, arc_angle(dy / h), np.pi - arc_angle(dy / h)),
             )
-            T[insq] = theta - np.pi / 2 if odd else np.pi / 2 - theta
-            done |= insq
-
-    for j in range(m - 1):  # gap trapezoids
-        right = centers[j, 0] + radii[j]
-        left = centers[j + 1, 0] - radii[j + 1]
-        lam = (x1 - right) / (left - right)
-        H = radii[j] + (radii[j + 1] - radii[j]) * np.clip(lam, 0.0, 1.0)
-        ingap = ~done & (x1 > right) & (x1 < left) & (np.abs(x2) <= H)
-        if np.any(ingap):
-            s = arc_angle(x2[ingap] / H[ingap])
-            odd = (j % 2) == 0
-            T[ingap] = s - np.pi / 2 if odd else np.pi / 2 - s
-            done |= ingap
-
-    lead = ~done & (x1 <= centers[0, 0] - radii[0]) & (np.abs(x2) <= radii[0])
-    if np.any(lead):  # strip joining the first square to the boundary
-        T[lead] = np.pi / 2 - arc_angle(x2[lead] / radii[0])
-        done |= lead
-
-    tail = ~done & (x1 >= centers[-1, 0] + radii[-1]) & (np.abs(x2) <= radii[-1])
-    if np.any(tail):
-        s = arc_angle(x2[tail] / radii[-1])
-        odd = ((m - 1) % 2) == 0
-        T[tail] = s - np.pi / 2 if odd else np.pi / 2 - s
+            T[idx] = theta - np.pi / 2 if j % 2 == 0 else np.pi / 2 - theta
+        elif r == 0:  # strip joining the first square to the boundary
+            idx = idx[np.abs(x2[idx]) <= radii[0]]
+            T[idx] = np.pi / 2 - arc_angle(x2[idx] / radii[0])
+        elif r == 2 * m:  # tail strip, whose code NaN shares
+            idx = idx[(x1[idx] >= centers[-1, 0] + radii[-1])
+                      & (np.abs(x2[idx]) <= radii[-1])]
+            s = arc_angle(x2[idx] / radii[-1])
+            T[idx] = s - np.pi / 2 if (m - 1) % 2 == 0 else np.pi / 2 - s
+        else:  # gap trapezoid after square j - 1
+            right = centers[j - 1, 0] + radii[j - 1]
+            left = centers[j, 0] - radii[j]
+            lam = (x1[idx] - right) / (left - right)
+            H = radii[j - 1] + (radii[j] - radii[j - 1]) * np.clip(lam, 0.0, 1.0)
+            inside = np.abs(x2[idx]) <= H
+            idx = idx[inside]
+            s = arc_angle(x2[idx] / H[inside])
+            T[idx] = s - np.pi / 2 if (j - 1) % 2 == 0 else np.pi / 2 - s
     return T
 
 
 def _vortex_chain(m: int) -> VectorField:
     centers, radii = chain_centers_radii(m)
+    keys = _chain_keys(centers, radii)
+
+    def squares(X):
+        """Region codes of X and, for the points with c - h <= x1 < c + h of
+        a square, their indices, square and offsets (x1 - c, x2) from its
+        centre."""
+        region = np.searchsorted(keys, X[:, 0], "right")
+        idx = np.flatnonzero(region % 2)
+        j = region[idx] // 2
+        return region, idx, j, X[idx, 0] - centers[j, 0], X[idx, 1]
 
     def ev(X):
-        d = np.min(
-            np.linalg.norm(X[:, None, :] - centers[None, :, :], axis=2), axis=1
-        )
-        if np.any(d <= SINGULAR_GUARD):
+        # only a point's own square can hold a centre within the guard
+        region, _, _, dx, dy = squares(X)
+        if np.any(np.sqrt(dx * dx + dy * dy) <= SINGULAR_GUARD):
             raise SingularPoint("vortex chain evaluated at a disk center")
-        T = _chain_angle(X, centers, radii)
+        T = _chain_angle(X, centers, radii, region)
         return np.stack([np.cos(T), np.sin(T)], axis=1)
 
     def jac(X):
         # analytic inside the open disks (where the studies integrate),
         # central differences in the interpolation regions
-        N = X.shape[0]
-        J = np.empty((N, 2, 2))
-        handled = np.zeros(N, dtype=bool)
-        for j in range(m):
-            W = X - centers[j]
-            r2 = W[:, 0] ** 2 + W[:, 1] ** 2
-            mask = ~handled & (r2 < (0.999 * radii[j]) ** 2)
-            if np.any(mask):
-                d = 1 if (j % 2) == 0 else -1
-                T = _chain_angle(X[mask], centers, radii)
-                uperp = np.stack([-np.sin(T), np.cos(T)], axis=1)
-                gt = np.stack([-W[mask, 1] / r2[mask], W[mask, 0] / r2[mask]], axis=1)
-                J[mask] = d * uperp[:, :, None] * gt[:, None, :]
-                handled |= mask
-        rest = ~handled
+        J = np.empty((X.shape[0], 2, 2))
+        _, idx, j, dx, dy = squares(X)
+        r2 = dx**2 + dy**2
+        disk = r2 < (0.999 * radii[j]) ** 2
+        idx, j, dx, dy, r2 = idx[disk], j[disk], dx[disk], dy[disk], r2[disk]
+        theta = np.arctan2(dy, dx)
+        odd = j % 2 == 0  # paper indices start at 1
+        T = np.where(odd, theta - np.pi / 2, np.pi / 2 - theta)
+        uperp = np.stack([-np.sin(T), np.cos(T)], axis=1)
+        gt = np.stack([-dy / r2, dx / r2], axis=1)
+        d = np.where(odd, 1.0, -1.0)[:, None, None]
+        J[idx] = d * uperp[:, :, None] * gt[:, None, :]
+        rest = np.ones(X.shape[0], dtype=bool)
+        rest[idx] = False
         if np.any(rest):
             sub = VectorField(2, 2, ev, None, name="chain-fd")
             J[rest] = sub._fd_jacobian(X[rest])

@@ -69,7 +69,7 @@ import numpy as np
 from .chains import SingularChain, distance_to_chain
 from .errors import InvalidParams, NoConvergence, NonFinite
 from .domains import Domain
-from .fields import VectorField, area_integrand, minors2
+from .fields import VectorField, minors2
 
 GAUSS_ORDER = 8
 ERROR_ORDER = 4
@@ -512,14 +512,8 @@ def integrate(
 # ---------------------------------------------------------------------------
 
 
-#: integrand of each graph functional, from a Jacobian stack (N, m, n); the
-#: module's ``area_integrand`` and ``minors2`` are looked up at each call
-_GRAPH_INTEGRANDS = {
-    "area": lambda J: area_integrand(J),
-    "tv": lambda J: np.sqrt(np.sum(J * J, axis=(1, 2))),
-    "tv_area": lambda J: np.sqrt(1.0 + np.sum(J * J, axis=(1, 2))),
-    "minor": lambda J: np.sqrt(np.sum(minors2(J) ** 2, axis=1)),
-}
+#: the graph functionals, in the order their names are listed
+_GRAPH_FUNCTIONALS = ("area", "tv", "tv_area", "minor")
 
 
 def graph_functionals(field: VectorField, domain: Domain, tol: float, which,
@@ -533,13 +527,30 @@ def graph_functionals(field: VectorField, domain: Domain, tol: float, which,
     :func:`integrate`.
     """
     which = tuple(which)
-    if not which or not set(which) <= set(_GRAPH_INTEGRANDS):
+    if not which or not set(which) <= set(_GRAPH_FUNCTIONALS):
         raise InvalidParams(f"graph functionals {which}: choose from "
-                            f"{tuple(_GRAPH_INTEGRANDS)}")
+                            f"{_GRAPH_FUNCTIONALS}")
+    with_minors = not {"area", "minor"}.isdisjoint(which)
 
     def f(X):
+        # S = |J|^2 and M2 = |minors2(J)|^2 once per call, shared by the
+        # columns; minors2 is looked up in the module at each call
         J = field.jacobian_many(X)
-        return np.array([_GRAPH_INTEGRANDS[name](J) for name in which]).T
+        S = np.sum(J * J, axis=(1, 2))
+        if with_minors:
+            M = minors2(J)
+            M2 = np.sum(M * M, axis=1)
+        out = np.empty((len(J), len(which)))
+        for col, name in enumerate(which):
+            if name == "area":  # area_integrand(J)
+                out[:, col] = np.sqrt(1.0 + S + M2)
+            elif name == "tv":
+                out[:, col] = np.sqrt(S)
+            elif name == "tv_area":
+                out[:, col] = np.sqrt(1.0 + S)
+            else:
+                out[:, col] = np.sqrt(M2)
+        return out
 
     res = integrate(f, domain, tol, singular_set=field.singular_set,
                     breaks=field.chart_breaks, raise_on_failure=False,

@@ -91,7 +91,9 @@ class GridSpec:
     """Sampling lattice inside a bounding cube.
 
     Nodes sit at ``lo + (i + offset) * h`` per axis, i = 0..resolution-1,
-    so the default half-cell offset keeps nodes off symmetric singular sets.
+    so at an even resolution the default half-cell offset keeps nodes off
+    the centre and off singular sets symmetric about it; at an odd one the
+    middle node sits on the centre.
     """
 
     n: int

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,27 @@ class TestJacobian:
         assert mass == pytest.approx(2.0, abs=0.1)
         back = SingularChain.from_csv(path)
         assert len(back) == 64
+
+    @pytest.mark.parametrize("field", ["vortex", "planar_vortex", "vortex_chain"])
+    def test_odd_grid_through_the_singular_centre_exits_2(self, capsys, field,
+                                                          monkeypatch):
+        from relaxarea import cli
+
+        def no_extraction(*args):
+            raise AssertionError("extraction ran")
+
+        monkeypatch.setattr(cli, "extract_vortices_2d", no_extraction)
+        monkeypatch.setattr(cli, "extract_lines_3d", no_extraction)
+        code, out, err = run(capsys, "jacobian", "--field", field, "--grid", "21")
+        assert code == 2 and out == ""
+        assert "--grid 21" in err and "20 or 22" in err
+
+    @pytest.mark.parametrize("field, grid", [
+        ("constant", "21"), ("constant", "20"), ("vortex", "20"),
+        ("vortex", "22"), ("planar_vortex", "20"), ("planar_vortex", "22")])
+    def test_grids_off_the_singular_set_run(self, capsys, field, grid):
+        code, out, _ = run(capsys, "jacobian", "--field", field, "--grid", grid)
+        assert code == 0 and out.startswith("cells=")
 
     def test_bad_study_choice_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -376,3 +401,16 @@ class TestRecoverCli:
         assert code == 0
         ring = float(out.split("ring_mass=")[1].split()[0])
         assert 0 < ring < 0.5
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-m", "relaxarea", "area", "--field", "vortex",
+         "--tol", "1e-4"], env=env, cwd=tmp_path, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("area=")

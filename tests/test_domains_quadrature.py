@@ -17,8 +17,14 @@ from relaxarea.domains import (
     Difference,
     make_domain,
 )
-from relaxarea.errors import InvalidGeometry, InvalidParams, NoConvergence
+from relaxarea.errors import (
+    InvalidGeometry,
+    InvalidParams,
+    NoConvergence,
+    NonFinite,
+)
 from relaxarea.fields import (
+    VectorField,
     area_integrand,
     chain_centers_radii,
     make_example_field,
@@ -493,6 +499,82 @@ class TestGraphFunctionals:
         v = make_example_field("vortex", d=1)
         with pytest.raises(InvalidParams):
             graph_functionals(v, Ball(2, 1.0), 1e-6, ("area", "energy"))
+
+
+class _Captured(Exception):
+    """Raised by a stand-in for ``integrate`` to hand over its integrand."""
+
+
+def graph_integrand(monkeypatch, field, names):
+    """The integrand that ``graph_functionals`` passes to ``integrate``."""
+    def capture(f, *args, **kwargs):
+        raise _Captured(f)
+
+    monkeypatch.setattr(quadrature, "integrate", capture)
+    with pytest.raises(_Captured) as info:
+        graph_functionals(field, Ball(field.n, 1.0), 1e-6, names)
+    monkeypatch.undo()
+    return info.value.args[0]
+
+
+def stack_field(J):
+    """A field whose analytic Jacobian is the given stack (N, m, n)."""
+    _, m, n = J.shape
+    return VectorField(n, m, lambda X: np.zeros((len(X), m)), lambda X: J)
+
+
+#: each graph functional's integrand on its own, bit for bit the columns of
+#: the shared integrand
+EXACT_INTEGRANDS = {
+    "area": area_integrand,
+    "tv": lambda J: np.sqrt(np.sum(J * J, axis=(1, 2))),
+    "tv_area": lambda J: np.sqrt(1.0 + np.sum(J * J, axis=(1, 2))),
+    "minor": lambda J: np.sqrt(np.sum(minors2(J) ** 2, axis=1)),
+}
+
+
+class TestSharedIntegrand:
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (2, 4), (3, 3)])
+    def test_columns_match_each_integrand_bit_for_bit(self, m, n, rng,
+                                                      monkeypatch):
+        N = 777
+        J = rng.normal(size=(N, m, n)) * 10.0 ** rng.uniform(-8, 4, (N, 1, 1))
+        J[:5] = 0.0
+        field = stack_field(J)
+        X = np.zeros((N, n))
+        for k in range(1, 5):
+            for names in itertools.permutations(tuple(EXACT_INTEGRANDS), k):
+                got = graph_integrand(monkeypatch, field, names)(X)
+                assert got.shape == (N, k)
+                for col, name in enumerate(names):
+                    assert np.array_equal(got[:, col], EXACT_INTEGRANDS[name](J)), (
+                        names, name)
+
+    @pytest.mark.parametrize("names", [("area",), ("tv",), ("minor", "tv_area")])
+    def test_non_finite_jacobian_is_refused(self, names):
+        def jac(X):
+            J = np.ones((len(X), 2, 2))
+            J[len(X) // 2, 1, 0] = np.nan
+            return J
+
+        field = VectorField(2, 2, lambda X: np.zeros((len(X), 2)), jac)
+        with pytest.raises(NonFinite):
+            graph_functionals(field, Ball(2, 1.0), 1e-6, names)
+
+    @pytest.mark.parametrize("names, calls", [
+        (("area",), 1), (("minor", "tv"), 1), (("area", "minor"), 1),
+        (("tv", "tv_area"), 0)])
+    def test_minors_once_per_call_through_the_module(self, names, calls, rng,
+                                                     monkeypatch):
+        # a wrapper put on quadrature.minors2 (as a tracer does) sees each
+        # call, once however many columns need the minors
+        J = rng.normal(size=(40, 2, 3))
+        f = graph_integrand(monkeypatch, stack_field(J), names)
+        seen = []
+        monkeypatch.setattr(quadrature, "minors2",
+                            lambda A: seen.append(len(A)) or minors2(A))
+        f(np.zeros((40, 3)))
+        assert seen == [40] * calls
 
 
 # ---------------------------------------------------------------------------

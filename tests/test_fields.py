@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaxarea import fields
 from relaxarea.chains import distance_to_chain
 from relaxarea.errors import (
     InvalidParams,
@@ -209,3 +210,166 @@ class TestExampleFields:
             make_example_field("vortex_chain", m=0)
         with pytest.raises(InvalidParams):
             make_example_field("nonsense")
+
+
+# ---------------------------------------------------------------------------
+# the vortex-chain map against its region-by-region reference
+# ---------------------------------------------------------------------------
+
+
+def reference_chain_angle(X, centers, radii):
+    """The chain map's angle region by region, each region a masked pass
+    over all points: squares first, then gaps, then the two end strips."""
+    m = len(radii)
+    x1, x2 = X[:, 0], X[:, 1]
+    T = np.where(x2 >= 0.0, 0.0, np.pi)
+    done = np.zeros(len(x1), dtype=bool)
+
+    def arc_angle(s):
+        return np.arcsin(np.clip(s, -1.0, 1.0))
+
+    for j in range(m):
+        cx, h = centers[j, 0], radii[j]
+        odd = (j % 2) == 0
+        insq = ~done & (np.abs(x1 - cx) <= h) & (np.abs(x2) <= h)
+        if np.any(insq):
+            dx, dy = x1[insq] - cx, x2[insq]
+            rr = np.hypot(dx, dy)
+            theta = np.where(
+                rr < h,
+                np.arctan2(dy, dx),
+                np.where(dx >= 0, arc_angle(dy / h), np.pi - arc_angle(dy / h)),
+            )
+            T[insq] = theta - np.pi / 2 if odd else np.pi / 2 - theta
+            done |= insq
+
+    for j in range(m - 1):
+        right = centers[j, 0] + radii[j]
+        left = centers[j + 1, 0] - radii[j + 1]
+        lam = (x1 - right) / (left - right)
+        H = radii[j] + (radii[j + 1] - radii[j]) * np.clip(lam, 0.0, 1.0)
+        ingap = ~done & (x1 > right) & (x1 < left) & (np.abs(x2) <= H)
+        if np.any(ingap):
+            s = arc_angle(x2[ingap] / H[ingap])
+            odd = (j % 2) == 0
+            T[ingap] = s - np.pi / 2 if odd else np.pi / 2 - s
+            done |= ingap
+
+    lead = ~done & (x1 <= centers[0, 0] - radii[0]) & (np.abs(x2) <= radii[0])
+    if np.any(lead):
+        T[lead] = np.pi / 2 - arc_angle(x2[lead] / radii[0])
+        done |= lead
+
+    tail = ~done & (x1 >= centers[-1, 0] + radii[-1]) & (np.abs(x2) <= radii[-1])
+    if np.any(tail):
+        s = arc_angle(x2[tail] / radii[-1])
+        odd = ((m - 1) % 2) == 0
+        T[tail] = s - np.pi / 2 if odd else np.pi / 2 - s
+    return T
+
+
+def reference_chain_field(m):
+    """The vortex chain with its evaluator guarded against every centre and
+    its Jacobian taken disk by disk, central differences elsewhere."""
+    centers, radii = chain_centers_radii(m)
+
+    def ev(X):
+        d = np.min(
+            np.linalg.norm(X[:, None, :] - centers[None, :, :], axis=2), axis=1)
+        if np.any(d <= 1e-12):
+            raise SingularPoint("reference chain at a disk center")
+        T = reference_chain_angle(X, centers, radii)
+        return np.stack([np.cos(T), np.sin(T)], axis=1)
+
+    def jac(X):
+        N = X.shape[0]
+        J = np.empty((N, 2, 2))
+        handled = np.zeros(N, dtype=bool)
+        for j in range(m):
+            W = X - centers[j]
+            r2 = W[:, 0] ** 2 + W[:, 1] ** 2
+            mask = ~handled & (r2 < (0.999 * radii[j]) ** 2)
+            if np.any(mask):
+                d = 1 if (j % 2) == 0 else -1
+                T = reference_chain_angle(X[mask], centers, radii)
+                uperp = np.stack([-np.sin(T), np.cos(T)], axis=1)
+                gt = np.stack([-W[mask, 1] / r2[mask], W[mask, 0] / r2[mask]],
+                              axis=1)
+                J[mask] = d * uperp[:, :, None] * gt[:, None, :]
+                handled |= mask
+        rest = ~handled
+        if np.any(rest):
+            sub = VectorField(2, 2, ev, None, name="reference-chain-fd")
+            J[rest] = sub._fd_jacobian(X[rest])
+        return J
+
+    return VectorField(2, 2, ev, jac, singular_set=make_example_field(
+        "vortex_chain", m=m).singular_set, name=f"reference_chain(m={m})")
+
+
+def chain_probe_points(m, rng):
+    """Seeded points over [-1.2, 1.2]^2, a cloud about each centre, and every
+    region boundary with its neighbouring floats on both sides."""
+    centers, radii = chain_centers_radii(m)
+    parts = [rng.uniform(-1.2, 1.2, (4000, 2))]
+    edges = []
+    for c, h in zip(centers[:, 0], radii):
+        ang = rng.uniform(0.0, 2.0 * np.pi, 300)
+        rad = h * rng.uniform(0.0, 1.2, 300) ** 2
+        parts.append(np.stack([c + rad * np.cos(ang), rad * np.sin(ang)], 1))
+        parts.append([[c + 1e-9, 0.0], [c, -1e-9], [c - 1e-9, -0.0]])
+        edges += [(c - h, h), (c + h, h)]  # the square's sides, the gaps' ends
+    h0, hl = radii[0], radii[-1]
+    strips = [(x, h0) for x in np.linspace(-1.2, centers[0, 0] - h0, 7)]
+    strips += [(x, hl) for x in np.linspace(centers[-1, 0] + hl, 1.2, 7)]
+    for x, h in edges + strips:
+        for x1 in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)):
+            for y in (0.0, h, 1.5 * h, 0.5 * h, np.nextafter(h, np.inf)):
+                parts.append([[x1, y], [x1, -y]])
+    gaps = zip(centers[:-1, 0] + radii[:-1], centers[1:, 0] - radii[1:],
+               radii[:-1], radii[1:])
+    for right, left, h1, h2 in gaps:  # the slanted sides of each gap
+        lam = np.linspace(0.0, 1.0, 9)
+        x1 = right + lam * (left - right)
+        H = h1 + (h2 - h1) * lam
+        for y in (H, np.nextafter(H, np.inf), 0.5 * H):
+            parts.append(np.stack([x1, y], 1))
+            parts.append(np.stack([x1, -y], 1))
+    return np.concatenate([np.asarray(p, dtype=float).reshape(-1, 2)
+                           for p in parts])
+
+
+class TestChainMap:
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 9])
+    def test_angle_matches_reference(self, m, rng):
+        centers, radii = chain_centers_radii(m)
+        inf, nan = np.inf, np.nan
+        X = np.concatenate([chain_probe_points(m, rng), [
+            [nan, 0.01], [0.1, nan], [nan, nan], [inf, 0.01], [-inf, -0.01],
+            [0.1, inf], [inf, -inf]]])
+        got = fields._chain_angle(X, centers, radii)
+        ref = reference_chain_angle(X, centers, radii)
+        assert np.array_equal(got, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 9])
+    def test_values_and_jacobians_match_reference(self, m, rng):
+        f = make_example_field("vortex_chain", m=m)
+        ref = reference_chain_field(m)
+        X = chain_probe_points(m, rng)
+        X = X[distance_to_chain(X, f.singular_set) > 1e-6]
+        assert np.array_equal(f.evaluate_many(X), ref.evaluate_many(X))
+        # a disk point given the wrong square's angle falls back to finite
+        # differences: close to the reference, but not equal to it
+        assert np.array_equal(f.jacobian_many(X), ref.jacobian_many(X))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 9])
+    def test_evaluator_refuses_each_centre(self, m):
+        # the path of the finite-difference sub-field, which has no guard
+        f = make_example_field("vortex_chain", m=m)
+        centers, _ = chain_centers_radii(m)
+        far = np.array([[-1.1, 0.7]])
+        for c in centers:
+            for x in (c, c + [0.5e-12, 0.0], c - [0.0, 0.5e-12]):
+                with pytest.raises(SingularPoint):
+                    f._eval(np.concatenate([far, [x]]))
+            f._eval(np.array([c + [1e-9, 0.0]]))
