@@ -1,11 +1,11 @@
 """Integration regions and their quadrature charts.
 
-Every domain provides a membership test, a volume, and (where available) a
-list of charts: smooth maps from a parameter box onto the region whose
-weight absorbs the coordinate Jacobian.  Charts are chosen so that the
-package's singular integrands become bounded in parameter space (polar and
-spherical charts for balls and annuli, the adapted cylindrical chart for
-cones), which is what makes tight tolerances reachable.
+Every domain provides a membership test, a volume, and a list of charts:
+smooth maps from a parameter box onto the region whose weight absorbs the
+coordinate Jacobian.  Charts are chosen so that the package's singular
+integrands become bounded in parameter space (polar and spherical charts
+for balls and annuli, the adapted cylindrical chart for cones), which is
+what makes tight tolerances reachable.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ class Chart:
     box: tuple
     to_physical: Callable[[np.ndarray], np.ndarray]
     weight: Callable[[np.ndarray], np.ndarray]
+    #: never set or read by the package; kept only while the chart wrapper of
+    #: ``benchmarks/bench_trace.py`` still reads and replaces it
     mask: Callable[[np.ndarray], np.ndarray] | None = None
 
 
@@ -53,10 +55,7 @@ class Domain:
         raise NotImplementedError
 
     def charts(self):
-        """Charts covering the region, or None if only membership is known."""
-        return None
-
-    def bounding_box(self):
+        """Charts covering the region."""
         raise NotImplementedError
 
     def __contains__(self, x):
@@ -82,9 +81,6 @@ class Ball(Domain):
 
     def volume(self):
         return _unit_ball_volume(self.n) * self.radius**self.n
-
-    def bounding_box(self):
-        return self.center - self.radius, self.center + self.radius
 
     def charts(self):
         return _radial_charts(self.n, 0.0, self.radius, self.center)
@@ -112,9 +108,6 @@ class Annulus(Domain):
     def volume(self):
         c = _unit_ball_volume(self.n)
         return c * (self.r_out**self.n - self.r_in**self.n)
-
-    def bounding_box(self):
-        return self.center - self.r_out, self.center + self.r_out
 
     def charts(self):
         return _radial_charts(self.n, self.r_in, self.r_out, self.center)
@@ -187,10 +180,14 @@ class Cube(Domain):
         return self.center - self.half_side, self.center + self.half_side
 
     def charts(self):
-        lo, hi = self.bounding_box()
-        box = tuple((float(a), float(b)) for a, b in zip(lo, hi))
-        axes = tuple(f"x{i}" for i in range(self.n))
-        return [Chart(axes, box, lambda P: P, lambda P: np.ones(P.shape[0]))]
+        return [_box_chart(*self.bounding_box())]
+
+
+def _box_chart(lo, hi):
+    """The identity chart of the axis-aligned box [lo, hi]."""
+    return Chart(tuple(f"x{i}" for i in range(len(lo))),
+                 tuple((float(a), float(b)) for a, b in zip(lo, hi)),
+                 lambda P: P, lambda P: np.ones(P.shape[0]))
 
 
 class Cone(Domain):
@@ -240,12 +237,6 @@ class Cone(Domain):
         full = ball * self.eps**self.codim * 2 * (L / 2) ** (self.codim + 1) / (self.codim + 1)
         return full * (1.0 - self.t_min**self.codim)
 
-    def bounding_box(self):
-        rmax = self.eps * (self.b - self.a) / 2
-        lo = np.array([-rmax] * self.codim + [self.a])
-        hi = np.array([rmax] * self.codim + [self.b])
-        return lo, hi
-
     def charts(self):
         prof = self.profile
         mid = 0.5 * (self.a + self.b)
@@ -285,6 +276,11 @@ class Cone(Domain):
 
 
 class Difference(Domain):
+    """Outer minus inner, for the pairs with exact charts: a ball or an
+    annulus minus a concentric ball whose radius lies in its radial range
+    (radial charts), or a cube minus a smaller cube nested in it (the
+    axis-aligned peel).  Any other pair is refused when built."""
+
     kind = "difference"
 
     def __init__(self, outer: Domain, inner: Domain):
@@ -293,66 +289,39 @@ class Difference(Domain):
         self.n = outer.n
         self.outer = outer
         self.inner = inner
+        self._shell = self._boxes = None  # (r_in, r_out) or the peel's boxes
+        if (isinstance(outer, (Ball, Annulus)) and isinstance(inner, Ball)
+                and np.array_equal(outer.center, inner.center)):
+            r_in, r_out = ((0.0, outer.radius) if isinstance(outer, Ball)
+                           else (outer.r_in, outer.r_out))
+            if r_in <= inner.radius <= r_out:
+                self._shell = (inner.radius, r_out)
+        elif isinstance(outer, Cube) and isinstance(inner, Cube):
+            self._boxes = _cube_difference_boxes(outer, inner) or None
+        if self._shell is None and self._boxes is None:
+            raise InvalidGeometry(
+                f"difference of a {outer.kind} minus a {inner.kind} has no "
+                f"exact charts: use a ball or annulus minus a concentric ball "
+                f"within its radii, or a cube minus a smaller cube nested in it")
 
     def membership(self, X):
         return self.outer.membership(X) & ~self.inner.membership(X)
 
-    def _concentric_balls(self):
-        o, i = self.outer, self.inner
-        if (
-            isinstance(o, (Ball, Annulus)) and isinstance(i, Ball)
-            and np.allclose(getattr(o, "center"), i.center)
-        ):
-            r_out = o.radius if isinstance(o, Ball) else o.r_out
-            r_in0 = 0.0 if isinstance(o, Ball) else o.r_in
-            if i.radius >= r_in0 and i.radius <= r_out:
-                return max(i.radius, r_in0), r_out, i.center
-        return None
-
     def volume(self):
-        cb = self._concentric_balls()
-        if cb is not None:
-            r_in, r_out, _ = cb
+        if self._shell is not None:
+            r_in, r_out = self._shell
             return _unit_ball_volume(self.n) * (r_out**self.n - r_in**self.n)
-        if isinstance(self.outer, Cube) and isinstance(self.inner, Cube):
-            boxes = _cube_difference_boxes(self.outer, self.inner)
-            if boxes is not None:
-                return float(sum(np.prod(hi - lo) for lo, hi in boxes))
-        from .quadrature import montecarlo_volume
-
-        return montecarlo_volume(self)
-
-    def bounding_box(self):
-        return self.outer.bounding_box()
+        return float(sum(np.prod(hi - lo) for lo, hi in self._boxes))
 
     def charts(self):
-        cb = self._concentric_balls()
-        if cb is not None:
-            r_in, r_out, center = cb
-            return _radial_charts(self.n, r_in, r_out, center)
-        if isinstance(self.outer, Cube) and isinstance(self.inner, Cube):
-            boxes = _cube_difference_boxes(self.outer, self.inner)
-            if boxes is not None:
-                axes = tuple(f"x{i}" for i in range(self.n))
-                return [
-                    Chart(axes, tuple((float(a), float(b)) for a, b in zip(lo, hi)),
-                          lambda P: P, lambda P: np.ones(P.shape[0]))
-                    for lo, hi in boxes
-                ]
-        # awkward geometry: integrate the outer charts against an indicator
-        outer_charts = self.outer.charts()
-        if outer_charts is None:
-            return None
-        inner = self.inner
-        return [
-            Chart(ch.axes, ch.box, ch.to_physical, ch.weight,
-                  mask=lambda X, _inner=inner: ~_inner.membership(X))
-            for ch in outer_charts
-        ]
+        if self._shell is not None:
+            return _radial_charts(self.n, *self._shell, self.inner.center)
+        return [_box_chart(lo, hi) for lo, hi in self._boxes]
 
 
 def _cube_difference_boxes(outer: Cube, inner: Cube):
-    """Axis-aligned peel of outer minus inner, or None if inner not nested."""
+    """Axis-aligned peel of outer minus inner (no box when they are equal),
+    or None if inner is not nested in outer."""
     lo_o, hi_o = outer.bounding_box()
     lo_i, hi_i = inner.bounding_box()
     if np.any(lo_i < lo_o - 1e-15) or np.any(hi_i > hi_o + 1e-15):

@@ -31,9 +31,7 @@ than that budget has left.
 Cells that hit the cap while touching a declared singular set have their
 error replaced by an analytic bound C * diam^(n-g) for the declared local
 growth |f| <= C / dist^g, with C sampled from the cell's own nodes times a
-safety factor of 4.  Difference domains with awkward geometry fall back to
-stratified Monte Carlo with a fixed seed; the deterministic result is kept
-whenever it converged.
+safety factor of 4.
 
 A depth-capped cell is final, as in DCUHRE: it is never split again and
 its error stays in the sum.  So a refusal can be decided before the cell
@@ -74,7 +72,6 @@ from .fields import VectorField, minors2
 GAUSS_ORDER = 8
 ERROR_ORDER = 4
 MAX_DEPTH = 14
-MC_SEED = 0x5EED
 
 #: most points per call of the integrand: a wave's children are passed in
 #: equal blocks of at most this many, so that a wide wave does not raise the
@@ -134,25 +131,23 @@ def _dots(rows, w):
 
 
 class _Integrand:
-    """f on the live points of a batch as (N, K) columns, 0 elsewhere;
-    ``scalar`` records whether f returns (N,)."""
+    """f on a batch of points as (N, K) columns, in equal blocks of at most
+    ``BLOCK_POINTS``; ``scalar`` records whether f returns (N,)."""
 
     def __init__(self, f):
         self.f = f
         self.scalar = True
 
-    def __call__(self, X, live):
-        Y = X[live]
-        blocks = max(1, -(-len(Y) // BLOCK_POINTS))
-        step = max(1, -(-len(Y) // blocks))  # equal blocks, one if Y is empty
-        out = np.concatenate([np.asarray(self.f(Y[i:i + step]), dtype=float)
-                              for i in range(0, max(len(Y), 1), step)])
+    def __call__(self, X):
+        blocks = -(-len(X) // BLOCK_POINTS)
+        step = -(-len(X) // blocks)  # equal blocks
+        out = np.concatenate([np.asarray(self.f(X[i:i + step]), dtype=float)
+                              for i in range(0, len(X), step)])
         self.scalar = out.ndim == 1
-        raw = np.zeros((X.shape[0], 1 if self.scalar else out.shape[1]))
-        raw[live] = out.reshape(-1, raw.shape[1])
-        if not np.all(np.isfinite(raw)):
+        out = out.reshape(len(X), -1)
+        if not np.all(np.isfinite(out)):
             raise NonFinite("integrand returned NaN/Inf off the singular set")
-        return raw
+        return out
 
 
 class _Cells:
@@ -236,9 +231,7 @@ class _ChartIntegrator:
                             for Q in (self.P8, self.P4)])
         X = self.chart.to_physical(P)
         w = np.asarray(self.chart.weight(P), dtype=float)
-        if self.chart.mask is not None:
-            w = w * self.chart.mask(X)
-        raw = self.f(X, w != 0.0)
+        raw = self.f(X)
         self.nodes_used += P.shape[0]
         F = raw * w[:, None]
         F8, F4 = _per_cell(F[:n8], C), _per_cell(F[n8:], C)
@@ -383,38 +376,6 @@ def _integrate_charts(f, charts, tol, singular_set, growth, breaks, max_depth,
     return value, err, sum(i.nodes_used for i in integs), worst
 
 
-def _stratified_mc(f, domain, seed):
-    lo, hi = domain.bounding_box()
-    n = domain.n
-    per_axis = 4 if n <= 3 else 3
-    samples = 256 if n == 2 else 64
-    rng = np.random.default_rng(seed)
-    edges = np.array([np.linspace(lo[a], hi[a], per_axis + 1) for a in range(n)])
-    idx = np.array(list(itertools.product(range(per_axis), repeat=n)))
-    slo, shi = edges[np.arange(n), idx], edges[np.arange(n), idx + 1]
-    X = (slo[:, None, :] + rng.random((len(idx), samples, n))
-         * (shi - slo)[:, None, :]).reshape(-1, n)
-    vals = _per_cell(f(X, domain.membership(X)), len(idx))  # (stratum, K, sample)
-    vol = np.prod(shi - slo, axis=1)[:, None]
-    value = sum(vol * vals.mean(axis=2))
-    var = sum(vol**2 * vals.var(axis=2, ddof=1) / samples)
-    return value, 3.0 * np.sqrt(var), X.shape[0]
-
-
-def montecarlo_volume(domain: Domain, seed: int = MC_SEED) -> float:
-    ones = _Integrand(lambda X: np.ones(X.shape[0]))
-    return float(_stratified_mc(ones, domain, seed)[0][0])
-
-
-def _result(value, abs_err, nodes, tol, scalar,
-            capped_cell=None) -> QuadratureResult:
-    rel = abs_err / np.maximum(np.abs(value), SCALE_FLOOR)
-    if scalar:
-        value, rel, abs_err = float(value[0]), float(rel[0]), float(abs_err[0])
-    return QuadratureResult(value, rel, nodes, bool(np.all(rel <= tol)), abs_err,
-                            capped_cell)
-
-
 def _components(res: QuadratureResult, tol: float) -> list:
     """One scalar result per component, each with its own flag."""
     if np.ndim(res.value) == 0:
@@ -457,8 +418,7 @@ def integrate(
     ``tol`` is a relative tolerance (>= 1e-10); ``breaks`` maps chart axis
     names to known non-smooth parameter values so initial cells align with
     integrand creases; ``growth`` is the declared worst local growth
-    exponent g in |f| <= C / dist(x, singular_set)^g.  f is called on the
-    live (unmasked) points of each batch, which may be none.
+    exponent g in |f| <= C / dist(x, singular_set)^g.
 
     The K components of an (N, K) integrand share one refinement tree and
     each meets ``tol`` relative to its own value; the result then holds
@@ -487,24 +447,19 @@ def integrate(
     if singular_set is not None and len(singular_set.cells) == 0:
         singular_set = None
     g = _Integrand(f)
-    charts = domain.charts()
-    det = None
-    if charts is not None:
-        value, err, nodes, where = _integrate_charts(
-            g, charts, tol, singular_set, growth, breaks, max_depth, max_cells)
-        det = _result(value, err, nodes, tol, g.scalar, where)
-        if det.converged:
-            return det
-    masked = charts is not None and any(ch.mask is not None for ch in charts)
-    if charts is None or masked:
-        mc = _result(*_stratified_mc(g, domain, MC_SEED), tol, g.scalar)
-        if det is None or np.all(mc.abs_error < det.abs_error):
-            det = mc
+    value, abs_err, nodes, where = _integrate_charts(
+        g, domain.charts(), tol, singular_set, growth, breaks, max_depth,
+        max_cells)
+    rel = abs_err / np.maximum(np.abs(value), SCALE_FLOOR)
+    if g.scalar:
+        value, rel, abs_err = float(value[0]), float(rel[0]), float(abs_err[0])
+    res = QuadratureResult(value, rel, nodes, bool(np.all(rel <= tol)), abs_err,
+                           where)
     if raise_on_failure:
-        parts = _components(det, tol)
+        parts = _components(res, tol)
         _refuse_unconverged(["integral"] if g.scalar else
                             [f"component {k}" for k in range(len(parts))], parts, tol)
-    return det
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -263,11 +263,13 @@ SLAB_NODES = 2**16
 CULL_TILE = 8
 
 
-def _edge_error(msg, P0, P1, index, edge) -> AmbiguousWinding:
-    """AmbiguousWinding naming a lattice edge by its endpoints and lower node."""
+def _edge_error(what, P0, P1, index, edge) -> AmbiguousWinding:
+    """AmbiguousWinding naming a lattice edge by its endpoints and lower node,
+    followed by ``what`` went wrong on it."""
     return AmbiguousWinding(
-        f"{msg}: lattice edge {tuple(map(float, P0[edge]))} -> "
-        f"{tuple(map(float, P1[edge]))}", index=tuple(map(int, index[edge])))
+        f"lattice edge {tuple(map(float, P0[edge]))} -> "
+        f"{tuple(map(float, P1[edge]))} {what}",
+        index=tuple(map(int, index[edge])))
 
 
 def _lift_edges(field, P0, P1, B0, B1, index) -> np.ndarray:
@@ -288,12 +290,14 @@ def _lift_edges(field, P0, P1, B0, B1, index) -> np.ndarray:
     level = _LIFT_LEVELS
     while len(owner):
         if level < 0:
-            raise _edge_error("edge increment stayed ambiguous under bisection",
+            raise _edge_error("stayed ambiguous under bisection",
                               P0, P1, index, owner[0])
         bad = ~np.isfinite(B0) | ~np.isfinite(B1)
-        if np.any(bad):
-            raise _edge_error("edge endpoint on the singular set",
-                              P0, P1, index, owner[int(np.argmax(bad))])
+        if np.any(bad):  # a lattice endpoint or a bisection midpoint
+            k = int(np.argmax(bad))
+            at = Q0[k] if not np.isfinite(B0[k]) else Q1[k]
+            raise _edge_error("passes through the singular set near "
+                              f"{tuple(map(float, at))}", P0, P1, index, owner[k])
         inc = _wrap(B1 - B0)
         lengths = np.linalg.norm(Q1 - Q0, axis=1)
         mids = (Q0 + Q1) / 2
@@ -397,8 +401,8 @@ def _turn_counts(field, coords, origin, h, A, D, axis):
         lifted = np.rint(turns)
         whole = np.abs(turns - lifted) <= 0.25
         if not np.all(whole):
-            raise _edge_error("lifted increment is not a whole number of "
-                              "turns from the angle difference",
+            raise _edge_error("lifts to an increment that is not a whole "
+                              "number of turns from the angle difference",
                               P0, P1, index, int(np.argmin(whole)))
         if np.max(np.abs(lifted)) > _INT8_TURNS:
             K = K.astype(np.int64)

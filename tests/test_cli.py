@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relaxarea.chains import SingularChain
@@ -94,6 +95,19 @@ class TestJacobian:
     def test_grids_off_the_singular_set_run(self, capsys, field, grid):
         code, out, _ = run(capsys, "jacobian", "--field", field, "--grid", grid)
         assert code == 0 and out.startswith("cells=")
+
+    def test_chain_centre_on_a_lattice_edge_is_named(self, capsys):
+        # at grid 10 a node column runs through the chain centre (0.5, 0):
+        # no plaquette can hold it, so the run refuses, naming where it lies
+        code, out, err = run(capsys, "jacobian", "--field", "vortex_chain",
+                             "--grid", "10")
+        assert code == 3 and out == ""
+        near = err.split("passes through the singular set near (")[1]
+        point = [float(x) for x in near.split(")")[0].split(",")]
+        assert np.allclose(point, (0.5, 0.0), rtol=0, atol=1e-12)
+        code, out, _ = run(capsys, "jacobian", "--field", "vortex_chain",
+                           "--grid", "16")
+        assert code == 0 and out.startswith("cells=3 ")
 
     def test_bad_study_choice_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
