@@ -180,18 +180,23 @@ def _run_jacobian(args, cfg):
 
 def _run_recover(args, cfg):
     name = args.construction
+    # the vortex constructions read a degree, the removals an inner radius
+    unread = "delta" if name in ("smoothing", "dipole") else "d"
+    if getattr(args, unread) is not None:
+        raise InvalidParams(f"--{unread} has no effect on --construction {name}")
     _positive([args.eps], "--eps")
     if args.delta is not None:
         _positive([args.delta], "--delta")
+    d = 1 if args.d is None else args.d
     if name == "smoothing":
-        base = make_example_field("vortex", d=args.d)
-        f = vortex_smoothing_2d(base, (0.0, 0.0), args.d, args.eps)
+        base = make_example_field("vortex", d=d)
+        f = vortex_smoothing_2d(base, (0.0, 0.0), d, args.eps)
         rep = graph_mass(f, Ball(2, 1.0), cfg.tol)
         print(f"area={rep.mass.value:.12g} tv={rep.grad.value:.12g} "
               f"m2={rep.minor.value:.12g}")
     elif name == "dipole":
         base = make_example_field("planar_vortex")
-        f = cone_dipole(base, (-1.0, 1.0), args.d, args.eps)
+        f = cone_dipole(base, (-1.0, 1.0), d, args.eps)
         rep = graph_mass(f, Cone(3, (-1.0, 1.0), args.eps), cfg.tol)
         print(f"cone_mass={rep.mass.value:.12g} cone_tv={rep.grad.value:.12g} "
               f"cone_m2={rep.minor.value:.12g}")
@@ -430,8 +435,10 @@ def _build_parser():
     p.add_argument("--construction", required=True,
                    choices=["smoothing", "dipole", "point", "cone4"])
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--delta", type=float, default=None,
+                   help="inner radius of point and cone4 (default eps^2)")
+    p.add_argument("--d", type=int, default=None,
+                   help="degree of smoothing and dipole (default 1)")
 
     p = command("relax", "convergence study along a schedule")
     p.add_argument("--study", required=True,

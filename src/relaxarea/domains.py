@@ -207,8 +207,8 @@ class Cone(Domain):
             raise InvalidGeometry(f"cone base segment must be finite and "
                                   f"non-degenerate, got {base!r}")
         if not 0 < eps < math.inf:
-            raise InvalidGeometry(f"cone aperture must be positive and finite, "
-                                  f"got {eps!r}")
+            raise InvalidGeometry(f"cone aperture eps must be positive and "
+                                  f"finite, got {eps!r}")
         if codim not in (2, 3) or n != codim + 1:
             raise InvalidGeometry("cone supports (n, codim) in {(3,2), (4,3)}")
         if not 0.0 <= t_min < 1.0:
@@ -222,11 +222,15 @@ class Cone(Domain):
     def profile(self, z):
         return self.eps * np.minimum(z - self.a, self.b - z)
 
+    def slope(self, z):
+        """d/dz of :meth:`profile`; the midpoint takes the upper half's slope."""
+        return self.eps * np.where(z < 0.5 * (self.a + self.b), 1.0, -1.0)
+
     def membership(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         z = X[:, -1]
         rho = np.linalg.norm(X[:, : self.codim], axis=1)
-        prof = self.eps * np.minimum(z - self.a, self.b - z)
+        prof = self.profile(z)
         ok = (z >= self.a) & (z <= self.b)
         return ok & (rho <= prof) & (rho >= self.t_min * prof)
 

@@ -41,6 +41,52 @@ def _target_angle_grad(U, dU):
     return (U[:, 0] * dU[:, 1] - U[:, 1] * dU[:, 0]) / (U[:, 0] ** 2 + U[:, 1] ** 2)
 
 
+def _circle_frame(ang):
+    """The unit vectors (cos, sin) and (-sin, cos) of each angle."""
+    c, s = np.cos(ang), np.sin(ang)
+    return np.stack([c, s], axis=1), np.stack([-s, c], axis=1)
+
+
+def _piecewise(n, m, classify, pieces):
+    """Value and Jacobian functions of a field given region by region.
+
+    ``classify(X)`` gives each row a region code in ``range(len(pieces))``
+    and ``pieces[k]`` is region k's ``(ev, jac)`` pair, called once on
+    exactly its rows and never on an empty region.  Region 0 is the input
+    field.  Every classifier counts codes as a sum of comparisons, all
+    false on a NaN row, so region 0 takes every row that no other region
+    claims, NaN rows included, and every row is written once.
+    """
+
+    def assemble(X, which, shape):
+        code = classify(X)
+        out = np.empty((X.shape[0],) + shape)
+        for k, piece in enumerate(pieces):
+            rows = code == k
+            if np.any(rows):
+                out[rows] = piece[which](X[rows])
+        return out
+
+    return (lambda X: assemble(X, 0, (m,)),
+            lambda X: assemble(X, 1, (m, n)))
+
+
+def _pullback(v, phi):
+    """``(ev, jac)`` of ``v o phi``, where ``phi(X)`` gives ``(Y, Dphi)``.
+
+    ``Dphi`` is an (N, n, n) stack, or the (n,) diagonal of one linear map
+    shared by every row (a rescaled core), which scales the columns of
+    ``Jv`` without a matrix product.
+    """
+
+    def jac(X):
+        Y, D = phi(X)
+        Jv = v.jacobian_many(Y)
+        return Jv * D if D.ndim == 1 else np.einsum("nij,njk->nik", Jv, D)
+
+    return lambda X: v.evaluate_many(phi(X)[0]), jac
+
+
 # ---------------------------------------------------------------------------
 # 2d vortex smoothing
 # ---------------------------------------------------------------------------
@@ -55,19 +101,21 @@ def vortex_smoothing_2d(field: VectorField, center, d: int, eps: float) -> Vecto
     """
     if field.n != 2 or field.m != 2:
         raise InvalidParams("vortex_smoothing_2d expects an n=2, m=2 field")
-    if eps <= 0:
-        raise InvalidParams("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InvalidParams(f"eps must be positive and finite, got {eps!r}")
     c = np.asarray(center, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise InvalidGeometry(f"center must be finite, got {center!r}")
     wd = winding_number(field, Circle(tuple(c), eps), samples=256)
     if wd != d:
         raise DegreeMismatch(f"winding on the eps-circle is {wd}, expected {d}")
 
     def trace(theta):
-        pts = c + eps * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        e_rho, e_th = _circle_frame(theta)
+        pts = c + eps * e_rho
         U = field.evaluate_many(pts)
         J = field.jacobian_many(pts)
-        dpts = eps * np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-        dU = np.einsum("nij,nj->ni", J, dpts)
+        dU = np.einsum("nij,nj->ni", J, eps * e_th)
         tr = np.arctan2(U[:, 1], U[:, 0])
         g = _wrap(tr - d * theta)
         dg = _target_angle_grad(U, dU) - d
@@ -81,66 +129,48 @@ def vortex_smoothing_2d(field: VectorField, center, d: int, eps: float) -> Vecto
             "shortest-arc homotopy ring"
         )
 
-    def _regions(X):
+    def polar(X):
         W = X - c
-        rho = np.hypot(W[:, 0], W[:, 1])
-        theta = np.arctan2(W[:, 1], W[:, 0])
-        return rho, theta
+        return np.hypot(W[:, 0], W[:, 1]), np.arctan2(W[:, 1], W[:, 0])
 
-    def ev(X):
-        rho, theta = _regions(X)
-        out = np.empty((X.shape[0], 2))
-        far = rho >= eps
-        if np.any(far):
-            out[far] = field.evaluate_many(X[far])
-        ring = (~far) & (rho >= eps / 2)
-        if np.any(ring):
-            g, _ = trace(theta[ring])
-            t = 2.0 * rho[ring] / eps - 1.0
-            ang = d * theta[ring] + t * g
-            out[ring] = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        core = rho < eps / 2
-        if np.any(core):
-            s = 2.0 * rho[core] / eps
-            ang = d * theta[core]
-            out[core] = s[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return out
+    def classify(X):
+        rho, _ = polar(X)
+        return np.add(rho < eps, rho < eps / 2, dtype=np.int8)
 
-    def jac(X):
-        rho, theta = _regions(X)
-        J = np.empty((X.shape[0], 2, 2))
-        far = rho >= eps
-        if np.any(far):
-            J[far] = field.jacobian_many(X[far])
-        e_rho = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        e_th = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-        ring = (~far) & (rho >= eps / 2)
-        if np.any(ring):
-            g, dg = trace(theta[ring])
-            t = 2.0 * rho[ring] / eps - 1.0
-            ang = d * theta[ring] + t * g
-            grad_ang = (
-                ((d + t * dg) / rho[ring])[:, None] * e_th[ring]
-                + (2.0 * g / eps)[:, None] * e_rho[ring]
-            )
-            uperp = np.stack([-np.sin(ang), np.cos(ang)], axis=1)
-            J[ring] = uperp[:, :, None] * grad_ang[:, None, :]
-        core = rho < eps / 2
-        if np.any(core):
-            ang = d * theta[core]
-            e = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            eperp = np.stack([-np.sin(ang), np.cos(ang)], axis=1)
-            J[core] = (2.0 / eps) * (
-                e[:, :, None] * e_rho[core][:, None, :]
-                + d * eperp[:, :, None] * e_th[core][:, None, :]
-            )
-        return J
+    def ring_ev(X):
+        rho, theta = polar(X)
+        g, _ = trace(theta)
+        return _circle_frame(d * theta + (2.0 * rho / eps - 1.0) * g)[0]
+
+    def ring_jac(X):
+        rho, theta = polar(X)
+        g, dg = trace(theta)
+        e_rho, e_th = _circle_frame(theta)
+        t = 2.0 * rho / eps - 1.0
+        grad_ang = (((d + t * dg) / rho)[:, None] * e_th
+                    + (2.0 * g / eps)[:, None] * e_rho)
+        uperp = _circle_frame(d * theta + t * g)[1]
+        return uperp[:, :, None] * grad_ang[:, None, :]
+
+    def core_ev(X):
+        rho, theta = polar(X)
+        return (2.0 * rho / eps)[:, None] * _circle_frame(d * theta)[0]
+
+    def core_jac(X):
+        _, theta = polar(X)
+        e_rho, e_th = _circle_frame(theta)
+        e, eperp = _circle_frame(d * theta)
+        return (2.0 / eps) * (e[:, :, None] * e_rho[:, None, :]
+                              + d * eperp[:, :, None] * e_th[:, None, :])
 
     keep = None
     if field.singular_set is not None:
         keep = field.singular_set.filtered(
             lambda p: float(np.linalg.norm(p - c)) >= eps
         )
+    ev, jac = _piecewise(2, 2, classify, [
+        (field.evaluate_many, field.jacobian_many), (ring_ev, ring_jac),
+        (core_ev, core_jac)])
     out = VectorField(
         2, 2, ev, jac, singular_set=keep, sphere_valued=False,
         name=f"{field.name}+smooth(eps={eps:g})",
@@ -162,26 +192,18 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
     """
     if field.n != 3 or field.m != 2:
         raise InvalidParams("cone_dipole expects an n=3, m=2 field")
-    a, b = float(base[0]), float(base[1])
-    if not b > a:
-        raise InvalidGeometry("degenerate dipole base segment")
-    if eps <= 0:
-        raise InvalidParams("eps must be positive")
+    cone = Cone(3, base, eps)
+    a, b = cone.a, cone.b
     mid = 0.5 * (a + b)
 
-    def prof(z):
-        return eps * np.minimum(z - a, b - z)
-
-    def dprof(z):
-        return eps * np.where(z < mid, 1.0, -1.0)
-
-    wd = winding_number(field, Circle((0.0, 0.0, mid), prof(np.array([mid]))[0]),
+    wd = winding_number(field, Circle((0.0, 0.0, mid),
+                                      cone.profile(np.array([mid]))[0]),
                         samples=256)
     if wd != d:
         raise DegreeMismatch(f"winding around the segment is {wd}, expected {d}")
 
     def trace(theta, z):
-        r = prof(z)
+        r = cone.profile(z)
         pts = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
         U = field.evaluate_many(pts)
         J = field.jacobian_many(pts)
@@ -189,7 +211,8 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
         g = _wrap(tr - d * theta)
         dth = np.stack([-r * np.sin(theta), r * np.cos(theta), np.zeros_like(r)],
                        axis=1)
-        dz = np.stack([dprof(z) * np.cos(theta), dprof(z) * np.sin(theta),
+        slope = cone.slope(z)
+        dz = np.stack([slope * np.cos(theta), slope * np.sin(theta),
                        np.ones_like(r)], axis=1)
         g_th = _target_angle_grad(U, np.einsum("nij,nj->ni", J, dth)) - d
         g_z = _target_angle_grad(U, np.einsum("nij,nj->ni", J, dz))
@@ -206,78 +229,59 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
             "trace too far from the reference vortex for a shortest-arc homotopy"
         )
 
-    def _split(X):
-        rho = np.hypot(X[:, 0], X[:, 1])
-        theta = np.arctan2(X[:, 1], X[:, 0])
+    def cylinder(X):
         z = X[:, 2]
-        r = prof(z)
-        inside = (z > a) & (z < b) & (rho <= r)
-        return rho, theta, z, r, inside
+        return (np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0]), z,
+                cone.profile(z))
 
-    def ev(X):
-        rho, theta, z, r, inside = _split(X)
-        out = np.empty((X.shape[0], 2))
-        if np.any(~inside):
-            out[~inside] = field.evaluate_many(X[~inside])
-        ring = inside & (rho >= r / 2)
-        if np.any(ring):
-            g, _, _ = trace(theta[ring], z[ring])
-            t = 2.0 * rho[ring] / r[ring] - 1.0
-            ang = d * theta[ring] + t * g
-            out[ring] = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        core = inside & (rho < r / 2)
-        if np.any(core):
-            s = 2.0 * rho[core] / r[core]
-            ang = d * theta[core]
-            out[core] = s[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return out
-
-    def jac(X):
-        rho, theta, z, r, inside = _split(X)
-        J = np.empty((X.shape[0], 2, 3))
-        if np.any(~inside):
-            J[~inside] = field.jacobian_many(X[~inside])
+    def gradients(rho, theta, z, r):
+        """e_theta, e_z and the gradient of 2 rho / r(z)."""
         zeros = np.zeros_like(theta)
         e_rho = np.stack([np.cos(theta), np.sin(theta), zeros], axis=1)
         e_th = np.stack([-np.sin(theta), np.cos(theta), zeros], axis=1)
         e_z = np.stack([zeros, zeros, np.ones_like(theta)], axis=1)
-        ring = inside & (rho >= r / 2)
-        if np.any(ring):
-            g, g_th, g_z = trace(theta[ring], z[ring])
-            rr, rhor = r[ring], rho[ring]
-            dp = dprof(z[ring])
-            t = 2.0 * rhor / rr - 1.0
-            ang = d * theta[ring] + t * g
-            grad_t = (2.0 / rr)[:, None] * e_rho[ring] \
-                - (2.0 * rhor * dp / rr**2)[:, None] * e_z[ring]
-            grad_ang = (
-                ((d + t * g_th) / rhor)[:, None] * e_th[ring]
-                + g[:, None] * grad_t
-                + (t * g_z)[:, None] * e_z[ring]
-            )
-            uperp = np.stack([-np.sin(ang), np.cos(ang)], axis=1)
-            J[ring] = uperp[:, :, None] * grad_ang[:, None, :]
-        core = inside & (rho < r / 2)
-        if np.any(core):
-            rr, rhoc = r[core], rho[core]
-            dp = dprof(z[core])
-            ang = d * theta[core]
-            e = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            eperp = np.stack([-np.sin(ang), np.cos(ang)], axis=1)
-            grad_s = (2.0 / rr)[:, None] * e_rho[core] \
-                - (2.0 * rhoc * dp / rr**2)[:, None] * e_z[core]
-            s_over_rho = 2.0 / rr
-            J[core] = (
-                e[:, :, None] * grad_s[:, None, :]
-                + (d * s_over_rho)[:, None, None]
-                * eperp[:, :, None] * e_th[core][:, None, :]
-            )
-        return J
+        return e_th, e_z, ((2.0 / r)[:, None] * e_rho
+                           - (2.0 * rho * cone.slope(z) / r**2)[:, None] * e_z)
+
+    def classify(X):
+        rho, _, z, r = cylinder(X)
+        inside = (z > a) & (z < b) & (rho <= r)
+        return np.add(inside, inside & (rho < r / 2), dtype=np.int8)
+
+    def ring_ev(X):
+        rho, theta, z, r = cylinder(X)
+        g, _, _ = trace(theta, z)
+        return _circle_frame(d * theta + (2.0 * rho / r - 1.0) * g)[0]
+
+    def ring_jac(X):
+        rho, theta, z, r = cylinder(X)
+        g, g_th, g_z = trace(theta, z)
+        e_th, e_z, grad_t = gradients(rho, theta, z, r)
+        t = 2.0 * rho / r - 1.0
+        grad_ang = (
+            ((d + t * g_th) / rho)[:, None] * e_th
+            + g[:, None] * grad_t
+            + (t * g_z)[:, None] * e_z
+        )
+        uperp = _circle_frame(d * theta + t * g)[1]
+        return uperp[:, :, None] * grad_ang[:, None, :]
+
+    def core_ev(X):
+        rho, theta, _, r = cylinder(X)
+        return (2.0 * rho / r)[:, None] * _circle_frame(d * theta)[0]
+
+    def core_jac(X):
+        rho, theta, z, r = cylinder(X)
+        e_th, _, grad_s = gradients(rho, theta, z, r)
+        e, eperp = _circle_frame(d * theta)
+        return (
+            e[:, :, None] * grad_s[:, None, :]
+            + (d * (2.0 / r))[:, None, None] * eperp[:, :, None] * e_th[:, None, :]
+        )
 
     sing = SingularChain.points(3, [((0.0, 0.0, a), d if d else 1),
                                     ((0.0, 0.0, b), d if d else 1)])
     if field.singular_set is not None:
-        cone = Cone(3, (a, b), eps)
         extra = field.singular_set.filtered(
             lambda p: not bool(cone.membership(p[None, :])[0])
         )
@@ -285,6 +289,9 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
         pts = [(np.asarray(s if extra.k == 0 else 0.5 * (s[0] + s[1])), m)
                for s, m in extra.cells]
         sing = SingularChain.points(3, list(sing.cells) + pts) if pts else sing
+    ev, jac = _piecewise(3, 2, classify, [
+        (field.evaluate_many, field.jacobian_many), (ring_ev, ring_jac),
+        (core_ev, core_jac)])
     out = VectorField(
         3, 2, ev, jac, singular_set=sing, sphere_valued=False,
         name=f"{field.name}+dipole(eps={eps:g})",
@@ -305,55 +312,40 @@ def remove_point_singularity(field: VectorField, center, r: float, delta: float,
     filler rescaled by r/delta inside B_delta.  The filler must be smooth on
     B_r(center) with boundary trace matching the field.
     """
-    if field.n < 3:
+    n = field.n
+    if n < 3:
         raise InvalidParams("point-singularity removal needs n >= 3")
-    if not 0.0 < delta < r:
-        raise InvalidGeometry("need 0 < delta < r")
+    if not 0.0 < delta < r < math.inf:
+        raise InvalidGeometry(f"need 0 < delta < r < inf, got delta={delta!r}, "
+                              f"r={r!r}")
     c = np.asarray(center, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise InvalidGeometry(f"center must be finite, got {center!r}")
+    scale = r / delta
 
-    def ev(X):
+    def classify(X):
+        rho = np.linalg.norm(X - c, axis=1)
+        return np.add(rho < r, rho <= delta, dtype=np.int8)
+
+    def radial(X):
         W = X - c
         rho = np.linalg.norm(W, axis=1)
-        out = np.empty((X.shape[0], field.m))
-        far = rho >= r
-        if np.any(far):
-            out[far] = field.evaluate_many(X[far])
-        ring = (~far) & (rho > delta)
-        if np.any(ring):
-            proj = c + r * W[ring] / rho[ring][:, None]
-            out[ring] = field.evaluate_many(proj)
-        core = rho <= delta
-        if np.any(core):
-            out[core] = filler.evaluate_many(c + (r / delta) * W[core])
-        return out
+        Wr = W / rho[:, None]
+        P = np.eye(n)[None] - Wr[:, :, None] * Wr[:, None, :]
+        return c + r * Wr, (r / rho)[:, None, None] * P
 
-    def jac(X):
-        W = X - c
-        rho = np.linalg.norm(W, axis=1)
-        J = np.empty((X.shape[0], field.m, field.n))
-        far = rho >= r
-        if np.any(far):
-            J[far] = field.jacobian_many(X[far])
-        ring = (~far) & (rho > delta)
-        if np.any(ring):
-            Wr = W[ring] / rho[ring][:, None]
-            proj = c + r * Wr
-            Ju = field.jacobian_many(proj)
-            P = np.eye(field.n)[None] - Wr[:, :, None] * Wr[:, None, :]
-            D = (r / rho[ring])[:, None, None] * P
-            J[ring] = np.einsum("nij,njk->nik", Ju, D)
-        core = rho <= delta
-        if np.any(core):
-            Jv = filler.jacobian_many(c + (r / delta) * W[core])
-            J[core] = (r / delta) * Jv
-        return J
+    def rescaled(X):
+        return c + scale * (X - c), np.full(n, scale)
 
     keep = None
     if field.singular_set is not None:
         keep = field.singular_set.filtered(
             lambda p: float(np.linalg.norm(p - c)) >= r
         )
-    out = VectorField(field.n, field.m, ev, jac, singular_set=keep,
+    ev, jac = _piecewise(n, field.m, classify, [
+        (field.evaluate_many, field.jacobian_many), _pullback(field, radial),
+        _pullback(filler, rescaled)])
+    out = VectorField(n, field.m, ev, jac, singular_set=keep,
                       sphere_valued=False,
                       name=f"{field.name}+point_removal(r={r:g})")
     return out.with_breaks(r=(delta, r))
@@ -375,81 +367,49 @@ def homogeneous_cone_extension(field: VectorField, base, eps: float,
     """
     if field.n != 4:
         raise InvalidParams("the codimension-3 instantiation lives in n=4")
-    a, b = float(base[0]), float(base[1])
-    if not b > a:
-        raise InvalidGeometry("degenerate base segment")
+    cone = Cone(4, base, eps, codim=3)
     if delta is None:
         delta = eps * eps
     if not 0.0 < delta < eps:
         raise InvalidGeometry("need 0 < delta < eps")
     if filler is None:
         raise InvalidParams("a smooth filler with matching trace is required")
-    mid = 0.5 * (a + b)
-
-    def prof(z):
-        return eps * np.minimum(z - a, b - z)
-
-    def dprof(z):
-        return eps * np.where(z < mid, 1.0, -1.0)
-
     frac = delta / eps
+    scale = eps / delta
 
-    def _split(X):
+    def classify(X):
         rho = np.linalg.norm(X[:, :3], axis=1)
         z = X[:, 3]
-        r = prof(z)
-        inside = (z > a) & (z < b) & (rho <= r)
-        return rho, z, r, inside
+        r = cone.profile(z)
+        inside = (z > cone.a) & (z < cone.b) & (rho <= r)
+        return np.add(inside, inside & (rho <= frac * r), dtype=np.int8)
 
-    def ev(X):
-        rho, z, r, inside = _split(X)
-        out = np.empty((X.shape[0], field.m))
-        if np.any(~inside):
-            out[~inside] = field.evaluate_many(X[~inside])
-        shell = inside & (rho > frac * r)
-        if np.any(shell):
-            Y = X[shell].copy()
-            Y[:, :3] *= (r[shell] / rho[shell])[:, None]
-            out[shell] = field.evaluate_many(Y)
-        core = inside & (rho <= frac * r)
-        if np.any(core):
-            Y = X[core].copy()
-            Y[:, :3] *= eps / delta
-            out[core] = filler.evaluate_many(Y)
-        return out
+    def homogeneous(X):
+        rho = np.linalg.norm(X[:, :3], axis=1)
+        r = cone.profile(X[:, 3])
+        W = X[:, :3] / rho[:, None]
+        Y = X.copy()
+        Y[:, :3] = r[:, None] * W
+        D = np.zeros((X.shape[0], 4, 4))
+        P = np.eye(3)[None] - W[:, :, None] * W[:, None, :]
+        D[:, :3, :3] = (r / rho)[:, None, None] * P
+        D[:, :3, 3] = cone.slope(X[:, 3])[:, None] * W
+        D[:, 3, 3] = 1.0
+        return Y, D
 
-    def jac(X):
-        rho, z, r, inside = _split(X)
-        J = np.empty((X.shape[0], field.m, 4))
-        if np.any(~inside):
-            J[~inside] = field.jacobian_many(X[~inside])
-        shell = inside & (rho > frac * r)
-        if np.any(shell):
-            W = X[shell, :3] / rho[shell][:, None]
-            Y = X[shell].copy()
-            Y[:, :3] = r[shell][:, None] * W
-            Ju = field.jacobian_many(Y)
-            D = np.zeros((W.shape[0], 4, 4))
-            P = np.eye(3)[None] - W[:, :, None] * W[:, None, :]
-            D[:, :3, :3] = (r[shell] / rho[shell])[:, None, None] * P
-            D[:, :3, 3] = dprof(z[shell])[:, None] * W
-            D[:, 3, 3] = 1.0
-            J[shell] = np.einsum("nij,njk->nik", Ju, D)
-        core = inside & (rho <= frac * r)
-        if np.any(core):
-            Y = X[core].copy()
-            Y[:, :3] *= eps / delta
-            Jv = filler.jacobian_many(Y)
-            Jv[:, :, :3] *= eps / delta
-            J[core] = Jv
-        return J
+    def rescaled(X):
+        Y = X.copy()
+        Y[:, :3] *= scale
+        return Y, np.array([scale, scale, scale, 1.0])
 
     keep = None
     if field.singular_set is not None:
-        cone = Cone(4, (a, b), eps, codim=3)
         keep = field.singular_set.filtered(
             lambda p: not bool(cone.membership(p[None, :])[0])
         )
+    ev, jac = _piecewise(4, field.m, classify, [
+        (field.evaluate_many, field.jacobian_many),
+        _pullback(field, homogeneous), _pullback(filler, rescaled)])
     out = VectorField(4, field.m, ev, jac, singular_set=keep,
                       sphere_valued=False,
                       name=f"{field.name}+cone_ext(eps={eps:g})")
@@ -702,23 +662,17 @@ def cone_defect_field_4d(base=(-1.0, 1.0)) -> VectorField:
 
 def cone_defect_filler(base, eps: float) -> VectorField:
     """Filler (y1, y2)(1 + r_eps(z)^2)/r_eps(z) matching the 4d defect trace."""
-    a, b = float(base[0]), float(base[1])
-
-    def prof(z):
-        return eps * np.minimum(z - a, b - z)
-
-    def dprof(z):
-        return eps * np.where(z < 0.5 * (a + b), 1.0, -1.0)
+    cone = Cone(4, base, eps, codim=3)
 
     def ev(X):
-        r = np.maximum(prof(X[:, 3]), 1e-300)
+        r = np.maximum(cone.profile(X[:, 3]), 1e-300)
         q = 1.0 / r + r
         return X[:, :2] * q[:, None]
 
     def jac(X):
-        r = np.maximum(prof(X[:, 3]), 1e-300)
+        r = np.maximum(cone.profile(X[:, 3]), 1e-300)
         q = 1.0 / r + r
-        dq = (1.0 - 1.0 / r**2) * dprof(X[:, 3])
+        dq = (1.0 - 1.0 / r**2) * cone.slope(X[:, 3])
         J = np.zeros((X.shape[0], 2, 4))
         J[:, 0, 0] = q
         J[:, 1, 1] = q

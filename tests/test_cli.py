@@ -253,6 +253,20 @@ class TestRejectedSchedules:
         assert err.startswith(f"error: {flag}") and bad in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("construction, flag, value", [
+        ("smoothing", "--delta", "0.9"), ("dipole", "--delta", "0.9"),
+        ("point", "--d", "7"), ("cone4", "--d", "7"),
+    ])
+    def test_recover_flag_the_construction_ignores_exits_2(
+            self, capsys, tmp_path, construction, flag, value):
+        path = tmp_path / "out.csv"
+        code, out, err = run(capsys, "recover", "--construction", construction,
+                             "--eps", "0.2", flag, value, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag} has no effect on --construction "
+                              f"{construction}")
+        assert not path.exists()
+
     @pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "0"])
     def test_non_finite_radius_exits_2(self, capsys, radius):
         for domain in ("ball2", "cube2"):
