@@ -27,7 +27,6 @@ from .errors import (
     IoFailure,
     NoConvergence,
     NonFinite,
-    OutOfDomain,
     RelaxAreaError,
     SingularOnLoop,
     SingularPoint,

@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,19 +49,6 @@ from .recovery import (
 from .topology import GridSpec, extract_lines_3d, extract_vortices_2d
 
 TOL_MIN, TOL_MAX = 1e-10, 1e-2
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    subcommand: str
-    tol: float
-    out: str | None
-
-    def __post_init__(self):
-        if not TOL_MIN <= self.tol <= TOL_MAX:
-            raise InvalidParams(f"tolerance must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
 
 
 def _number_list(text, flag, kind=float):
@@ -124,24 +110,24 @@ def _scalar_csv(pairs):
 # ---------------------------------------------------------------------------
 
 
-def _run_area(args, cfg):
+def _run_area(args):
     field = _build_field(args)
     dom = _build_domain(args)
-    res = area_functional(field, dom, cfg.tol)
+    res = area_functional(field, dom, args.tol)
     print(f"area={res.value:.12g} err={res.error_estimate:.3g} "
           f"nodes={res.nodes_used}")
-    if cfg.out:
-        rx.write_text(_scalar_csv([("area", res)]), cfg.out)
+    if args.out:
+        rx.write_text(_scalar_csv([("area", res)]), args.out)
     return 0
 
 
-def _run_energy(args, cfg):
+def _run_energy(args):
     field = _build_field(args)
     dom = _build_domain(args)
     # the singular current inside the domain, refused before any quadrature
     inside = (None if field.singular_set is None
               else field.singular_set.restricted(dom))
-    grad, tva, minor = graph_functionals(field, dom, cfg.tol,
+    grad, tva, minor = graph_functionals(field, dom, args.tol,
                                          ("tv", "tv_area", "minor"))
     line = (f"tv={grad.value:.12g} tv_area={tva.value:.12g} "
             f"m2={minor.value:.12g}")
@@ -149,14 +135,14 @@ def _run_energy(args, cfg):
         rhs = tva.value + math.pi * chain_mass(inside)
         line += f" relaxed_rhs={rhs:.12g}"
     print(line)
-    if cfg.out:
+    if args.out:
         rx.write_text(
             _scalar_csv([("tv", grad), ("tv_area", tva), ("m2", minor)]),
-            cfg.out)
+            args.out)
     return 0
 
 
-def _run_jacobian(args, cfg):
+def _run_jacobian(args):
     _positive([args.radius], "--radius")
     field = _build_field(args)
     grid = GridSpec(field.n, args.grid, half_side=args.radius)
@@ -173,12 +159,12 @@ def _run_jacobian(args, cfg):
     else:
         chain = extract_lines_3d(field, grid)
     print(f"cells={len(chain)} mass={chain_mass(chain):.12g}")
-    if cfg.out:
-        rx.write_text(chain_csv_text(chain), cfg.out)
+    if args.out:
+        rx.write_text(chain_csv_text(chain), args.out)
     return 0
 
 
-def _run_recover(args, cfg):
+def _run_recover(args):
     name = args.construction
     # the vortex constructions read a degree, the removals an inner radius
     unread = "delta" if name in ("smoothing", "dipole") else "d"
@@ -191,13 +177,13 @@ def _run_recover(args, cfg):
     if name == "smoothing":
         base = make_example_field("vortex", d=d)
         f = vortex_smoothing_2d(base, (0.0, 0.0), d, args.eps)
-        rep = graph_mass(f, Ball(2, 1.0), cfg.tol)
+        rep = graph_mass(f, Ball(2, 1.0), args.tol)
         print(f"area={rep.mass.value:.12g} tv={rep.grad.value:.12g} "
               f"m2={rep.minor.value:.12g}")
     elif name == "dipole":
         base = make_example_field("planar_vortex")
         f = cone_dipole(base, (-1.0, 1.0), d, args.eps)
-        rep = graph_mass(f, Cone(3, (-1.0, 1.0), args.eps), cfg.tol)
+        rep = graph_mass(f, Cone(3, (-1.0, 1.0), args.eps), args.tol)
         print(f"cone_mass={rep.mass.value:.12g} cone_tv={rep.grad.value:.12g} "
               f"cone_m2={rep.minor.value:.12g}")
     elif name == "point":
@@ -205,7 +191,7 @@ def _run_recover(args, cfg):
         delta = args.eps**2 if args.delta is None else args.delta
         f = remove_point_singularity(base, (0, 0, 0), args.eps, delta,
                                      linear_disk_filler(args.eps))
-        ring, core = point_removal_report(f, (0, 0, 0), args.eps, delta, cfg.tol)
+        ring, core = point_removal_report(f, (0, 0, 0), args.eps, delta, args.tol)
         print(f"ring_mass={ring.mass.value:.12g} core_mass={core.mass.value:.12g}")
     elif name == "cone4":
         base = cone_defect_field_4d()
@@ -213,7 +199,7 @@ def _run_recover(args, cfg):
         f = homogeneous_cone_extension(base, (-1.0, 1.0), args.eps, delta,
                                        cone_defect_filler((-1.0, 1.0), args.eps))
         shell, core = cone_extension_report(f, (-1.0, 1.0), args.eps, delta,
-                                            cfg.tol)
+                                            args.tol)
         print(f"shell_tv={shell.grad.value:.12g} shell_m2={shell.minor.value:.12g} "
               f"core_mass={core.mass.value:.12g}")
     else:
@@ -224,25 +210,25 @@ def _run_recover(args, cfg):
 _STUDIES = ("smoothing", "dipole", "dipole-grad", "chain", "cyl2d")
 
 
-def _run_relax(args, cfg):
+def _run_relax(args):
     name = args.study
     verdicts = {}
     if name in ("smoothing", "dipole", "dipole-grad"):
         eps = _positive(_number_list(args.eps, "--eps"), "--eps values")
     if name == "smoothing":
-        report = rx.study_vortex_smoothing(eps, cfg.tol)
+        report = rx.study_vortex_smoothing(eps, args.tol)
         verdicts["tv_vs_2pi"] = rx.strict_bv_check(report, 2 * math.pi)
     elif name == "dipole":
-        report = rx.study_cone_dipole(eps, cfg.tol)
+        report = rx.study_cone_dipole(eps, args.tol)
     elif name == "dipole-grad":
-        report = rx.study_dipole_gradient(eps, cfg.tol)
+        report = rx.study_dipole_gradient(eps, args.tol)
     elif name == "chain":
         chain = make_example_field("vortex_chain", m=args.m)
-        report, ref = rx.study_chain_disk(chain, args.disk, tol=cfg.tol)
+        report, ref = rx.study_chain_disk(chain, args.disk, tol=args.tol)
         verdicts["disk_gap"] = f"{report.limits['area'] - ref:.6g}"
     elif name == "cyl2d":
         report = rx.study_cylinder_analogue_2d(
-            _number_list(args.k, "--k", int), cfg.tol)
+            _number_list(args.k, "--k", int), args.tol)
         verdicts["tv_vs_2pi"] = rx.strict_bv_check(report, 2 * math.pi)
     else:
         raise InvalidParams(f"unknown study {name!r}; choose from {_STUDIES}")
@@ -251,10 +237,10 @@ def _run_relax(args, cfg):
           f"limit_TV={lim.get('tv', float('nan')):.10g} "
           f"limit_M2={lim.get('minor', float('nan')):.10g} "
           + " ".join(f"{k}={v}" for k, v in verdicts.items()))
-    if cfg.out:
-        rx.write_text(rx.report_csv_text(report), cfg.out)
+    if args.out:
+        rx.write_text(rx.report_csv_text(report), args.out)
         rx.write_json(rx.report_json_dict(report, verdicts),
-                      _json_sibling(cfg.out))
+                      _json_sibling(args.out))
     return 0
 
 
@@ -262,9 +248,9 @@ def _json_sibling(path):
     return (path[:-4] if path.endswith(".csv") else path) + ".json"
 
 
-def _run_counterexample(args, cfg):
+def _run_counterexample(args):
     ks = _number_list(args.k, "--k", int)
-    report = rx.study_counterexample(args.variant, ks, cfg.tol,
+    report = rx.study_counterexample(args.variant, ks, args.tol,
                                      radius=args.radius)
     line = f"variant={args.variant} limit_A={report.limits['area']:.10g}"
     if args.variant == "ball":
@@ -273,32 +259,32 @@ def _run_counterexample(args, cfg):
             f = counterexample_sequence("ball", k)
             res = integrate(
                 lambda X: minors2(f.jacobian_many(X))[:, -1],
-                Ball(3, 1.0 / k), max(cfg.tol, 1e-9), breaks=f.chart_breaks,
+                Ball(3, 1.0 / k), max(args.tol, 1e-9), breaks=f.chart_breaks,
             )
             dets.append(res.value)
         worst = max(abs(v - 4 * math.pi / 3) for v in dets)
         line += f" det_ball_max_dev={worst:.3g}"
     print(line)
-    if cfg.out:
-        rx.write_text(rx.report_csv_text(report), cfg.out)
-        rx.write_json(rx.report_json_dict(report), _json_sibling(cfg.out))
+    if args.out:
+        rx.write_text(rx.report_csv_text(report), args.out)
+        rx.write_json(rx.report_json_dict(report), _json_sibling(args.out))
     return 0
 
 
-def _run_subadd(args, cfg):
+def _run_subadd(args):
     report = rx.subadditivity_experiment(
         _number_list(args.radii, "--radii"), _number_list(args.k, "--k", int),
-        cfg.tol)
+        args.tol)
     print(f"violation={report.violation_witnessed} witness={report.witness} "
           + " ".join(f"min[{r:g}]={report.chosen_min[r]:.6g}"
                      for r in report.radii))
-    if cfg.out:
-        rx.write_text(rx.subadd_csv_text(report), cfg.out)
-        rx.write_json(rx.subadd_json_dict(report), _json_sibling(cfg.out))
+    if args.out:
+        rx.write_text(rx.subadd_csv_text(report), args.out)
+        rx.write_json(rx.subadd_json_dict(report), _json_sibling(args.out))
     return 0
 
 
-def _run_sweep(args, cfg):
+def _run_sweep(args):
     field_of = {
         "smoothing": lambda eps: vortex_smoothing_2d(
             make_example_field("vortex", d=args.d), (0.0, 0.0), args.d, eps),
@@ -322,13 +308,13 @@ def _run_sweep(args, cfg):
     for v in values:
         f = field_of[args.family](v)
         name = "minor" if args.quantity == "m2" else args.quantity
-        res, = graph_functionals(f, dom, cfg.tol, (name,))
+        res, = graph_functionals(f, dom, args.tol, (name,))
         lines.append(f"{v:.17g},{res.value:.17g},{res.error_estimate:.17g}")
     text = "\n".join(lines) + "\n"
     print(f"sweep family={args.family} quantity={args.quantity} "
           f"rows={len(values)}")
-    if cfg.out:
-        rx.write_text(text, cfg.out)
+    if args.out:
+        rx.write_text(text, args.out)
     return 0
 
 
@@ -493,8 +479,9 @@ def main(argv=None) -> int:
         for action, default, required in replaced:
             action.default, action.required = default, required
     try:
-        cfg = RunConfig(args.subcommand, args.tol, args.out)
-        return _RUNNERS[args.subcommand](args, cfg)
+        if not TOL_MIN <= args.tol <= TOL_MAX:
+            raise InvalidParams(f"tolerance must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
+        return _RUNNERS[args.subcommand](args)
     except (NoConvergence, AmbiguousWinding) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

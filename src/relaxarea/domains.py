@@ -349,22 +349,28 @@ _DOMAIN_KINDS = ("ball", "cube", "cone", "annulus", "difference")
 
 
 def make_domain(kind: str, **params) -> Domain:
-    """Factory matching the CLI grammar; raises InvalidGeometry on bad input."""
+    """Factory matching the CLI grammar; raises InvalidGeometry on bad input,
+    a parameter the kind does not read included."""
     if kind == "ball":
-        return Ball(params.pop("n"), params.pop("radius", 1.0),
-                    params.pop("center", None))
-    if kind == "cube":
-        return Cube(params.pop("n"), params.pop("half_side", 1.0),
-                    params.pop("center", None))
-    if kind == "annulus":
-        return Annulus(params.pop("n"), params.pop("r_in"), params.pop("r_out"),
-                       params.pop("center", None))
-    if kind == "cone":
+        dom = Ball(params.pop("n"), params.pop("radius", 1.0),
+                   params.pop("center", None))
+    elif kind == "cube":
+        dom = Cube(params.pop("n"), params.pop("half_side", 1.0),
+                   params.pop("center", None))
+    elif kind == "annulus":
+        dom = Annulus(params.pop("n"), params.pop("r_in"), params.pop("r_out"),
+                      params.pop("center", None))
+    elif kind == "cone":
         eps = params.pop("eps", None)
         if eps is None:
             raise InvalidGeometry("cone domains need an aperture eps")
-        return Cone(params.pop("n", 3), params.pop("base", (-1.0, 1.0)),
-                    eps, params.pop("codim", 2))
-    if kind == "difference":
-        return Difference(params.pop("outer"), params.pop("inner"))
-    raise InvalidGeometry(f"unknown domain kind {kind!r}; choose from {_DOMAIN_KINDS}")
+        dom = Cone(params.pop("n", 3), params.pop("base", (-1.0, 1.0)),
+                   eps, params.pop("codim", 2))
+    elif kind == "difference":
+        dom = Difference(params.pop("outer"), params.pop("inner"))
+    else:
+        raise InvalidGeometry(
+            f"unknown domain kind {kind!r}; choose from {_DOMAIN_KINDS}")
+    if params:
+        raise InvalidGeometry(f"{kind} does not read {sorted(params)}")
+    return dom

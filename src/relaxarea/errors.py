@@ -9,10 +9,6 @@ class SingularPoint(RelaxAreaError):
     """Evaluation requested on (or within guard distance of) a singular set."""
 
 
-class OutOfDomain(RelaxAreaError):
-    """Evaluation requested outside a field's domain of definition."""
-
-
 class StencilCrossesSingularity(RelaxAreaError):
     """A finite-difference stencil node falls on or too near the singular set."""
 

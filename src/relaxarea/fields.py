@@ -18,19 +18,10 @@ from typing import Callable
 import numpy as np
 
 from .chains import SINGULAR_GUARD, SingularChain, distance_to_chain
-from .errors import (
-    InvalidParams,
-    NonFinite,
-    OutOfDomain,
-    SingularPoint,
-    StencilCrossesSingularity,
-)
+from .errors import InvalidParams, NonFinite, SingularPoint, StencilCrossesSingularity
 
 #: relative central-difference step (sqrt(machine eps) balance)
 FD_STEP = 1e-5
-
-#: tolerance on | |u|-1 | for exact circle/sphere-valued constructions
-SPHERE_TOL_EXACT = 1e-9
 
 
 def minor_pairs(n: int) -> list[tuple[int, int]]:
@@ -118,34 +109,24 @@ class VectorField:
         jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
         singular_set: SingularChain | None = None,
         sphere_valued: bool = False,
-        sphere_tol: float = SPHERE_TOL_EXACT,
-        fd_step: float = FD_STEP,
         chart_breaks: dict[str, tuple[float, ...]] | None = None,
-        domain_of_definition=None,
         name: str = "field",
     ):
+        # sphere_valued has no effect; it stays only while
+        # benchmarks/bench_workloads.py::line_field still passes it
         if not (2 <= n <= 4 and m in (2, 3)):
             raise InvalidParams(f"unsupported dimensions n={n}, m={m}")
         self.n = n
         self.m = m
         self._eval = evaluator
         self._jac = jacobian
-        self.jacobian_kind = "analytic" if jacobian is not None else "finite-difference"
         self.singular_set = singular_set
-        self.sphere_valued = sphere_valued
-        self.sphere_tol = sphere_tol
-        self.fd_step = fd_step
         self.chart_breaks = dict(chart_breaks or {})
-        self.domain_of_definition = domain_of_definition
         self.name = name
 
     # -- evaluation ---------------------------------------------------------
 
     def _check_points(self, X, dist=None):
-        if self.domain_of_definition is not None:
-            inside = self.domain_of_definition.membership(X)
-            if not np.all(inside):
-                raise OutOfDomain(f"{np.count_nonzero(~inside)} points outside domain")
         if self.singular_set is not None and len(self.singular_set.cells) > 0:
             d = distance_to_chain(X, self.singular_set) if dist is None else dist
             if np.any(d <= SINGULAR_GUARD):
@@ -193,7 +174,7 @@ class VectorField:
 
     def _fd_jacobian(self, X):
         N = X.shape[0]
-        h = self.fd_step * np.maximum(1.0, np.linalg.norm(X, axis=1))
+        h = FD_STEP * np.maximum(1.0, np.linalg.norm(X, axis=1))
         if self.singular_set is not None and len(self.singular_set.cells) > 0:
             d = distance_to_chain(X, self.singular_set)
             if np.any(d <= 1.01 * h * math.sqrt(self.n)):
@@ -208,21 +189,6 @@ class VectorField:
             dn = self._eval(X - E)
             J[:, :, a] = (up - dn) / (2.0 * h)[:, None]
         return J
-
-    # -- convenience --------------------------------------------------------
-
-    def with_breaks(self, **axes) -> "VectorField":
-        """Copy of this field with additional chart break hints."""
-        f = VectorField(
-            self.n, self.m, self._eval, self._jac, self.singular_set,
-            self.sphere_valued, self.sphere_tol, self.fd_step,
-            dict(self.chart_breaks), self.domain_of_definition, self.name,
-        )
-        f.jacobian_kind = self.jacobian_kind
-        for k, v in axes.items():
-            old = list(f.chart_breaks.get(k, ()))
-            f.chart_breaks[k] = tuple(sorted(set(old) | set(float(x) for x in v)))
-        return f
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +220,7 @@ def _vortex(d: int, center, phase: float) -> VectorField:
     return VectorField(
         2, 2, ev, jac,
         singular_set=SingularChain.points(2, [(tuple(c), d if d != 0 else 1)]),
-        sphere_valued=True, name=f"vortex(d={d})",
+        name=f"vortex(d={d})",
     )
 
 
@@ -279,7 +245,7 @@ def _planar_vortex() -> VectorField:
     return VectorField(
         3, 2, ev, jac,
         singular_set=SingularChain.segments(3, [(seg, 1)]),
-        sphere_valued=True, name="planar_vortex",
+        name="planar_vortex",
     )
 
 
@@ -301,7 +267,7 @@ def _sphere_vortex() -> VectorField:
     return VectorField(
         3, 3, ev, jac,
         singular_set=SingularChain.points(3, [((0.0, 0.0, 0.0), 1)]),
-        sphere_valued=True, name="sphere_vortex",
+        name="sphere_vortex",
     )
 
 
@@ -318,7 +284,7 @@ def _constant(value) -> VectorField:
     def jac(X):
         return np.zeros((X.shape[0], m, n))
 
-    return VectorField(n, m, ev, jac, sphere_valued=False, name="constant")
+    return VectorField(n, m, ev, jac, name="constant")
 
 
 def _smooth_lift(f, grad_f, n) -> VectorField:
@@ -334,7 +300,7 @@ def _smooth_lift(f, grad_f, n) -> VectorField:
             uperp = np.stack([-np.sin(t), np.cos(t)], axis=1)
             return uperp[:, :, None] * g[:, None, :]
 
-    return VectorField(n, 2, ev, jc, sphere_valued=True, name="smooth_lift")
+    return VectorField(n, 2, ev, jc, name="smooth_lift")
 
 
 def chain_centers_radii(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -460,7 +426,7 @@ def _vortex_chain(m: int) -> VectorField:
     return VectorField(
         2, 2, ev, jac,
         singular_set=SingularChain.points(2, cells),
-        sphere_valued=True, name=f"vortex_chain(m={m})",
+        name=f"vortex_chain(m={m})",
     )
 
 
@@ -475,30 +441,35 @@ def make_example_field(kind: str, **params) -> VectorField:
     ``planar_vortex`` (n=3), ``vortex_chain`` (``m`` disks),
     ``sphere_vortex``, ``constant`` (``value``), ``smooth_lift``
     (callables ``f`` and optional ``grad_f``, source dimension ``n``).
+    A parameter the kind does not read is refused.
     """
     if kind == "vortex":
         d = params.pop("d", 1)
         if not float(d).is_integer():
             raise InvalidParams("vortex degree must be an integer")
-        return _vortex(int(d), params.pop("center", (0.0, 0.0)),
-                       float(params.pop("phase", 0.0)))
-    if kind == "planar_vortex":
+        field = _vortex(int(d), params.pop("center", (0.0, 0.0)),
+                        float(params.pop("phase", 0.0)))
+    elif kind == "planar_vortex":
         n = params.pop("n", 3)
         if n != 3:
             raise InvalidParams("planar_vortex is implemented for n=3")
-        return _planar_vortex()
-    if kind == "vortex_chain":
-        m = int(params.pop("m", 3))
-        if m < 1:
-            raise InvalidParams("vortex_chain needs m >= 1")
-        return _vortex_chain(m)
-    if kind == "sphere_vortex":
-        return _sphere_vortex()
-    if kind == "constant":
-        return _constant(params.pop("value", (1.0, 0.0)))
-    if kind == "smooth_lift":
+        field = _planar_vortex()
+    elif kind == "vortex_chain":
+        m = float(params.pop("m", 3))
+        if not (m.is_integer() and m >= 1):
+            raise InvalidParams(f"vortex_chain needs an integer m >= 1, got {m:g}")
+        field = _vortex_chain(int(m))
+    elif kind == "sphere_vortex":
+        field = _sphere_vortex()
+    elif kind == "constant":
+        field = _constant(params.pop("value", (1.0, 0.0)))
+    elif kind == "smooth_lift":
         f = params.pop("f", None)
         if f is None:
             raise InvalidParams("smooth_lift needs a lift function f")
-        return _smooth_lift(f, params.pop("grad_f", None), int(params.pop("n", 2)))
-    raise InvalidParams(f"unknown field kind {kind!r}; choose from {_KINDS}")
+        field = _smooth_lift(f, params.pop("grad_f", None), int(params.pop("n", 2)))
+    else:
+        raise InvalidParams(f"unknown field kind {kind!r}; choose from {_KINDS}")
+    if params:
+        raise InvalidParams(f"{kind} does not read {sorted(params)}")
+    return field

@@ -199,12 +199,11 @@ class _ChartIntegrator:
     """One chart's refinement tree: its open cells in the order they were
     made, the depth-capped cells that are final, and their totals."""
 
-    def __init__(self, f, chart, singular_set, growth, max_depth, breaks):
+    def __init__(self, f, chart, singular_set, growth, breaks):
         self.f = f
         self.chart = chart
         self.singular_set = singular_set
         self.growth = growth
-        self.max_depth = max_depth
         self.weight = None  # per component, set by the first batch
         self.dim = len(chart.box)
         self.P8, self.W8 = _tensor_rule(GAUSS_ORDER, self.dim)
@@ -248,8 +247,7 @@ class _ChartIntegrator:
             C, -1).sum(axis=1) for a in range(self.dim)]).T
         # read only by _cap, so sampled only at the depth cap
         chat = np.full(value.shape, np.nan)
-        at_cap = (self.singular_set is not None
-                  and splits.min(axis=1) >= self.max_depth)
+        at_cap = self.singular_set is not None and splits.min(axis=1) >= MAX_DEPTH
         if np.count_nonzero(at_cap):
             X8 = X[:n8].reshape(C, -1, X.shape[1])[at_cap]
             d = distance_to_chain(X8.reshape(-1, X.shape[1]), self.singular_set)
@@ -280,8 +278,7 @@ class _ChartIntegrator:
         short = cells.err.take(order, axis=0).cumsum(axis=0) < excess
         need = 1 + int(short.sum(axis=0)[todo].max())
         n = max(1, min(need, int(rank.searchsorted(0.5 * rank[0], "right"))))
-        splittable = (cells.splits.take(order[:n], axis=0).min(axis=1)
-                      < self.max_depth)
+        splittable = cells.splits.take(order[:n], axis=0).min(axis=1) < MAX_DEPTH
         if n > budget:  # each split adds a cell, capping none
             n = int(splittable.cumsum().searchsorted(budget, "right"))
         sel, splittable = order[:n], splittable[:n]
@@ -300,7 +297,7 @@ class _ChartIntegrator:
         along its roughest open axis, evaluated with one integrand call."""
         kids = _Cells(rows.repeat(2, axis=0), self.dim)
         lo, hi, splits = kids.lo, kids.hi, kids.splits
-        rough = np.where(splits < self.max_depth, kids.rough, -np.inf)
+        rough = np.where(splits < MAX_DEPTH, kids.rough, -np.inf)
         cut = rough.argmax(axis=1)[:, None] == np.arange(self.dim)
         mid = 0.5 * (lo + hi)
         np.copyto(hi[0::2], mid[0::2], where=cut[0::2])
@@ -348,12 +345,11 @@ def _decided(integs, tol):
     return capped > tol * np.maximum(reach, SCALE_FLOOR)
 
 
-def _integrate_charts(f, charts, tol, singular_set, growth, breaks, max_depth,
-                      max_cells):
+def _integrate_charts(f, charts, tol, singular_set, growth, breaks, max_cells):
     # the first cells of every chart come before any refinement, so that a
     # refusal is decided against the whole integral, not one chart of it
-    integs = [_ChartIntegrator(f, chart, singular_set, growth, max_depth,
-                               breaks or {}) for chart in charts]
+    integs = [_ChartIntegrator(f, chart, singular_set, growth, breaks or {})
+              for chart in charts]
     decided = np.zeros(np.shape(integs[0].total_err), dtype=bool)
     live = integs
     while live:
@@ -409,7 +405,6 @@ def integrate(
     singular_set: SingularChain | None = None,
     breaks: dict | None = None,
     growth: float = 1.0,
-    max_depth: int = MAX_DEPTH,
     max_cells: int = 20000,
     raise_on_failure: bool = True,
 ) -> QuadratureResult:
@@ -448,8 +443,7 @@ def integrate(
         singular_set = None
     g = _Integrand(f)
     value, abs_err, nodes, where = _integrate_charts(
-        g, domain.charts(), tol, singular_set, growth, breaks, max_depth,
-        max_cells)
+        g, domain.charts(), tol, singular_set, growth, breaks, max_cells)
     rel = abs_err / np.maximum(np.abs(value), SCALE_FLOOR)
     if g.scalar:
         value, rel, abs_err = float(value[0]), float(rel[0]), float(abs_err[0])

@@ -71,6 +71,13 @@ def _piecewise(n, m, classify, pieces):
             lambda X: assemble(X, 1, (m, n)))
 
 
+def _check_filler(field, filler):
+    """Refuse a filler whose (n, m) is not the field's."""
+    if (filler.n, filler.m) != (field.n, field.m):
+        raise InvalidParams(f"filler has (n, m) = {(filler.n, filler.m)} but "
+                            f"the field has {(field.n, field.m)}")
+
+
 def _pullback(v, phi):
     """``(ev, jac)`` of ``v o phi``, where ``phi(X)`` gives ``(Y, Dphi)``.
 
@@ -171,11 +178,11 @@ def vortex_smoothing_2d(field: VectorField, center, d: int, eps: float) -> Vecto
     ev, jac = _piecewise(2, 2, classify, [
         (field.evaluate_many, field.jacobian_many), (ring_ev, ring_jac),
         (core_ev, core_jac)])
-    out = VectorField(
-        2, 2, ev, jac, singular_set=keep, sphere_valued=False,
+    return VectorField(
+        2, 2, ev, jac, singular_set=keep,
+        chart_breaks={"r": (eps / 2, float(eps))},
         name=f"{field.name}+smooth(eps={eps:g})",
     )
-    return out.with_breaks(r=(eps / 2, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +299,10 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
     ev, jac = _piecewise(3, 2, classify, [
         (field.evaluate_many, field.jacobian_many), (ring_ev, ring_jac),
         (core_ev, core_jac)])
-    out = VectorField(
-        3, 2, ev, jac, singular_set=sing, sphere_valued=False,
+    return VectorField(
+        3, 2, ev, jac, singular_set=sing, chart_breaks={"t": (0.5,)},
         name=f"{field.name}+dipole(eps={eps:g})",
     )
-    return out.with_breaks(t=(0.5,))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +321,7 @@ def remove_point_singularity(field: VectorField, center, r: float, delta: float,
     n = field.n
     if n < 3:
         raise InvalidParams("point-singularity removal needs n >= 3")
+    _check_filler(field, filler)
     if not 0.0 < delta < r < math.inf:
         raise InvalidGeometry(f"need 0 < delta < r < inf, got delta={delta!r}, "
                               f"r={r!r}")
@@ -345,10 +352,9 @@ def remove_point_singularity(field: VectorField, center, r: float, delta: float,
     ev, jac = _piecewise(n, field.m, classify, [
         (field.evaluate_many, field.jacobian_many), _pullback(field, radial),
         _pullback(filler, rescaled)])
-    out = VectorField(n, field.m, ev, jac, singular_set=keep,
-                      sphere_valued=False,
-                      name=f"{field.name}+point_removal(r={r:g})")
-    return out.with_breaks(r=(delta, r))
+    return VectorField(n, field.m, ev, jac, singular_set=keep,
+                       chart_breaks={"r": (float(delta), float(r))},
+                       name=f"{field.name}+point_removal(r={r:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +380,7 @@ def homogeneous_cone_extension(field: VectorField, base, eps: float,
         raise InvalidGeometry("need 0 < delta < eps")
     if filler is None:
         raise InvalidParams("a smooth filler with matching trace is required")
+    _check_filler(field, filler)
     frac = delta / eps
     scale = eps / delta
 
@@ -410,10 +417,9 @@ def homogeneous_cone_extension(field: VectorField, base, eps: float,
     ev, jac = _piecewise(4, field.m, classify, [
         (field.evaluate_many, field.jacobian_many),
         _pullback(field, homogeneous), _pullback(filler, rescaled)])
-    out = VectorField(4, field.m, ev, jac, singular_set=keep,
-                      sphere_valued=False,
-                      name=f"{field.name}+cone_ext(eps={eps:g})")
-    return out.with_breaks(t=(frac,))
+    return VectorField(4, field.m, ev, jac, singular_set=keep,
+                       chart_breaks={"t": (frac,)},
+                       name=f"{field.name}+cone_ext(eps={eps:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +468,8 @@ def _ball_variant(k: int) -> VectorField:
             J[~far] = k * np.eye(3)[None]
         return J
 
-    f = VectorField(3, 3, ev, jac, sphere_valued=False,
-                    name=f"counterexample_ball(k={k})")
-    return f.with_breaks(r=(1.0 / k,))
+    return VectorField(3, 3, ev, jac, chart_breaks={"r": (1.0 / k,)},
+                       name=f"counterexample_ball(k={k})")
 
 
 def _cylinder_profile(k: int):
@@ -525,9 +530,8 @@ def _cylinder_variant(k: int) -> VectorField:
         return u_th[:, :, None] * grad_th[:, None, :] \
             + u_psi[:, :, None] * grad_psi[:, None, :]
 
-    f = VectorField(3, 3, ev, jac, sphere_valued=True,
-                    name=f"counterexample_cylinder(k={k})")
-    return f.with_breaks(r=(rk,), phi=(alpha,))
+    return VectorField(3, 3, ev, jac, chart_breaks={"r": (rk,), "phi": (alpha,)},
+                       name=f"counterexample_cylinder(k={k})")
 
 
 def cylinder_analogue_2d(k: int) -> VectorField:
@@ -582,9 +586,9 @@ def cylinder_analogue_2d(k: int) -> VectorField:
         uperp = np.stack([-np.sin(T), np.cos(T)], axis=1)
         return uperp[:, :, None] * grad_T[:, None, :]
 
-    f = VectorField(2, 2, ev, jac, sphere_valued=True,
-                    name=f"cylinder_analogue_2d(k={k})")
-    return f.with_breaks(r=(rk,), theta=(-alpha, alpha))
+    return VectorField(2, 2, ev, jac,
+                       chart_breaks={"r": (rk,), "theta": (-alpha, alpha)},
+                       name=f"cylinder_analogue_2d(k={k})")
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +614,7 @@ def disk_defect_field_3d() -> VectorField:
     return VectorField(
         3, 2, ev, jac,
         singular_set=SingularChain.points(3, [((0.0, 0.0, 0.0), 1)]),
-        sphere_valued=False, name="disk_defect_3d",
+        name="disk_defect_3d",
     )
 
 
@@ -656,7 +660,7 @@ def cone_defect_field_4d(base=(-1.0, 1.0)) -> VectorField:
     return VectorField(
         4, 2, ev, jac,
         singular_set=SingularChain.segments(4, [(seg, 1)]),
-        sphere_valued=False, name="cone_defect_4d",
+        name="cone_defect_4d",
     )
 
 

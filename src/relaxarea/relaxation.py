@@ -43,6 +43,12 @@ METRICS = ("area", "tv", "minor")
 #: studies whose fit residual exceeds this are flagged inconclusive
 RESIDUAL_CAP = 0.05
 
+#: relative distance of a TV limit from its reference that reads as equal
+STRICT_TOL = 0.01
+
+#: smoothing radii of a chain-disk study, as fractions of the disk's radius
+CHAIN_DISK_FRACS = (0.4, 0.2, 0.1, 0.05)
+
 
 @dataclass(frozen=True)
 class StudyRow:
@@ -216,17 +222,17 @@ def study_from_rows(row_fn, schedule,
     return _finalize(ConvergenceReport(parameter, rows))
 
 
-def strict_bv_check(report: ConvergenceReport, reference_tv: float,
-                    tol: float = 0.01) -> str:
-    """'strict' when the TV limit matches the reference, 'non_strict' when
-    the excess is clearly positive, else 'inconclusive'."""
+def strict_bv_check(report: ConvergenceReport, reference_tv: float) -> str:
+    """'strict' when the TV limit matches the reference within
+    ``STRICT_TOL``, 'non_strict' when the excess is clearly positive, else
+    'inconclusive'."""
     limit = report.limits.get("tv")
     if limit is None or report.inconclusive("tv"):
         return "inconclusive"
     excess = limit - reference_tv
-    if abs(excess) <= tol * reference_tv:
+    if abs(excess) <= STRICT_TOL * reference_tv:
         return "strict"
-    if excess > 3.0 * tol * reference_tv:
+    if excess > 3.0 * STRICT_TOL * reference_tv:
         return "non_strict"
     return "inconclusive"
 
@@ -234,13 +240,12 @@ def strict_bv_check(report: ConvergenceReport, reference_tv: float,
 # -- prebuilt studies -------------------------------------------------------
 
 
-def study_vortex_smoothing(schedule, tol: float = 1e-6,
-                           d: int = 1) -> ConvergenceReport:
-    """Core smoothing of the degree-d vortex over the unit disk."""
-    base = make_example_field("vortex", d=d)
+def study_vortex_smoothing(schedule, tol: float = 1e-6) -> ConvergenceReport:
+    """Core smoothing of the degree-1 vortex over the unit disk."""
+    base = make_example_field("vortex", d=1)
     dom = Ball(2, 1.0)
     return convergence_study(
-        lambda eps: vortex_smoothing_2d(base, (0.0, 0.0), d, eps),
+        lambda eps: vortex_smoothing_2d(base, (0.0, 0.0), 1, eps),
         schedule, dom, tol)
 
 
@@ -288,8 +293,7 @@ def study_dipole_gradient(schedule, tol: float = 1e-6) -> ConvergenceReport:
         schedule, lambda eps: Cone(3, (-1.0, 1.0), eps), tol)
 
 
-def study_chain_disk(chain_field: VectorField, j: int, fracs=(0.4, 0.2, 0.1, 0.05),
-                     tol: float = 1e-6):
+def study_chain_disk(chain_field: VectorField, j: int, tol: float = 1e-6):
     """Smoothing study localized to the j-th chain disk (1-based).
 
     Returns (report, reference tv-area of the unmodified chain map on the
@@ -307,7 +311,7 @@ def study_chain_disk(chain_field: VectorField, j: int, fracs=(0.4, 0.2, 0.1, 0.0
     ref, = graph_functionals(chain_field, dom, tol, ("tv_area",))
     report = convergence_study(
         lambda eps: vortex_smoothing_2d(chain_field, tuple(c), d, eps),
-        [h * f for f in fracs], dom, tol)
+        [h * f for f in CHAIN_DISK_FRACS], dom, tol)
     return report, ref.value
 
 

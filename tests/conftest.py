@@ -64,7 +64,7 @@ def random_phase_field(rng, n_vortices):
         singular_set=SingularChain.points(
             2, [(c, int(d)) for c, d in zip(centers, degrees)]
         ),
-        sphere_valued=True, name="random_phase",
+        name="random_phase",
     )
     return field, centers, degrees
 
@@ -86,5 +86,5 @@ def line_field(axis, offset, phase_coeffs):
         3, 2,
         lambda X: np.stack([np.cos(angle(X)), np.sin(angle(X))], axis=1), None,
         singular_set=SingularChain.segments(3, [(seg, 1)]),
-        sphere_valued=True, name="line_field",
+        name="line_field",
     )

@@ -100,13 +100,20 @@ class TestDomains:
                     f"a {outer.kind} minus a {inner.kind} has no exact charts")):
                 build()
 
-    def test_invalid_geometry(self):
-        with pytest.raises(InvalidGeometry):
-            Annulus(3, 0.9, 0.3)
-        with pytest.raises(InvalidGeometry):
-            Cone(3, (1.0, -1.0), 0.1)
-        with pytest.raises(InvalidGeometry):
-            Ball(2, -1.0)
+    @pytest.mark.parametrize("build, match", [
+        (lambda: Annulus(3, 0.9, 0.3), "r_in < r_out"),
+        (lambda: Cone(3, (1.0, -1.0), 0.1), "base"),
+        (lambda: Ball(2, -1.0), "radius"),
+        (lambda: make_domain("torus", n=3), "unknown domain kind"),
+        # a parameter the kind does not read used to be dropped silently
+        (lambda: make_domain("ball", n=2, centre=(0.3, 0.0)),
+         r"ball does not read \['centre'\]"),
+        (lambda: make_domain("cone", n=3, eps=0.2, t_min=0.5),
+         r"cone does not read \['t_min'\]"),
+    ])
+    def test_invalid_geometry(self, build, match):
+        with pytest.raises(InvalidGeometry, match=match):
+            build()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sizes_refused(self, bad):
@@ -627,7 +634,7 @@ def reference_heap(f, domain, tol, singular_set=None, breaks=None,
 
     integs = [quadrature._ChartIntegrator(
         quadrature._Integrand(counted), chart, singular_set, growth,
-        quadrature.MAX_DEPTH, breaks or {}) for chart in domain.charts()]
+        breaks or {}) for chart in domain.charts()]
     seq = itertools.count()
     heaps = []
     for integ in integs:

@@ -203,13 +203,19 @@ class TestExampleFields:
         t = 0.3**2 - 0.7
         assert np.allclose(f.evaluate(x), (math.cos(t), math.sin(t)))
 
-    def test_invalid_params(self):
-        with pytest.raises(InvalidParams):
-            make_example_field("vortex", d=1.5)
-        with pytest.raises(InvalidParams):
-            make_example_field("vortex_chain", m=0)
-        with pytest.raises(InvalidParams):
-            make_example_field("nonsense")
+    @pytest.mark.parametrize("kind, params, match", [
+        ("vortex", {"d": 1.5}, "degree"),
+        ("vortex_chain", {"m": 0}, "m >= 1"),
+        ("vortex_chain", {"m": 2.7}, "integer m"),
+        ("nonsense", {}, "unknown field kind"),
+        # a parameter the kind does not read used to be dropped silently
+        ("vortex", {"degree": 3}, r"vortex does not read \['degree'\]"),
+        ("sphere_vortex", {"d": 2}, r"does not read \['d'\]"),
+        ("constant", {"value": (1.0, 0.0), "n": 2}, r"does not read \['n'\]"),
+    ])
+    def test_invalid_params(self, kind, params, match):
+        with pytest.raises(InvalidParams, match=match):
+            make_example_field(kind, **params)
 
 
 # ---------------------------------------------------------------------------

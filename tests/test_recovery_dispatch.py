@@ -12,6 +12,8 @@ from relaxarea.recovery import (
     cone_defect_field_4d,
     cone_defect_filler,
     cone_dipole,
+    counterexample_sequence,
+    cylinder_analogue_2d,
     disk_defect_field_3d,
     homogeneous_cone_extension,
     linear_disk_filler,
@@ -34,6 +36,22 @@ CONSTRUCTIONS = {
         cone_defect_field_4d(), (-1.0, 1.0), EPS,
         filler=cone_defect_filler((-1.0, 1.0), EPS)),
 }
+
+
+@pytest.mark.parametrize("build, breaks", [
+    (CONSTRUCTIONS["smoothing"], {"r": (0.1, 0.2)}),
+    (CONSTRUCTIONS["dipole"], {"t": (0.5,)}),
+    (CONSTRUCTIONS["point"], {"r": (EPS**2, EPS)}),
+    (CONSTRUCTIONS["cone4"], {"t": (EPS**2 / EPS,)}),
+    (lambda: counterexample_sequence("ball", 4), {"r": (0.25,)}),
+    (lambda: counterexample_sequence("cylinder", 4),
+     {"r": (0.25,), "phi": (0.25,)}),
+    (lambda: cylinder_analogue_2d(4), {"r": (0.25,), "theta": (-0.25, 0.25)}),
+], ids=list(CONSTRUCTIONS) + ["ball", "cylinder", "cyl2d"])
+def test_chart_breaks_pinned(build, breaks):
+    got = build().chart_breaks
+    assert got == breaks
+    assert all(type(v) is float for axis in got.values() for v in axis)
 
 
 def spanning_batch(n, radii=(0.5, 0.15, 0.02)):
@@ -77,9 +95,16 @@ def test_nan_row_raises_non_finite(name, method):
     (lambda: homogeneous_cone_extension(
         cone_defect_field_4d(), (-1.0, 1.0), math.inf, 0.04,
         cone_defect_filler((-1.0, 1.0), EPS)), InvalidGeometry, "eps"),
+    (lambda: remove_point_singularity(cone_defect_field_4d(), (0.0, 0.0, 0.0, 0.5),
+                                      EPS, 0.04, linear_disk_filler(EPS)),
+     InvalidParams, r"\(3, 2\) but the field has \(4, 2\)"),
+    (lambda: homogeneous_cone_extension(
+        cone_defect_field_4d(), (-1.0, 1.0), EPS, 0.04, linear_disk_filler(EPS)),
+     InvalidParams, r"\(3, 2\) but the field has \(4, 2\)"),
 ], ids=["smoothing-eps-nan", "smoothing-eps-inf", "smoothing-center-nan",
         "dipole-eps-nan", "dipole-eps-inf", "dipole-base-inf", "point-r-inf",
-        "point-center-inf", "cone4-eps-inf"])
+        "point-center-inf", "cone4-eps-inf", "point-filler-shape",
+        "cone4-filler-shape"])
 def test_bad_parameter_refused_when_built(build, error, match):
     with pytest.raises(error, match=match):
         build()

@@ -93,7 +93,7 @@ class TestWindingNumber:
         conj = VectorField(
             2, 2,
             lambda X: v.evaluate_many(X) * np.array([1.0, -1.0]),
-            None, singular_set=v.singular_set, sphere_valued=True,
+            None, singular_set=v.singular_set,
         )
         assert winding_number(conj, Circle((0.0, 0.0), 0.5)) == -d
 
@@ -110,7 +110,6 @@ def _two_vortex_field(d1, d2):
         singular_set=SingularChain.points(
             2, [(c1, d1 or 1), (c2, d2 or 1)]
         ),
-        sphere_valued=True,
     )
     return field, c1, c2
 
@@ -215,7 +214,7 @@ class TestExtract3d:
             r = np.hypot(Y[:, 0], Y[:, 1])
             return np.stack([Y[:, 0] / r, Y[:, 1] / r], axis=1)
 
-        rot = VectorField(3, 2, ev, None, sphere_valued=True)
+        rot = VectorField(3, 2, ev, None)
         chain = extract_lines_3d(rot, GridSpec(3, 32))
         clipped = chain.filtered(lambda p: np.linalg.norm(p) <= 1.0)
         # staircase (l1) length of a diameter chord, at most sqrt(2) overestimate
