@@ -350,15 +350,22 @@ _DOMAIN_KINDS = ("ball", "cube", "cone", "annulus", "difference")
 
 def make_domain(kind: str, **params) -> Domain:
     """Factory matching the CLI grammar; raises InvalidGeometry on bad input,
-    a parameter the kind does not read included."""
+    a missing required parameter and a parameter the kind does not read
+    included."""
+
+    def need(key):
+        if key not in params:
+            raise InvalidGeometry(f"{kind} domains need {key!r}")
+        return params.pop(key)
+
     if kind == "ball":
-        dom = Ball(params.pop("n"), params.pop("radius", 1.0),
+        dom = Ball(need("n"), params.pop("radius", 1.0),
                    params.pop("center", None))
     elif kind == "cube":
-        dom = Cube(params.pop("n"), params.pop("half_side", 1.0),
+        dom = Cube(need("n"), params.pop("half_side", 1.0),
                    params.pop("center", None))
     elif kind == "annulus":
-        dom = Annulus(params.pop("n"), params.pop("r_in"), params.pop("r_out"),
+        dom = Annulus(need("n"), need("r_in"), need("r_out"),
                       params.pop("center", None))
     elif kind == "cone":
         eps = params.pop("eps", None)
@@ -367,7 +374,7 @@ def make_domain(kind: str, **params) -> Domain:
         dom = Cone(params.pop("n", 3), params.pop("base", (-1.0, 1.0)),
                    eps, params.pop("codim", 2))
     elif kind == "difference":
-        dom = Difference(params.pop("outer"), params.pop("inner"))
+        dom = Difference(need("outer"), need("inner"))
     else:
         raise InvalidGeometry(
             f"unknown domain kind {kind!r}; choose from {_DOMAIN_KINDS}")

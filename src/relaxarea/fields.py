@@ -467,7 +467,10 @@ def make_example_field(kind: str, **params) -> VectorField:
         f = params.pop("f", None)
         if f is None:
             raise InvalidParams("smooth_lift needs a lift function f")
-        field = _smooth_lift(f, params.pop("grad_f", None), int(params.pop("n", 2)))
+        n = float(params.pop("n", 2))
+        if not n.is_integer():
+            raise InvalidParams(f"smooth_lift needs an integer n, got {n:g}")
+        field = _smooth_lift(f, params.pop("grad_f", None), int(n))
     else:
         raise InvalidParams(f"unknown field kind {kind!r}; choose from {_KINDS}")
     if params:

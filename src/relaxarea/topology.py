@@ -34,13 +34,27 @@ The 3d lattice is streamed in slabs of whole axis-0 node layers, about
 SLAB_NODES nodes each, so no full-lattice array is made.  A slab
 evaluates the angles and distances of its new layers and counts the turns
 of their axis-1 and axis-2 edges; the last layer of the previous slab is
-carried over with its angles, distances and axis-1 and axis-2 counts, so
-the axis-0 edges from it into the slab and the faces with normal 1 or 2
-between consecutive layers are taken in the slab as well.  Faces with
-normal 0 are summed on the new layers only.  So every node is evaluated
-once, every edge lifted once and every face summed once, in any slab
-size; the cells are sorted by position at the end, so the chain does not
-depend on the slab size either.
+carried over with its angles, near-singular node marks and axis-1 and
+axis-2 counts, so the axis-0 edges from it into the slab and the faces
+with normal 1 or 2 between consecutive layers are taken in the slab as
+well.  Faces with normal 0 are summed on the new layers only.  So every
+node is evaluated once, every edge lifted once and every face summed
+once, in any slab size; the cells are sorted by position at the end, so
+the chain does not depend on the slab size either.
+
+Each block (a slab, or the 2d grid) marks its near-singular nodes once:
+an edge is a proximity candidate when either end node may lie within
+PROXIMITY_LENGTHS * h + h/2 of the declared singular set.  The flagged
+edges of all the block's axes are lifted in one call.  Within it, only
+the first bisection wave gets exact midpoint distances: a child sub-edge
+inherits the 1-Lipschitz bound ``dist(parent mid) - len(parent) / 4``
+(less a float slack), and the exact distance is computed only where that
+bound cannot decide the tests it is read by, both monotone in the
+distance, so every decision, angle and total is the one exact distances
+give.  With faults on edges of more than one axis of a block, the error
+names the first in wave and row order, which need not be the one a
+separate lift per axis would name first; a single fault is named by the
+same edge and index either way.
 
 Node distances to the declared singular set are culled by tiles of
 CULL_TILE x CULL_TILE nodes in each layer.  Distance is 1-Lipschitz, so
@@ -272,21 +286,59 @@ def _edge_error(what, P0, P1, index, edge) -> AmbiguousWinding:
         index=tuple(map(int, index[edge])))
 
 
+def _safe(lengths, dist):
+    """Sub-edges short enough against their midpoint distance ``dist`` to
+    the declared singular set for their wrapped increment to be trusted;
+    the test is monotone (non-decreasing) in ``dist``."""
+    return lengths <= SAFE_LENGTH_RATIO * np.maximum(dist - lengths / 2, 0.0)
+
+
+def _bounded_distances(field, mids, lengths, small, bound):
+    """Midpoint distances of sub-edges that carry certified lower bounds
+    ``bound`` of them (overwritten): a bound is kept where it decides both
+    tests the distance is read by, and the exact distance is computed
+    elsewhere.
+
+    The guard test ``dist > SINGULAR_GUARD`` and ``_safe`` are monotone in
+    the distance, so a bound above the guard decides the former, and a
+    bound that passes ``_safe`` decides the latter.  The safe test counts
+    only for rows whose increment is ``small`` (below pi/2); the others are
+    bisected whatever their distance.
+    """
+    exact = ~(bound > SINGULAR_GUARD) | (small & ~_safe(lengths, bound))
+    if np.any(exact):
+        bound[exact] = _singular_distance(field, mids[exact])
+    return bound
+
+
 def _lift_edges(field, P0, P1, B0, B1, index) -> np.ndarray:
     """Continuous-lift increments of the straight edges ``P0 -> P1``.
 
     ``B0``/``B1`` are the endpoint angles, ``index`` each edge's lower
-    lattice node (for error reports).  Each edge is bisected until every
+    lattice node (for error reports).  One call serves every flagged edge
+    of a node block, whatever its axis.  Each edge is bisected until every
     sub-increment is below pi/2 AND the sub-edge is short relative to its
-    distance from the declared singular set; a wave's midpoint distances
-    serve both that test and the evaluation guard.  ``owner`` maps
-    sub-edges to edges, whose sub-increments are summed in wave and row
-    order.  Fails only for defects sitting on the edge itself (within the
-    lift depth cap).
+    distance from the declared singular set (``_safe``); a wave's midpoint
+    distances serve both that test and the evaluation guard.  ``owner``
+    maps sub-edges to edges, whose sub-increments are summed in wave and
+    row order.  Fails only for defects sitting on the edge itself (within
+    the lift depth cap); with faults on several edges it names the first
+    in wave and row order, so a block with faults on edges of more than one
+    axis may name another of them than a lift per axis would.
+
+    The first wave gets exact midpoint distances.  Distance is 1-Lipschitz
+    and a child's midpoint lies a quarter of its parent's length from the
+    parent's, so a child inherits the certified bound ``dist(parent mid) -
+    len(parent) / 4`` less a float slack of ``_PRUNE_SLACK`` lattice steps
+    (argued as for the tile cull), and ``_bounded_distances`` computes the
+    exact distance only where that bound cannot decide a test.  Every
+    ``done`` decision, evaluated angle and summed total is the one the
+    exact distances give.
     """
     totals = np.zeros(len(P0))
     owner = np.arange(len(P0))
     Q0, Q1 = P0, P1
+    bound = None  # lower bounds of the midpoint distances after wave one
     level = _LIFT_LEVELS
     while len(owner):
         if level < 0:
@@ -299,17 +351,30 @@ def _lift_edges(field, P0, P1, B0, B1, index) -> np.ndarray:
             raise _edge_error("passes through the singular set near "
                               f"{tuple(map(float, at))}", P0, P1, index, owner[k])
         inc = _wrap(B1 - B0)
-        lengths = np.linalg.norm(Q1 - Q0, axis=1)
+        step = Q1 - Q0
+        lengths = step[:, 0] * step[:, 0]
+        for a in range(1, step.shape[1]):  # in axis order, as ``norm`` sums
+            lengths += step[:, a] * step[:, a]
+        np.sqrt(lengths, out=lengths)
+        del step
         mids = (Q0 + Q1) / 2
-        dist = _singular_distance(field, mids)
-        safe = lengths <= SAFE_LENGTH_RATIO * np.maximum(dist - lengths / 2, 0.0)
-        done = (np.abs(inc) < math.pi / 2) & safe
+        small = np.abs(inc) < math.pi / 2
+        if bound is None:
+            dist = _singular_distance(field, mids)
+            slack = _PRUNE_SLACK * float(np.max(lengths))
+        else:
+            dist = _bounded_distances(field, mids, lengths, small, bound)
+        done = small & _safe(lengths, dist)
         np.add.at(totals, owner[done], inc[done])
         rest = np.flatnonzero(~done)
         if len(rest) == 0:
             break
         mids = mids[rest]
-        ams = _angles(field, mids, dist[rest])
+        dist = dist[rest]
+        ams = _angles(field, mids, dist)
+        dist -= lengths[rest] / 4
+        dist -= slack
+        bound = np.repeat(dist, 2)
         owner = np.repeat(owner[rest], 2)
         Q0 = np.repeat(Q0[rest], 2, axis=0)
         Q1 = np.repeat(Q1[rest], 2, axis=0)
@@ -336,23 +401,34 @@ def _hits(mask: np.ndarray):
     return flat, np.unravel_index(flat, mask.shape)
 
 
-def _near_singular_edges(field, coords, h, D, axis) -> np.ndarray:
+def _close_nodes(D, h) -> np.ndarray:
+    """Nodes whose distance ``D`` to the declared singular set leaves an
+    edge from them possibly within PROXIMITY_LENGTHS * h of it.
+
+    Distance is 1-Lipschitz, so an edge midpoint is at least ``D - h/2``
+    from the set for each end node.  Rounding ``D - h/2`` is monotone, so
+    an edge is a candidate (``close`` at either end) exactly when
+    ``min(D[lo], D[hi]) - h/2`` falls below the limit.
+    """
+    return D - h / 2 < PROXIMITY_LENGTHS * h + _PRUNE_SLACK * h
+
+
+def _near_singular_edges(field, coords, h, close, axis) -> np.ndarray:
     """Edges along ``axis`` with midpoints within PROXIMITY_LENGTHS * h of
     the declared singular set, on the block of nodes with per-axis
-    coordinates ``coords`` and node distances ``D`` to that set.
+    coordinates ``coords`` and near-singular nodes ``close``
+    (``_close_nodes``).
 
-    Distance is 1-Lipschitz, so dist(mid) >= min(node dist) - h/2; only
-    edges that bound cannot clear get an exact distance at their midpoint
+    Only edges with a ``close`` end get an exact distance at their midpoint
     ``node + h/2``.
     """
-    lo, hi = _edge_ends(D.ndim, axis)
-    limit = PROXIMITY_LENGTHS * h
-    maybe = np.minimum(D[lo], D[hi]) - h / 2 < limit + _PRUNE_SLACK * h
+    lo, hi = _edge_ends(close.ndim, axis)
+    maybe = close[lo] | close[hi]
     flat, at = _hits(maybe)
     mids = np.stack([(c[:-1] + h / 2 if i == axis else c)[k]
                      for i, (c, k) in enumerate(zip(coords, at))], axis=1)
     near = np.zeros(maybe.shape, dtype=bool)
-    near.reshape(-1)[flat] = _singular_distance(field, mids) < limit
+    near.reshape(-1)[flat] = _singular_distance(field, mids) < PROXIMITY_LENGTHS * h
     return near
 
 
@@ -360,25 +436,21 @@ def _near_singular_edges(field, coords, h, D, axis) -> np.ndarray:
 _INT8_TURNS = 127 // 4
 
 
-def _turn_counts(field, coords, origin, h, A, D, axis):
-    """Angle differences ``delta = A[hi] - A[lo]`` along lattice ``axis``
-    and the edges' integer turn counts ``K``: each edge's increment is
-    ``delta + 2 pi K``.
+def _turn_counts(field, coords, h, A, close, axis):
+    """Turn counts ``K`` of the edges along lattice ``axis`` of the block of
+    nodes with per-axis coordinates ``coords`` and node angles ``A``, as
+    the wrap gives them, and the edges to lift instead.
 
-    ``A`` and ``D`` live on a block of nodes with per-axis coordinates
-    ``coords`` whose first node has lattice index ``origin``; errors name
-    edges by their lattice index.  An edge whose wrapped difference stays
-    below pi/2 in magnitude takes the count of the wrap, ``K`` in
-    {-1, 0, 1}: |wrap(delta)| is ``pi - ||delta| - pi|``.  Flagged edges
-    carry near-wrap differences or a NaN endpoint, or lie close to the
-    declared singular set (where a |degree| >= 2 defect can alias a full
-    extra turn into a small wrapped value); their endpoint arrays are lifted
-    together, and a lift ``L`` gives ``K = rint((L - delta) / 2 pi)``.  The
-    principal angles telescope around every plaquette, so a face's winding
-    is the signed sum of its edges' counts.
-
-    ``K`` is int8, widened to int64 when a lifted count could make a sum
-    of four counts overflow it.
+    Each edge's increment is ``delta + 2 pi K`` for ``delta = A[hi] -
+    A[lo]``.  An edge whose wrapped difference stays below pi/2 in
+    magnitude takes the count of the wrap, ``K`` in {-1, 0, 1}:
+    |wrap(delta)| is ``pi - ||delta| - pi|``.  Flagged edges carry
+    near-wrap differences or a NaN endpoint, or lie close to the declared
+    singular set (``_near_singular_edges`` on the nodes ``close``, None
+    when no node is), where a |degree| >= 2 defect can alias a full extra
+    turn into a small wrapped value.  Returns ``K`` (int8) and the flagged
+    edges' flat positions, lower-node index tuple and ``delta``; the full
+    ``delta`` is not kept.
     """
     lo, hi = _edge_ends(A.ndim, axis)
     delta = A[hi] - A[lo]
@@ -388,35 +460,86 @@ def _turn_counts(field, coords, origin, h, A, D, axis):
     gap -= math.pi
     np.abs(gap, out=gap)
     flag = ~(gap >= PLAQUETTE_MARGIN)  # a NaN endpoint fails too
-    flag |= _near_singular_edges(field, coords, h, D, axis)
+    if close is not None:
+        flag |= _near_singular_edges(field, coords, h, close, axis)
     flat, i0 = _hits(flag)
-    if len(flat):
-        i1 = tuple(k + 1 if i == axis else k for i, k in enumerate(i0))
-        P0 = np.stack([c[k] for c, k in zip(coords, i0)], axis=1)
-        P1 = np.stack([c[k] for c, k in zip(coords, i1)], axis=1)
-        index = np.stack(i0, axis=1) + np.asarray(origin)
-        turns = _lift_edges(field, P0, P1, A[i0], A[i1], index)
-        turns -= delta.reshape(-1)[flat]
-        turns /= _TWO_PI
-        lifted = np.rint(turns)
-        whole = np.abs(turns - lifted) <= 0.25
-        if not np.all(whole):
-            raise _edge_error("lifts to an increment that is not a whole "
-                              "number of turns from the angle difference",
-                              P0, P1, index, int(np.argmin(whole)))
-        if np.max(np.abs(lifted)) > _INT8_TURNS:
-            K = K.astype(np.int64)
-        K.reshape(-1)[flat] = lifted
-    return delta, K
+    return K, flat, i0, delta.reshape(-1)[flat]
 
 
-def _edge_increments(field, coords, origin, h, A, D, axis) -> np.ndarray:
-    """Increments ``delta + 2 pi K`` of the node angles ``A`` along lattice
-    ``axis``, from the angle differences and turn counts of ``_turn_counts``
-    (same arguments)."""
-    delta, K = _turn_counts(field, coords, origin, h, A, D, axis)
-    delta += _TWO_PI * K
-    return delta
+def _block_turns(field, coords, origin, h, A, close, carried=0):
+    """Integer turn counts ``K`` of the edges along every lattice axis of a
+    block of nodes, one array per axis: each edge's increment is
+    ``A[hi] - A[lo] + 2 pi K``.
+
+    ``A`` and ``close`` are the node angles and near-singular nodes
+    (``_block_nodes``) of the block with per-axis coordinates ``coords``
+    whose first node has lattice index ``origin``; errors name edges by
+    their lattice index.  Edges along the axes other than 0 are taken from
+    layer ``carried`` of axis 0 on (the layers before it were counted with
+    an earlier block).  The flagged edges of all axes (``_turn_counts``)
+    are lifted in one ``_lift_edges`` call, axis by axis in C order, and
+    their edge arrays are built once: a lift ``L`` gives
+    ``K = rint((L - delta) / 2 pi)``, refused unless within a quarter turn.
+    The principal angles telescope around every plaquette, so a face's
+    winding is the signed sum of its edges' counts.
+
+    ``K`` is int8, widened to int64 when a lifted count could make a sum
+    of four counts overflow it.
+    """
+    if not np.any(close):
+        close = None  # no edge is near the singular set
+    turns, flats, lower, deltas = [], [], [], []
+    for axis in range(A.ndim):
+        skip = carried if axis else 0
+        K, flat, i0, delta = _turn_counts(
+            field, [coords[0][skip:]] + list(coords[1:]), h, A[skip:],
+            None if close is None else close[skip:], axis)
+        turns.append(K)
+        flats.append(flat)
+        lower.append((i0[0] + skip,) + i0[1:])
+        deltas.append(delta)
+    ends = np.cumsum([0] + [len(flat) for flat in flats])  # axis segments
+    if not ends[-1]:
+        return turns
+    i0 = [np.concatenate(k) for k in zip(*lower)]
+    del lower
+    P0 = np.stack([c[k] for c, k in zip(coords, i0)], axis=1)
+    B0 = A[tuple(i0)]
+    index = np.stack(i0, axis=1)
+    index += np.asarray(origin)
+    for axis in range(A.ndim):  # i0 becomes the upper nodes
+        i0[axis][ends[axis]:ends[axis + 1]] += 1
+    P1 = np.stack([c[k] for c, k in zip(coords, i0)], axis=1)
+    B1 = A[tuple(i0)]
+    del i0
+    lifts = _lift_edges(field, P0, P1, B0, B1, index)
+    lifts -= np.concatenate(deltas)
+    lifts /= _TWO_PI
+    lifted = np.rint(lifts)
+    whole = np.abs(lifts - lifted) <= 0.25
+    if not np.all(whole):
+        raise _edge_error("lifts to an increment that is not a whole "
+                          "number of turns from the angle difference",
+                          P0, P1, index, int(np.argmin(whole)))
+    for axis, flat in enumerate(flats):
+        part = lifted[ends[axis]:ends[axis + 1]]
+        if len(part) and np.max(np.abs(part)) > _INT8_TURNS:
+            turns[axis] = turns[axis].astype(np.int64)
+        turns[axis].reshape(-1)[flat] = part
+    return turns
+
+
+def _edge_increments(field, coords, origin, h, A, close) -> list:
+    """Increments ``delta + 2 pi K`` of the node angles ``A`` along each
+    lattice axis, from the turn counts of ``_block_turns`` (same
+    arguments)."""
+    increments = []
+    for axis, K in enumerate(_block_turns(field, coords, origin, h, A, close)):
+        lo, hi = _edge_ends(A.ndim, axis)
+        delta = A[hi] - A[lo]
+        delta += _TWO_PI * K
+        increments.append(delta)
+    return increments
 
 
 def _block_points(coords) -> np.ndarray:
@@ -465,19 +588,19 @@ def _node_distances(field, X, coords, h) -> np.ndarray:
 
 def _block_nodes(field, coords, h):
     """Node angles (NaN on the singular set) on the block with per-axis
-    coordinates ``coords``, and the node distances of ``_node_distances``."""
+    coordinates ``coords``, and its near-singular nodes (``_close_nodes``
+    of the node distances of ``_node_distances``)."""
     X = _block_points(coords)
     D = _node_distances(field, X, coords, h)
     shape = tuple(len(c) for c in coords)
-    return _angles(field, X, D).reshape(shape), D.reshape(shape)
+    return _angles(field, X, D).reshape(shape), _close_nodes(D, h).reshape(shape)
 
 
 def grid_edge_data_2d(field: VectorField, grid: GridSpec):
     """Node angles and (lift-corrected) edge increments on the grid."""
     coords = [grid.axis_nodes(0), grid.axis_nodes(1)]
-    A, D = _block_nodes(field, coords, grid.h)
-    d1, d2 = (_edge_increments(field, coords, (0, 0), grid.h, A, D, axis)
-              for axis in (0, 1))
+    A, close = _block_nodes(field, coords, grid.h)
+    d1, d2 = _edge_increments(field, coords, (0, 0), grid.h, A, close)
     return coords[0], coords[1], A, d1, d2
 
 
@@ -502,9 +625,8 @@ def extract_vortices_2d(field: VectorField, grid: GridSpec) -> SingularChain:
     if field.n != 2 or field.m != 2:
         raise InvalidParams("extract_vortices_2d expects an n=2, m=2 field")
     coords = [grid.axis_nodes(0), grid.axis_nodes(1)]
-    A, D = _block_nodes(field, coords, grid.h)
-    K1, K2 = (_turn_counts(field, coords, (0, 0), grid.h, A, D, axis)[1]
-              for axis in (0, 1))
+    A, close = _block_nodes(field, coords, grid.h)
+    K1, K2 = _block_turns(field, coords, (0, 0), grid.h, A, close)
     mult = plaquette_windings_2d(K1, K2)
     cells = []
     for i, j in np.argwhere(mult != 0):
@@ -551,20 +673,21 @@ def extract_lines_3d(field: VectorField, grid: GridSpec) -> SingularChain:
     h, res = grid.h, grid.resolution
     step = max(1, SLAB_NODES // res**2)
     cells = []
-    carried = None  # A, D and axis-1 and axis-2 turns of the previous layer
+    carried = None  # A, close and axis-1 and axis-2 turns of the last layer
     for start in range(0, res, step):
         stop = min(start + step, res)
         new = [nodes[0][start:stop], nodes[1], nodes[2]]
-        A, D = _block_nodes(field, new, h)
+        A, close = _block_nodes(field, new, h)
         k = 0 if carried is None else 1  # layers carried over
         first = start - k
         if k:
-            A, D = np.concatenate([carried[0], A]), np.concatenate([carried[1], D])
+            A = np.concatenate([carried[0], A])
+            close = np.concatenate([carried[1], close])
         block = [nodes[0][first:stop], nodes[1], nodes[2]]
-        turns = [_turn_counts(field, block, (first, 0, 0), h, A, D, 0)[1]]
-        for axis in (1, 2):
-            K = _turn_counts(field, new, (start, 0, 0), h, A[k:], D[k:], axis)[1]
-            turns.append(np.concatenate([carried[1 + axis], K]) if k else K)
+        turns = _block_turns(field, block, (first, 0, 0), h, A, close, k)
+        if k:
+            for axis in (1, 2):
+                turns[axis] = np.concatenate([carried[1 + axis], turns[axis]])
         for a in range(3):
             b, c = (a + 1) % 3, (a + 2) % 3
             # plaquettes live in (b, c), summed in integers;
@@ -579,7 +702,7 @@ def extract_lines_3d(field: VectorField, grid: GridSpec) -> SingularChain:
             mult -= kb[hi_c]
             mult -= kc[lo_b]
             cells += _slab_cells(mult, a, at, nodes, h)
-        carried = [x[-1:].copy() for x in (A, D, turns[1], turns[2])]
+        carried = [x[-1:].copy() for x in (A, close, turns[1], turns[2])]
     cells.sort(key=lambda cell: tuple(np.concatenate([cell[0][0], cell[0][1]])))
     return SingularChain.segments(3, cells, spacing=h)
 

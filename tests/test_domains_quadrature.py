@@ -110,6 +110,10 @@ class TestDomains:
          r"ball does not read \['centre'\]"),
         (lambda: make_domain("cone", n=3, eps=0.2, t_min=0.5),
          r"cone does not read \['t_min'\]"),
+        # a missing required key used to raise a bare KeyError
+        (lambda: make_domain("ball", radius=0.5), "ball domains need 'n'"),
+        (lambda: make_domain("annulus", n=2, r_out=1.0),
+         "annulus domains need 'r_in'"),
     ])
     def test_invalid_geometry(self, build, match):
         with pytest.raises(InvalidGeometry, match=match):

@@ -207,6 +207,8 @@ class TestExampleFields:
         ("vortex", {"d": 1.5}, "degree"),
         ("vortex_chain", {"m": 0}, "m >= 1"),
         ("vortex_chain", {"m": 2.7}, "integer m"),
+        # a non-integer source dimension used to be truncated
+        ("smooth_lift", {"f": np.sin, "n": 2.5}, "integer n, got 2.5"),
         ("nonsense", {}, "unknown field kind"),
         # a parameter the kind does not read used to be dropped silently
         ("vortex", {"degree": 3}, r"vortex does not read \['degree'\]"),

@@ -20,7 +20,12 @@ from relaxarea.chains import (
 from relaxarea.domains import Ball, Cube
 from relaxarea.errors import AmbiguousWinding, InvalidParams, SingularOnLoop
 from relaxarea import topology
-from relaxarea.fields import VectorField, make_example_field, chain_centers_radii
+from relaxarea.fields import (
+    SINGULAR_GUARD,
+    VectorField,
+    chain_centers_radii,
+    make_example_field,
+)
 from relaxarea.topology import (
     PROXIMITY_LENGTHS,
     Circle,
@@ -34,6 +39,7 @@ from relaxarea.topology import (
     winding_number,
     _angles,
     _block_points,
+    _close_nodes,
     _edge_increments,
     _near_singular_edges,
     _node_distances,
@@ -287,7 +293,8 @@ def _assert_pruned_mask_exact(field, grid):
         assert expect.any()
         coords = [grid.axis_nodes(i) for i in range(grid.n)]
         assert np.array_equal(
-            _near_singular_edges(field, coords, grid.h, D, axis), expect)
+            _near_singular_edges(field, coords, grid.h, _close_nodes(D, grid.h),
+                                 axis), expect)
 
 
 class TestPrunedProximityMask:
@@ -382,8 +389,8 @@ def reference_lines_3d(field, grid):
     distances, and the sweep on transposed (b, c, a) views."""
     nodes = [grid.axis_nodes(a) for a in range(3)]
     A, D = reference_nodes(field, grid)
-    edges = [_edge_increments(field, nodes, (0, 0, 0), grid.h, A, D, axis)
-             for axis in range(3)]
+    edges = _edge_increments(field, nodes, (0, 0, 0), grid.h, A,
+                             _close_nodes(D, grid.h))
     h = grid.h
     cells = []
     for a in range(3):
@@ -499,11 +506,12 @@ class TestTurnCounts:
         grid = GridSpec(3, 16)
         coords = [grid.axis_nodes(a) for a in range(3)]
         A, D = reference_nodes(f, grid)
-        for axis in range(3):
-            delta, K = topology._turn_counts(f, coords, (0, 0, 0), grid.h,
-                                             A, D, axis)
+        close = _close_nodes(D, grid.h)
+        turns = topology._block_turns(f, coords, (0, 0, 0), grid.h, A, close)
+        increments = _edge_increments(f, coords, (0, 0, 0), grid.h, A, close)
+        for axis, (K, inc) in enumerate(zip(turns, increments)):
+            delta = np.diff(A, axis=axis)
             assert K.dtype == np.int8 and set(np.unique(K)) <= {-1, 0, 1}
-            inc = _edge_increments(f, coords, (0, 0, 0), grid.h, A, D, axis)
             assert np.array_equal(inc, delta + 2 * math.pi * K)
             assert np.all(np.abs(modulo_wrap(inc) - inc) < 1e-12)
 
@@ -557,6 +565,159 @@ class TestTurnCounts:
         assert max(abs(m) for _, m in chain.cells) > 127
         assert chain_csv_text(chain) == chain_csv_text(
             reference_lines_3d(f, grid))
+
+
+def reference_lift(field, P0, P1, B0, B1, index):
+    """``_lift_edges`` with an exact midpoint distance for every sub-edge of
+    every wave and ``np.linalg.norm`` lengths: the totals and errors that
+    the bounded distances must reproduce."""
+    totals = np.zeros(len(P0))
+    owner = np.arange(len(P0))
+    Q0, Q1 = P0, P1
+    level = topology._LIFT_LEVELS
+    while len(owner):
+        if level < 0:
+            raise topology._edge_error("stayed ambiguous under bisection",
+                                       P0, P1, index, owner[0])
+        bad = ~np.isfinite(B0) | ~np.isfinite(B1)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            at = Q0[k] if not np.isfinite(B0[k]) else Q1[k]
+            raise topology._edge_error(
+                "passes through the singular set near "
+                f"{tuple(map(float, at))}", P0, P1, index, owner[k])
+        inc = _wrap(B1 - B0)
+        lengths = np.linalg.norm(Q1 - Q0, axis=1)
+        mids = (Q0 + Q1) / 2
+        dist = topology._singular_distance(field, mids)
+        safe = lengths <= topology.SAFE_LENGTH_RATIO * np.maximum(
+            dist - lengths / 2, 0.0)
+        done = (np.abs(inc) < math.pi / 2) & safe
+        np.add.at(totals, owner[done], inc[done])
+        rest = np.flatnonzero(~done)
+        if len(rest) == 0:
+            break
+        mids = mids[rest]
+        ams = _angles(field, mids, dist[rest])
+        owner = np.repeat(owner[rest], 2)
+        Q0 = np.repeat(Q0[rest], 2, axis=0)
+        Q1 = np.repeat(Q1[rest], 2, axis=0)
+        Q0[1::2] = mids
+        Q1[0::2] = mids
+        B0 = np.repeat(B0[rest], 2)
+        B1 = np.repeat(B1[rest], 2)
+        B0[1::2] = ams
+        B1[0::2] = ams
+        level -= 1
+    return totals
+
+
+def checked_lift_monkeypatch(monkeypatch):
+    """Make every ``_lift_edges`` call also run ``reference_lift`` on its
+    edges and require the same totals bit for bit, or the same error
+    message and index; records each call's ``_edge_key`` list."""
+    calls = []
+    lift = topology._lift_edges
+
+    def checked(field, P0, P1, B0, B1, index):
+        calls.append(_edge_key(P0, P1, index))
+        try:
+            want = reference_lift(field, P0, P1, B0, B1, index)
+        except AmbiguousWinding as exc:
+            with pytest.raises(AmbiguousWinding) as err:
+                lift(field, P0, P1, B0, B1, index)
+            assert (str(err.value), err.value.index) == (str(exc), exc.index)
+            raise
+        got = lift(field, P0, P1, B0, B1, index)
+        assert np.array_equal(got, want)
+        return got
+
+    monkeypatch.setattr(topology, "_lift_edges", checked)
+    return calls
+
+
+class TestBlockLift:
+    """One lift per node block, with Lipschitz-bounded sub-edge distances,
+    gives the exact-distance lift's totals and errors bit for bit."""
+
+    def test_random_line_fields(self, monkeypatch):
+        calls = checked_lift_monkeypatch(monkeypatch)
+        rng = np.random.default_rng(17)
+        for trial in range(12):
+            grid = GridSpec(3, (16, 32)[trial % 2])
+            f = line_field(int(rng.integers(0, 3)), rng.uniform(-0.3, 0.3, 2),
+                           rng.uniform(-0.5, 0.5, 3))
+            assert len(extract_lines_3d(f, grid)) > 0
+        assert len(calls) >= 12
+
+    @pytest.mark.parametrize("field, grid", [
+        (make_example_field("planar_vortex"), GridSpec(3, 64)),
+        (make_example_field("vortex", d=2, center=(0.13, -0.21)),
+         GridSpec(2, 64)),
+        (make_example_field("vortex", d=-3), GridSpec(2, 32)),
+    ], ids=["planar64", "vortex2", "vortex-3"])
+    def test_fields(self, monkeypatch, field, grid):
+        calls = checked_lift_monkeypatch(monkeypatch)
+        extract = extract_lines_3d if grid.n == 3 else extract_vortices_2d
+        assert len(extract(field, grid)) > 0
+        # the lifts of a block cover edges of every axis in one call
+        assert {key[-1] for key in calls[0]} == set(range(grid.n))
+
+    @pytest.mark.parametrize("case", [
+        lambda mp: TestExtract2d().test_defect_on_node_is_ambiguous(),
+        lambda mp: TestExtract3d().test_line_through_nodes_is_ambiguous(),
+        lambda mp: TestSlabStreaming().test_error_index_is_global(mp),
+    ], ids=["node-2d", "line-3d", "slabs-3d"])
+    def test_error_cases(self, monkeypatch, case):
+        # each case asserts its own error index; the check adds the reference
+        checked_lift_monkeypatch(monkeypatch)
+        case(monkeypatch)
+
+    def test_skipped_distances_are_certified_bounds(self, monkeypatch):
+        skipped = []
+        resolve = topology._bounded_distances
+
+        def checked(field, mids, lengths, small, bound):
+            dist = resolve(field, mids, lengths, small, bound)
+            exact = distance_to_chain(mids, field.singular_set)
+            kept = dist != exact
+            assert np.all(dist[kept] <= exact[kept])
+            assert np.all(dist[kept] > 4 * SINGULAR_GUARD)
+            skipped.append(int(np.count_nonzero(kept)))
+            return dist
+
+        monkeypatch.setattr(topology, "_bounded_distances", checked)
+        rng = np.random.default_rng(18)
+        fields = [make_example_field("planar_vortex"),
+                  make_example_field("vortex", d=2, center=(0.13, -0.21))]
+        fields += [line_field(int(rng.integers(0, 3)),
+                              rng.uniform(-0.3, 0.3, 2),
+                              rng.uniform(-0.5, 0.5, 3)) for _ in range(4)]
+        for f in fields:
+            grid = GridSpec(f.n, 32)
+            extract = extract_lines_3d if f.n == 3 else extract_vortices_2d
+            extract(f, grid)
+        assert sum(skipped) > 0
+
+    def test_one_lift_per_slab(self, monkeypatch):
+        f = make_example_field("planar_vortex")
+        grid = GridSpec(3, 16)
+        slab_monkeypatch(monkeypatch, grid, 3, 4)
+        seen = lift_monkeypatch(monkeypatch, lambda key: 0)
+        calls = []
+        counted = topology._lift_edges
+
+        def once(field, P0, P1, B0, B1, index):
+            calls.append({int(i) for i in index[:, 0]})
+            return counted(field, P0, P1, B0, B1, index)
+
+        monkeypatch.setattr(topology, "_lift_edges", once)
+        extract_lines_3d(f, grid)
+        slabs = -(-grid.resolution // 3)
+        assert 0 < len(calls) <= slabs
+        # each call's edges start in one slab (or its carried layer)
+        assert all(max(c) - min(c) <= 3 for c in calls)
+        assert {key[3] for key in seen} == {0, 1, 2}
 
 
 class TestDistanceCull:
