@@ -300,7 +300,9 @@ def distance_to_chain(X: np.ndarray, chain: SingularChain) -> np.ndarray:
     ``ab = b - a`` gives ``t = clip((X - a) @ ab / (ab @ ab), 0, 1)`` and
     ``W = X - (a + t * ab)``.  The squared distance is ``W[:, 0]**2 +
     W[:, 1]**2 + ...`` summed column by column in axis order, which is the
-    order ``np.linalg.norm(W, axis=1)`` sums in.  The minimum over cells
+    order ``np.linalg.norm(W, axis=1)`` and ``domains.row_norms`` sum in
+    (kept inline here because the minimum is taken before the ``sqrt``, in
+    preallocated scratch arrays).  The minimum over cells
     is taken on squared distances and one ``sqrt`` is applied at the end;
     ``sqrt`` is correctly rounded and monotone, so this equals the minimum
     of the per-cell norms bit for bit (NaN propagates through both).

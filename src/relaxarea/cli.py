@@ -323,7 +323,9 @@ def _run_sweep(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _config_parser():
+    """The ``--config`` pre-parser, built once per process; no call changes it."""
     # no abbreviations: the pre-parse must leave recover's "--con" alone, and
     # the full parser must not take a "--conf" that the pre-parse skipped
     parser = argparse.ArgumentParser(prog="relaxarea", add_help=False,

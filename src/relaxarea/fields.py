@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .chains import SINGULAR_GUARD, SingularChain, distance_to_chain
+from .domains import row_norms
 from .errors import InvalidParams, NonFinite, SingularPoint, StencilCrossesSingularity
 
 #: relative central-difference step (sqrt(machine eps) balance)
@@ -174,7 +175,7 @@ class VectorField:
 
     def _fd_jacobian(self, X):
         N = X.shape[0]
-        h = FD_STEP * np.maximum(1.0, np.linalg.norm(X, axis=1))
+        h = FD_STEP * np.maximum(1.0, row_norms(X))
         if self.singular_set is not None and len(self.singular_set.cells) > 0:
             d = distance_to_chain(X, self.singular_set)
             if np.any(d <= 1.01 * h * math.sqrt(self.n)):
@@ -251,13 +252,13 @@ def _planar_vortex() -> VectorField:
 
 def _sphere_vortex() -> VectorField:
     def ev(X):
-        r = np.linalg.norm(X, axis=1)
+        r = row_norms(X)
         if np.any(r <= SINGULAR_GUARD):
             raise SingularPoint("sphere vortex evaluated at the origin")
         return X / r[:, None]
 
     def jac(X):
-        r = np.linalg.norm(X, axis=1)
+        r = row_norms(X)
         if np.any(r <= SINGULAR_GUARD):
             raise SingularPoint("sphere vortex Jacobian at the origin")
         xh = X / r[:, None]

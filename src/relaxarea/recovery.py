@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import SingularChain
-from .domains import Annulus, Ball, Cone, Domain
+from .domains import Annulus, Ball, Cone, Domain, row_norms
 from .errors import DegreeMismatch, InvalidGeometry, InvalidParams
 from .fields import VectorField
 from .quadrature import QuadratureResult, graph_functionals
@@ -104,7 +104,10 @@ def vortex_smoothing_2d(field: VectorField, center, d: int, eps: float) -> Vecto
 
     Outside B_eps the input is untouched; on eps/2 <= rho <= eps a homotopy
     ring deforms (cos d theta, sin d theta) onto the boundary trace; inside,
-    the linear core (2 rho / eps) (cos d theta, sin d theta).
+    the linear core (2 rho / eps) (cos d theta, sin d theta).  The pinch
+    check at build time (the trace stays ``LIFT_PINCH`` from antipodal) and
+    the ring's values read trace values only; the input's Jacobian is read
+    only when the built field's Jacobian is.
     """
     if field.n != 2 or field.m != 2:
         raise InvalidParams("vortex_smoothing_2d expects an n=2, m=2 field")
@@ -117,19 +120,24 @@ def vortex_smoothing_2d(field: VectorField, center, d: int, eps: float) -> Vecto
     if wd != d:
         raise DegreeMismatch(f"winding on the eps-circle is {wd}, expected {d}")
 
-    def trace(theta):
-        e_rho, e_th = _circle_frame(theta)
-        pts = c + eps * e_rho
+    def offset(theta):
+        """The lift offset g = wrap(atan2(U2, U1) - d theta) of the trace U.
+
+        Returns ``(g, U, pts)``; only values of the input are read.
+        """
+        pts = c + eps * _circle_frame(theta)[0]
         U = field.evaluate_many(pts)
+        return _wrap(np.arctan2(U[:, 1], U[:, 0]) - d * theta), U, pts
+
+    def trace(theta):
+        """g and dg/dtheta, which reads the input's Jacobian."""
+        g, U, pts = offset(theta)
         J = field.jacobian_many(pts)
-        dU = np.einsum("nij,nj->ni", J, eps * e_th)
-        tr = np.arctan2(U[:, 1], U[:, 0])
-        g = _wrap(tr - d * theta)
-        dg = _target_angle_grad(U, dU) - d
-        return g, dg
+        dU = np.einsum("nij,nj->ni", J, eps * _circle_frame(theta)[1])
+        return g, _target_angle_grad(U, dU) - d
 
     probe = np.linspace(-math.pi, math.pi, 256, endpoint=False)
-    gmax = float(np.max(np.abs(trace(probe)[0])))
+    gmax = float(np.max(np.abs(offset(probe)[0])))
     if gmax > LIFT_PINCH:
         raise InvalidParams(
             "boundary trace too far from the reference vortex for a "
@@ -141,12 +149,13 @@ def vortex_smoothing_2d(field: VectorField, center, d: int, eps: float) -> Vecto
         return np.hypot(W[:, 0], W[:, 1]), np.arctan2(W[:, 1], W[:, 0])
 
     def classify(X):
-        rho, _ = polar(X)
+        W = X - c
+        rho = np.hypot(W[:, 0], W[:, 1])
         return np.add(rho < eps, rho < eps / 2, dtype=np.int8)
 
     def ring_ev(X):
         rho, theta = polar(X)
-        g, _ = trace(theta)
+        g = offset(theta)[0]
         return _circle_frame(d * theta + (2.0 * rho / eps - 1.0) * g)[0]
 
     def ring_jac(X):
@@ -195,7 +204,10 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
 
     Inside the cone |x~| <= eps * dist(z, {a, b}) the map becomes a
     homotopy shell (outer half) over a linear degree-d core (inner half),
-    with traces matching the input on the cone boundary.
+    with traces matching the input on the cone boundary.  As for
+    :func:`vortex_smoothing_2d`, the pinch check and the shell's values read
+    trace values only; the input's Jacobian is read only when the built
+    field's Jacobian is.
     """
     if field.n != 3 or field.m != 2:
         raise InvalidParams("cone_dipole expects an n=3, m=2 field")
@@ -209,13 +221,21 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
     if wd != d:
         raise DegreeMismatch(f"winding around the segment is {wd}, expected {d}")
 
-    def trace(theta, z):
+    def offset(theta, z):
+        """The lift offset g = wrap(atan2(U2, U1) - d theta) of the trace U.
+
+        Returns ``(g, U, pts)``; only values of the input are read.
+        """
         r = cone.profile(z)
         pts = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
         U = field.evaluate_many(pts)
+        return _wrap(np.arctan2(U[:, 1], U[:, 0]) - d * theta), U, pts
+
+    def trace(theta, z):
+        """g and its theta- and z-derivatives, which read the input's Jacobian."""
+        g, U, pts = offset(theta, z)
         J = field.jacobian_many(pts)
-        tr = np.arctan2(U[:, 1], U[:, 0])
-        g = _wrap(tr - d * theta)
+        r = cone.profile(z)
         dth = np.stack([-r * np.sin(theta), r * np.cos(theta), np.zeros_like(r)],
                        axis=1)
         slope = cone.slope(z)
@@ -230,7 +250,7 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
         np.linspace(a + (b - a) / 64, b - (b - a) / 64, 33),
         indexing="ij",
     )
-    gmax = float(np.max(np.abs(trace(tt.ravel(), zz.ravel())[0])))
+    gmax = float(np.max(np.abs(offset(tt.ravel(), zz.ravel())[0])))
     if gmax > LIFT_PINCH:
         raise InvalidParams(
             "trace too far from the reference vortex for a shortest-arc homotopy"
@@ -251,13 +271,14 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
                            - (2.0 * rho * cone.slope(z) / r**2)[:, None] * e_z)
 
     def classify(X):
-        rho, _, z, r = cylinder(X)
+        z = X[:, 2]
+        rho, r = np.hypot(X[:, 0], X[:, 1]), cone.profile(z)
         inside = (z > a) & (z < b) & (rho <= r)
         return np.add(inside, inside & (rho < r / 2), dtype=np.int8)
 
     def ring_ev(X):
         rho, theta, z, r = cylinder(X)
-        g, _, _ = trace(theta, z)
+        g = offset(theta, z)[0]
         return _circle_frame(d * theta + (2.0 * rho / r - 1.0) * g)[0]
 
     def ring_jac(X):
@@ -331,12 +352,12 @@ def remove_point_singularity(field: VectorField, center, r: float, delta: float,
     scale = r / delta
 
     def classify(X):
-        rho = np.linalg.norm(X - c, axis=1)
+        rho = row_norms(X - c)
         return np.add(rho < r, rho <= delta, dtype=np.int8)
 
     def radial(X):
         W = X - c
-        rho = np.linalg.norm(W, axis=1)
+        rho = row_norms(W)
         Wr = W / rho[:, None]
         P = np.eye(n)[None] - Wr[:, :, None] * Wr[:, None, :]
         return c + r * Wr, (r / rho)[:, None, None] * P
@@ -385,14 +406,14 @@ def homogeneous_cone_extension(field: VectorField, base, eps: float,
     scale = eps / delta
 
     def classify(X):
-        rho = np.linalg.norm(X[:, :3], axis=1)
+        rho = row_norms(X[:, :3])
         z = X[:, 3]
         r = cone.profile(z)
         inside = (z > cone.a) & (z < cone.b) & (rho <= r)
         return np.add(inside, inside & (rho <= frac * r), dtype=np.int8)
 
     def homogeneous(X):
-        rho = np.linalg.norm(X[:, :3], axis=1)
+        rho = row_norms(X[:, :3])
         r = cone.profile(X[:, 3])
         W = X[:, :3] / rho[:, None]
         Y = X.copy()
@@ -450,14 +471,14 @@ def counterexample_sequence(variant: str, k: int) -> VectorField:
 
 def _ball_variant(k: int) -> VectorField:
     def ev(X):
-        r = np.linalg.norm(X, axis=1)
+        r = row_norms(X)
         out = np.where(r[:, None] >= 1.0 / k,
                        X / np.maximum(r, 1e-300)[:, None],
                        k * X)
         return out
 
     def jac(X):
-        r = np.linalg.norm(X, axis=1)
+        r = row_norms(X)
         J = np.empty((X.shape[0], 3, 3))
         far = r >= 1.0 / k
         if np.any(far):
@@ -490,7 +511,7 @@ def _cylinder_variant(k: int) -> VectorField:
     rk = 1.0 / k
 
     def _spherical(X):
-        r = np.linalg.norm(X, axis=1)
+        r = row_norms(X)
         rho = np.hypot(X[:, 0], X[:, 1])
         phi = np.arctan2(rho, X[:, 2])
         psi = np.arctan2(X[:, 1], X[:, 0])
@@ -600,11 +621,11 @@ def disk_defect_field_3d() -> VectorField:
     """(x1, x2)/|x| on B^3: a D^2-valued point defect at the origin."""
 
     def ev(X):
-        r = np.linalg.norm(X, axis=1)
+        r = row_norms(X)
         return X[:, :2] / np.maximum(r, 1e-300)[:, None]
 
     def jac(X):
-        r = np.linalg.norm(X, axis=1)
+        r = row_norms(X)
         J = np.zeros((X.shape[0], 2, 3))
         J[:, 0, 0] = J[:, 1, 1] = 1.0
         J /= r[:, None, None]
@@ -641,12 +662,12 @@ def cone_defect_field_4d(base=(-1.0, 1.0)) -> VectorField:
     a, b = float(base[0]), float(base[1])
 
     def ev(X):
-        rho = np.linalg.norm(X[:, :3], axis=1)
+        rho = row_norms(X[:, :3])
         q = 1.0 / np.maximum(rho, 1e-300) + rho
         return X[:, :2] * q[:, None]
 
     def jac(X):
-        rho = np.linalg.norm(X[:, :3], axis=1)
+        rho = row_norms(X[:, :3])
         rho = np.maximum(rho, 1e-300)
         q = 1.0 / rho + rho
         dq = (1.0 - 1.0 / rho**2)  # dq/drho

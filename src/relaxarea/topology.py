@@ -76,6 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import SingularChain, chain_mass, distance_to_chain
+from .domains import row_norms
 from .errors import (
     AmbiguousWinding,
     InvalidParams,
@@ -214,7 +215,7 @@ def _loop_points(loop, samples: int) -> np.ndarray:
     verts = np.asarray(loop, dtype=float)
     if verts.ndim != 2 or verts.shape[0] < 3:
         raise InvalidParams("polyline loop needs at least 3 vertices")
-    seglen = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
+    seglen = row_norms(np.roll(verts, -1, axis=0) - verts)
     total = seglen.sum()
     pts = []
     for i, L in enumerate(seglen):
@@ -351,12 +352,7 @@ def _lift_edges(field, P0, P1, B0, B1, index) -> np.ndarray:
             raise _edge_error("passes through the singular set near "
                               f"{tuple(map(float, at))}", P0, P1, index, owner[k])
         inc = _wrap(B1 - B0)
-        step = Q1 - Q0
-        lengths = step[:, 0] * step[:, 0]
-        for a in range(1, step.shape[1]):  # in axis order, as ``norm`` sums
-            lengths += step[:, a] * step[:, a]
-        np.sqrt(lengths, out=lengths)
-        del step
+        lengths = row_norms(Q1 - Q0)
         mids = (Q0 + Q1) / 2
         small = np.abs(inc) < math.pi / 2
         if bound is None:

@@ -88,3 +88,31 @@ def line_field(axis, offset, phase_coeffs):
         singular_set=SingularChain.segments(3, [(seg, 1)]),
         name="line_field",
     )
+
+
+@pytest.fixture
+def counting_field():
+    """Wrap a field in a VectorField whose evaluator and Jacobian count calls.
+
+    ``counting_field(field)`` returns ``(wrapped, calls)``, where ``calls``
+    holds the number of ``"evaluate"`` and ``"jacobian"`` calls made on the
+    input through the wrapper.
+    """
+
+    def wrap(field):
+        calls = {"evaluate": 0, "jacobian": 0}
+
+        def ev(X):
+            calls["evaluate"] += 1
+            return field.evaluate_many(X)
+
+        def jac(X):
+            calls["jacobian"] += 1
+            return field.jacobian_many(X)
+
+        wrapped = VectorField(field.n, field.m, ev, jac,
+                              singular_set=field.singular_set,
+                              chart_breaks=field.chart_breaks, name=field.name)
+        return wrapped, calls
+
+    return wrap

@@ -16,6 +16,7 @@ from relaxarea.domains import (
     Cube,
     Difference,
     make_domain,
+    row_norms,
 )
 from relaxarea.errors import (
     InvalidGeometry,
@@ -45,6 +46,25 @@ from relaxarea.recovery import (
 
 def ones(X):
     return np.ones(X.shape[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("rows", [1, 10_000])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_row_norms_equal_linalg_norm_bit_for_bit(n, rows, order):
+    rng = np.random.default_rng(n * rows)
+    scale = 10.0 ** rng.uniform(-3, 3, (rows, 1))
+    X = np.array(rng.standard_normal((rows, n)) * scale, order=order)
+    X[::7, 0] = 0.0
+    if rows > 1:
+        X[1] = 0.0
+        X[2, n - 1] = np.nan
+    got = row_norms(X)
+    want = np.linalg.norm(X, axis=1)
+    assert got.tobytes() == want.tobytes()
+    # and on a strided column slice
+    want = np.linalg.norm(X[:, 1:], axis=1)
+    assert row_norms(X[:, 1:]).tobytes() == want.tobytes()
 
 
 class TestDomains:

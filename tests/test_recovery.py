@@ -7,7 +7,7 @@ from conftest import VORTEX_AREA_B2
 
 from relaxarea.domains import Ball, Cone
 from relaxarea.errors import DegreeMismatch, InvalidGeometry, InvalidParams
-from relaxarea.fields import make_example_field, minors2
+from relaxarea.fields import chain_centers_radii, make_example_field, minors2
 from relaxarea.quadrature import area_functional, graph_functionals, integrate
 from relaxarea.recovery import (
     cone_defect_field_4d,
@@ -82,6 +82,20 @@ class TestVortexSmoothing:
         X = sample_ring(rng, 2, 0.4, 0.9, 40)
         assert np.array_equal(ve.evaluate_many(X), chain.evaluate_many(X))
 
+    def test_ring_values_read_no_jacobian(self, counting_field):
+        # the pinch probe and the ring's values read trace values only
+        rng = np.random.default_rng(6)
+        chain, calls = counting_field(make_example_field("vortex_chain", m=6))
+        centers, radii = chain_centers_radii(6)
+        c, eps = centers[1], 0.4 * radii[1]
+        ve = vortex_smoothing_2d(chain, tuple(c), -1, eps)
+        assert calls["jacobian"] == 0 and calls["evaluate"] > 0
+        ring = c + sample_ring(rng, 2, 0.55, 0.95, 50) * eps
+        ve.evaluate_many(ring)
+        assert calls["jacobian"] == 0
+        ve.jacobian_many(ring)
+        assert calls["jacobian"] >= 1
+
 
 class TestConeDipole:
     def test_trace_agreement_on_cone_boundary(self, rng):
@@ -105,6 +119,22 @@ class TestConeDipole:
         outside = rho > 0.1 * (1 - np.abs(X[:, 2])) + 1e-6
         X = X[outside][:100]
         assert np.array_equal(w.evaluate_many(X), pv.evaluate_many(X))
+
+    def test_ring_values_read_no_jacobian(self, counting_field):
+        # the pinch probe and the ring's values read trace values only
+        rng = np.random.default_rng(3)
+        pv, calls = counting_field(make_example_field("planar_vortex"))
+        eps = 0.1
+        w = cone_dipole(pv, (-1.0, 1.0), 1, eps)
+        assert calls["jacobian"] == 0 and calls["evaluate"] > 0
+        z = rng.uniform(-0.9, 0.9, 50)
+        th = rng.uniform(-math.pi, math.pi, 50)
+        r = eps * (1 - np.abs(z)) * rng.uniform(0.55, 0.95, 50)
+        ring = np.stack([r * np.cos(th), r * np.sin(th), z], axis=1)
+        w.evaluate_many(ring)
+        assert calls["jacobian"] == 0
+        w.jacobian_many(ring)
+        assert calls["jacobian"] >= 1
 
     def test_values_in_unit_disk(self, rng):
         pv = make_example_field("planar_vortex")
