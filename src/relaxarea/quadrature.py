@@ -28,20 +28,15 @@ integrand calls, most of all in a refusal, which reaches the depth cap in
 about one call per level.  ``max_cells`` caps the cells of each chart: a wave splits no more cells
 than that budget has left.
 
-Cells that hit the cap while touching a declared singular set have their
-error replaced by an analytic bound C * diam^(n-g) for the declared local
-growth |f| <= C / dist^g, with C sampled from the cell's own nodes times a
-safety factor of 4.
-
 A depth-capped cell is final, as in DCUHRE: it is never split again and
-its error stays in the sum.  So a refusal can be decided before the cell
-budget runs out.  With C_k the capped error of component k summed over all
-charts, V_k the sum over charts of |chart value_k| and U_k their uncapped
-error, component k is *decided* once
+its own error estimate stays in the sum.  So a refusal can be decided
+before the cell budget runs out.  With C_k the capped error of component
+k summed over all charts, V_k the sum over charts of |chart value_k| and
+U_k their uncapped error, component k is *decided* once
 
     C_k > tol * max(V_k + U_k, SCALE_FLOOR).
 
-The bound is safe: the final absolute error is at least C_k, because
+This refusal is safe: the final absolute error is at least C_k, because
 refinement only replaces uncapped cells, and refinement moves each chart's
 value by at most its uncapped error, so the final |value_k| is at most
 V_k + U_k.  (This trusts the cell error estimates, as the convergence test
@@ -154,23 +149,21 @@ class _Cells:
     """Cells as the rows of one float array, so that taking and joining
     cells are single operations.  Its column blocks: halvings per axis
     ``splits`` and corners ``lo``, ``hi`` (dim each), so that the leading
-    columns order cells as the reduction does; ``value``, ``err`` and
-    ``chat`` (K each; chat is read only at the depth cap and NaN below it);
-    ``rank``, minus the largest weighted error; and ``rough``, the value
-    profile of that component (dim)."""
+    columns order cells as the reduction does; ``value`` and ``err`` (K
+    each); ``rank``, minus the largest weighted error; and ``rough``, the
+    value profile of that component (dim)."""
 
     def __init__(self, rows, dim):
         self.rows, self.dim = rows, dim
-        self.K = (rows.shape[1] - 4 * dim - 1) // 3
+        self.K = (rows.shape[1] - 4 * dim - 1) // 2
 
     splits = property(lambda c: c.rows[:, :c.dim])
     lo = property(lambda c: c.rows[:, c.dim:2 * c.dim])
     hi = property(lambda c: c.rows[:, 2 * c.dim:3 * c.dim])
     value = property(lambda c: c.rows[:, 3 * c.dim:3 * c.dim + c.K])
     err = property(lambda c: c.rows[:, 3 * c.dim + c.K:3 * c.dim + 2 * c.K])
-    chat = property(lambda c: c.rows[:, 3 * c.dim + 2 * c.K:3 * c.dim + 3 * c.K])
-    rank = property(lambda c: c.rows[:, 3 * c.dim + 3 * c.K])
-    rough = property(lambda c: c.rows[:, 3 * c.dim + 3 * c.K + 1:])
+    rank = property(lambda c: c.rows[:, 3 * c.dim + 2 * c.K])
+    rough = property(lambda c: c.rows[:, 3 * c.dim + 2 * c.K + 1:])
 
     def __len__(self):
         return self.rows.shape[0]
@@ -199,11 +192,10 @@ class _ChartIntegrator:
     """One chart's refinement tree: its open cells in the order they were
     made, the depth-capped cells that are final, and their totals."""
 
-    def __init__(self, f, chart, singular_set, growth, breaks):
+    def __init__(self, f, chart, singular_set, breaks):
         self.f = f
         self.chart = chart
         self.singular_set = singular_set
-        self.growth = growth
         self.weight = None  # per component, set by the first batch
         self.dim = len(chart.box)
         self.P8, self.W8 = _tensor_rule(GAUSS_ORDER, self.dim)
@@ -230,9 +222,8 @@ class _ChartIntegrator:
                             for Q in (self.P8, self.P4)])
         X = self.chart.to_physical(P)
         w = np.asarray(self.chart.weight(P), dtype=float)
-        raw = self.f(X)
+        F = self.f(X) * w[:, None]
         self.nodes_used += P.shape[0]
-        F = raw * w[:, None]
         F8, F4 = _per_cell(F[:n8], C), _per_cell(F[n8:], C)
         vol = np.prod(hi - lo, axis=1)[:, None]
         value = _dots(F8, self.W8) * vol
@@ -245,16 +236,7 @@ class _ChartIntegrator:
         grid = F8[np.arange(C), top].reshape((C,) + (GAUSS_ORDER,) * self.dim)
         rough = np.array([np.abs(np.diff(grid, n=2, axis=1 + a)).reshape(
             C, -1).sum(axis=1) for a in range(self.dim)]).T
-        # read only by _cap, so sampled only at the depth cap
-        chat = np.full(value.shape, np.nan)
-        at_cap = self.singular_set is not None and splits.min(axis=1) >= MAX_DEPTH
-        if np.count_nonzero(at_cap):
-            X8 = X[:n8].reshape(C, -1, X.shape[1])[at_cap]
-            d = distance_to_chain(X8.reshape(-1, X.shape[1]), self.singular_set)
-            chat[at_cap] = (np.abs(raw[:n8].reshape(C, -1, raw.shape[1])[at_cap])
-                            * (d ** self.growth).reshape(X8.shape[:2])[:, :, None]
-                            ).max(axis=1)
-        return _Cells(np.concatenate([splits, lo, hi, value, err, chat,
+        return _Cells(np.concatenate([splits, lo, hi, value, err,
                                       -weighted.max(axis=1)[:, None], rough],
                                      axis=1), self.dim)
 
@@ -306,34 +288,19 @@ class _ChartIntegrator:
         return self.eval_cells(lo, hi, splits)
 
     def _cap(self, cells):
-        """Keep depth-capped cells as final, the error of each that touches
-        the singular set cut to its analytic bound, and note where they are.
-        """
-        C = len(cells)
-        span = (cells.hi - cells.lo)[:, None, :]
-        X = self.chart.to_physical(np.concatenate(  # Gauss-8 points, centres
-            [(cells.lo[:, None, :] + self.P8 * span).reshape(-1, self.dim),
-             0.5 * (cells.lo + cells.hi)]))
-        X8, centres = X[:-C].reshape(C, -1, X.shape[1]), X[-C:]
+        """Keep depth-capped cells as final, each with its own error
+        estimate, and note where they are."""
+        centres = self.chart.to_physical(0.5 * (cells.lo + cells.hi))
         if self.singular_set is None:
-            dist = np.full(C, math.inf)
+            dist = np.full(len(cells), math.inf)
         else:
             dist = distance_to_chain(centres, self.singular_set)
-        g, n = self.growth, X.shape[1]
-        surf = 2.0 * math.pi if n == 2 else 4.0 * math.pi
-        err = cells.err.copy()
-        for i in range(C):
-            diam = float(np.linalg.norm(X8[i].max(axis=0) - X8[i].min(axis=0)))
-            if n - g > 0 and dist[i] <= 2.0 * diam:  # never without a set
-                bound = 4.0 * cells.chat[i] * surf * diam ** (n - g) / (n - g)
-                err[i] = np.minimum(err[i], bound)
         self.where += [CappedCell(tuple(float(x) for x in c), float(d))
                        for c, d in zip(centres, dist)]
-        cells.err[:] = err
         self.capped.append(cells)
-        self.n_capped += C
+        self.n_capped += len(cells)
         self.capped_val = self.capped_val + cells.value.sum(axis=0)
-        self.capped_err = self.capped_err + err.sum(axis=0)
+        self.capped_err = self.capped_err + cells.err.sum(axis=0)
 
 
 def _decided(integs, tol):
@@ -345,10 +312,10 @@ def _decided(integs, tol):
     return capped > tol * np.maximum(reach, SCALE_FLOOR)
 
 
-def _integrate_charts(f, charts, tol, singular_set, growth, breaks, max_cells):
+def _integrate_charts(f, charts, tol, singular_set, breaks, max_cells):
     # the first cells of every chart come before any refinement, so that a
     # refusal is decided against the whole integral, not one chart of it
-    integs = [_ChartIntegrator(f, chart, singular_set, growth, breaks or {})
+    integs = [_ChartIntegrator(f, chart, singular_set, breaks or {})
               for chart in charts]
     decided = np.zeros(np.shape(integs[0].total_err), dtype=bool)
     live = integs
@@ -404,7 +371,6 @@ def integrate(
     tol: float,
     singular_set: SingularChain | None = None,
     breaks: dict | None = None,
-    growth: float = 1.0,
     max_cells: int = 20000,
     raise_on_failure: bool = True,
 ) -> QuadratureResult:
@@ -412,8 +378,7 @@ def integrate(
 
     ``tol`` is a relative tolerance (>= 1e-10); ``breaks`` maps chart axis
     names to known non-smooth parameter values so initial cells align with
-    integrand creases; ``growth`` is the declared worst local growth
-    exponent g in |f| <= C / dist(x, singular_set)^g.
+    integrand creases.
 
     The K components of an (N, K) integrand share one refinement tree and
     each meets ``tol`` relative to its own value; the result then holds
@@ -432,8 +397,8 @@ def integrate(
     Components that can still converge refine on.  With
     ``raise_on_failure=False`` an unconverged result is returned as the
     tree stood when it stopped: the value of all its cells, their summed
-    error with capped cells at their bound, every node evaluated, and in
-    ``capped_cell`` the capped cell with the largest relative error.
+    error, every node evaluated, and in ``capped_cell`` the capped cell
+    with the largest relative error.
     Otherwise ``NoConvergence`` carries that value, relative error and
     capped cell.
     """
@@ -443,7 +408,7 @@ def integrate(
         singular_set = None
     g = _Integrand(f)
     value, abs_err, nodes, where = _integrate_charts(
-        g, domain.charts(), tol, singular_set, growth, breaks, max_cells)
+        g, domain.charts(), tol, singular_set, breaks, max_cells)
     rel = abs_err / np.maximum(np.abs(value), SCALE_FLOOR)
     if g.scalar:
         value, rel, abs_err = float(value[0]), float(rel[0]), float(abs_err[0])

@@ -34,6 +34,20 @@ def planar_tv_area_b3_oracle():
     return 2.0 * math.pi * gauss_1d(f, -math.pi / 2, math.pi / 2)
 
 
+def vortex_cube2_area_oracle():
+    """Area of the degree-1 vortex over [-1, 1]^2: 8 * int over the triangle
+    {0 < theta < pi/4} of sqrt(1 + r^2) dr dtheta, by a polar Gauss rule."""
+    x, w = np.polynomial.legendre.leggauss(200)
+    th = (x + 1) * math.pi / 8
+    wth = w * math.pi / 8
+    oracle = 0.0
+    for t, wt in zip(th, wth):
+        R = 1.0 / math.cos(t)
+        rr = (x + 1) * R / 2
+        oracle += wt * float(np.sum(w * R / 2 * np.sqrt(rr**2 + 1)))
+    return 8 * oracle
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

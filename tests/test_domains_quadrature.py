@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VORTEX_TV_B2, PLANAR_TV_B3
+from conftest import VORTEX_TV_B2, PLANAR_TV_B3, vortex_cube2_area_oracle
 
 from relaxarea.domains import (
     Annulus,
@@ -300,22 +300,13 @@ class TestIntegrate:
 
 
 class TestSingularGrading:
-    """Cube-domain integration of a 1/r integrand: graded refinement plus
-    the analytic shell bound at the depth cap."""
+    """Cube-domain integration of a 1/r integrand: graded refinement down
+    to the depth cap, where a cell keeps its own error estimate."""
 
     def test_modest_tolerance_converges(self):
         v = make_example_field("vortex", d=1)
         res = area_functional(v, Cube(2, 1.0), 1e-3)
-        # oracle: 8 * int over the triangle {0<theta<pi/4} of sqrt(1+r^2)
-        x, w = np.polynomial.legendre.leggauss(200)
-        th = (x + 1) * math.pi / 8
-        wth = w * math.pi / 8
-        oracle = 0.0
-        for t, wt in zip(th, wth):
-            R = 1.0 / math.cos(t)
-            rr = (x + 1) * R / 2
-            oracle += wt * float(np.sum(w * R / 2 * np.sqrt(rr**2 + 1)))
-        oracle *= 8
+        oracle = vortex_cube2_area_oracle()
         assert res.converged
         assert abs(res.value - oracle) <= 1e-3 * oracle
 
@@ -491,9 +482,21 @@ class TestGraphFunctionals:
         with pytest.raises(NoConvergence) as info:
             area_functional(v, Cube(2, 1.0), 1e-8, max_cells=2000)
         assert info.value.value == 8.364443030046525  # bit for bit
+        res = area_functional(v, Cube(2, 1.0), 1e-8, raise_on_failure=False)
+        assert (res.value, res.abs_error, res.nodes_used) == (
+            8.364443030046525, 1.573876395115851e-05, 19120)
+        assert res.capped_cell.centre == (-2.0**-14, -2.0**-14)
         # the value of the same refusal run on to its 2000-cell cap
         estimate = info.value.error_estimate * info.value.value
         assert abs(info.value.value - 8.364443029588742) <= estimate
+
+    def test_capped_3d_tree_value(self):
+        # 1 + 1/r^2 converges with depth-capped cells at the origin
+        res = area_functional(make_example_field("sphere_vortex"), Cube(3, 1.0),
+                              1e-6)
+        assert (res.value, res.abs_error, res.nodes_used) == (
+            23.348245376780472, 2.3334273063927803e-05, 826560)  # bit for bit
+        assert res.capped_cell.centre == (-2.0**-14, 2.0**-14, -2.0**-14)
 
     def test_result_types_of_vector_and_scalar_integrands(self):
         def first(X):
@@ -644,7 +647,7 @@ class TestSharedIntegrand:
 
 
 def reference_heap(f, domain, tol, singular_set=None, breaks=None,
-                   growth=1.0, max_cells=20000):
+                   max_cells=20000):
     """The one-split-per-call schedule that the wave engine replaced, on the
     engine's own cell evaluation: each chart in turn pops its worst cell from
     a heap, splits it or keeps it as final at the depth cap, and stops once
@@ -657,7 +660,7 @@ def reference_heap(f, domain, tol, singular_set=None, breaks=None,
         return f(X)
 
     integs = [quadrature._ChartIntegrator(
-        quadrature._Integrand(counted), chart, singular_set, growth,
+        quadrature._Integrand(counted), chart, singular_set,
         breaks or {}) for chart in domain.charts()]
     seq = itertools.count()
     heaps = []
@@ -678,7 +681,7 @@ def reference_heap(f, domain, tol, singular_set=None, breaks=None,
             _, _, cell = heapq.heappop(heap)
             if cell.splits.min() >= quadrature.MAX_DEPTH:
                 err = cell.err[0].copy()
-                integ._cap(cell)  # cuts cell.err to its bound
+                integ._cap(cell)  # keeps cell.err, so this adds 0
                 integ.total_err += cell.err[0] - err
             else:
                 children = integ._split(cell.rows)
