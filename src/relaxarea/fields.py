@@ -2,9 +2,13 @@
 
 A :class:`VectorField` is an immutable bundle of a vectorized evaluator
 ``(N, n) -> (N, m)``, an optional vectorized analytic Jacobian
-``(N, n) -> (N, m, n)``, and a declared singular set.  Jacobians and minor
-vectors are plain ``numpy`` arrays; :func:`minors2` and
-:func:`area_integrand` operate on single matrices or stacks.
+``(N, n) -> (N, m, n)``, for m = 2 an optional vectorized principal-angle
+evaluator ``(N, n) -> (N,)``, and a declared singular set.  Winding
+numbers and lattice extraction read only the angle of the value
+(:meth:`VectorField.angles_many`); a field that knows it in closed form
+saves building the value first.  Jacobians and minor vectors are plain
+``numpy`` arrays; :func:`minors2` and :func:`area_integrand` operate on
+single matrices or stacks.
 
 All fields here are nondimensional, with lengths in units of the unit
 ball/cube of the source space.
@@ -99,7 +103,10 @@ def area_integrand(J: np.ndarray) -> float | np.ndarray:
 class VectorField:
     """A map from (a subset of) R^n to R^m with declared singularities.
 
-    Immutable after construction; evaluation is pure.
+    ``angle``, allowed only for m = 2, returns the principal angle in
+    [-pi, pi] of the value at each point, the ``arctan2`` of ``evaluator``'s
+    rows up to the last bit; :meth:`angles_many` reads it instead of the
+    values.  Immutable after construction; evaluation is pure.
     """
 
     def __init__(
@@ -112,15 +119,19 @@ class VectorField:
         sphere_valued: bool = False,
         chart_breaks: dict[str, tuple[float, ...]] | None = None,
         name: str = "field",
+        angle: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         # sphere_valued has no effect; it stays only while
         # benchmarks/bench_workloads.py::line_field still passes it
         if not (2 <= n <= 4 and m in (2, 3)):
             raise InvalidParams(f"unsupported dimensions n={n}, m={m}")
+        if angle is not None and m != 2:
+            raise InvalidParams(f"a principal angle needs m=2, got m={m}")
         self.n = n
         self.m = m
         self._eval = evaluator
         self._jac = jacobian
+        self._angle = angle
         self.singular_set = singular_set
         self.chart_breaks = dict(chart_breaks or {})
         self.name = name
@@ -146,6 +157,29 @@ class VectorField:
         if not np.all(np.isfinite(U)):
             raise NonFinite(f"{self.name}: non-finite value off the singular set")
         return U
+
+    def angles_many(self, X: np.ndarray, dist: np.ndarray | None = None
+                    ) -> np.ndarray:
+        """Principal angles (N,) of the values of an m=2 field at the points
+        X (N, n), NaN where the value vanishes (norm below 1e-12).
+
+        Guarded as :meth:`evaluate_many` (``dist`` as there).  With an
+        ``angle`` evaluator it is read directly, otherwise the angle is the
+        ``arctan2`` of the values.
+        """
+        if self.m != 2:
+            raise InvalidParams(f"angles need an m=2 field, got m={self.m}")
+        if self._angle is None:
+            U = self.evaluate_many(X, dist)
+            a = np.arctan2(U[:, 1], U[:, 0])
+            a[U[:, 0] ** 2 + U[:, 1] ** 2 < 1e-24] = np.nan  # cannot wind
+            return a
+        X = np.asarray(X, dtype=float)
+        self._check_points(X, dist)
+        a = self._angle(X)
+        if not np.all(np.isfinite(a)):
+            raise NonFinite(f"{self.name}: non-finite angle off the singular set")
+        return a
 
     def evaluate(self, x) -> np.ndarray:
         """Evaluate at a single point; errors on the singular set."""
@@ -199,6 +233,10 @@ class VectorField:
 
 def _vortex(d: int, center, phase: float) -> VectorField:
     c = np.asarray(center, dtype=float)
+    if d == 0:  # a constant map: no singular point to declare or to guard
+        const = _constant((math.cos(phase), math.sin(phase)))
+        return VectorField(2, 2, const._eval, const._jac,
+                           singular_set=SingularChain.empty(2), name="vortex(d=0)")
 
     def ev(X):
         W = X - c
@@ -220,12 +258,21 @@ def _vortex(d: int, center, phase: float) -> VectorField:
 
     return VectorField(
         2, 2, ev, jac,
-        singular_set=SingularChain.points(2, [(tuple(c), d if d != 0 else 1)]),
+        singular_set=SingularChain.points(2, [(tuple(c), d)]),
         name=f"vortex(d={d})",
     )
 
 
 def _planar_vortex() -> VectorField:
+    def angle(X):
+        # the guard of ev, tested by hypot only where it can fail:
+        # hypot(x1, x2) >= |x1|
+        x1, x2 = X[:, 0], X[:, 1]
+        near = np.flatnonzero(np.abs(x1) <= SINGULAR_GUARD)
+        if np.any(np.hypot(x1[near], x2[near]) <= SINGULAR_GUARD):
+            raise SingularPoint("planar vortex evaluated on its axis")
+        return np.arctan2(x2, x1)
+
     def ev(X):
         r = np.hypot(X[:, 0], X[:, 1])
         if np.any(r <= SINGULAR_GUARD):
@@ -246,7 +293,7 @@ def _planar_vortex() -> VectorField:
     return VectorField(
         3, 2, ev, jac,
         singular_set=SingularChain.segments(3, [(seg, 1)]),
-        name="planar_vortex",
+        name="planar_vortex", angle=angle,
     )
 
 

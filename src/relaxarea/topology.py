@@ -24,11 +24,12 @@ claims use masses and |multiplicities|.
 
 Lattice nodes are processed in blocks, each given by its per-axis node
 coordinates and the lattice index of its first node.  A block's node
-coordinates are written into one (N, n) array, its node angles are
+coordinates are written into one (N, n) array, and its node angles are
 evaluated on it directly when every node clears the singular-set guard
-(masked copies are made only when some node does not), and index tuples
-are built only for the edges and plaquettes that are hit.  The 2d grid is
-one block.
+(masked copies are made only when some node does not), by the field's own
+angle evaluator where it has one (``VectorField.angles_many``).  Index
+tuples are built only for the edges and plaquettes that are hit.  The 2d
+grid is one block.
 
 The 3d lattice is streamed in slabs of whole axis-0 node layers, about
 SLAB_NODES nodes each, so no full-lattice array is made.  A slab
@@ -177,23 +178,26 @@ def _singular_distance(field: VectorField, X: np.ndarray) -> np.ndarray:
 
 def _angles(field: VectorField, X: np.ndarray, dist: np.ndarray | None = None
             ) -> np.ndarray:
-    """Target angles at sample points; with ``dist`` (their distances to the
-    declared singular set) given, NaN within the guard and no recomputed
-    distances for the rest."""
+    """Principal target angles at sample points (``field.angles_many``);
+    with ``dist`` (their distances to the declared singular set) given, NaN
+    within the guard and no recomputed distances for the rest.
+
+    This one call serves lattice nodes, lift midpoints and loop samples,
+    whether the field gives its angle directly or from its values.  The two
+    can differ in the last bit (``arctan2(y, x)`` against ``arctan2(y / r,
+    x / r)``), and no turn count can tell: an edge whose difference
+    ``delta`` has ``||delta| - pi| < pi/2`` is flagged, and its count comes
+    from a lift that is refused unless within a quarter turn of a whole
+    number of turns; every other edge has ``|delta| <= pi/2`` or ``|delta|
+    >= 3 pi/2``, so a last-bit change cannot move its count.
+    """
     ok = None if dist is None else dist > SINGULAR_GUARD
     if ok is None or np.all(ok):  # every point clears the guard: no copies
-        return _principal_angles(field.evaluate_many(X, dist))
+        return field.angles_many(X, dist)
     ang = np.full(X.shape[0], np.nan)
     if np.any(ok):
-        ang[ok] = _principal_angles(field.evaluate_many(X[ok], dist[ok]))
+        ang[ok] = field.angles_many(X[ok], dist[ok])
     return ang
-
-
-def _principal_angles(U: np.ndarray) -> np.ndarray:
-    a = np.arctan2(U[:, 1], U[:, 0])
-    # vanishing values (norm below 1e-12) cannot wind
-    a[U[:, 0] ** 2 + U[:, 1] ** 2 < 1e-24] = np.nan
-    return a
 
 
 # ---------------------------------------------------------------------------

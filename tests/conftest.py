@@ -83,6 +83,13 @@ def random_phase_field(rng, n_vortices):
     return field, centers, degrees
 
 
+def angle_free_twin(field):
+    """``field`` with the same evaluator, Jacobian and singular set but no
+    angle evaluator, so that its angles are taken from its values."""
+    return VectorField(field.n, field.m, field._eval, field._jac,
+                       singular_set=field.singular_set, name=field.name)
+
+
 def line_field(axis, offset, phase_coeffs):
     """Vortex around an axis-parallel line composed with a smooth phase."""
     a, b, c = phase_coeffs

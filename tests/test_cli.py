@@ -56,6 +56,17 @@ class TestEnergy:
         assert rhs == pytest.approx(tv_area + math.pi, abs=1e-10)
         assert rhs == pytest.approx(5.68386, abs=1e-5)
 
+    @pytest.mark.parametrize("domain, area", [("ball2", math.pi), ("cube2", 4.0)])
+    def test_degree_0_vortex_has_no_singular_mass(self, capsys, domain, area):
+        # a constant map: the relaxed right-hand side is the graph area alone
+        code, out, _ = run(capsys, "energy", "--field", "vortex", "--d", "0",
+                           "--domain", domain, "--tol", "1e-6")
+        assert code == 0
+        tv_area = float(out.split("tv_area=")[1].split()[0])
+        rhs = float(out.split("relaxed_rhs=")[1].split()[0])
+        assert tv_area == pytest.approx(area, abs=1e-10)
+        assert rhs == tv_area
+
     def test_point_on_the_domain_boundary_exits_2(self, capsys):
         # vortex_chain m=3 has a vortex at x = 0.5, on this ball's boundary
         code, _, err = run(capsys, "energy", "--field", "vortex_chain",

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import angle_free_twin
+
 from relaxarea import fields
-from relaxarea.chains import distance_to_chain
+from relaxarea.chains import SingularChain, distance_to_chain
 from relaxarea.errors import (
     InvalidParams,
+    NonFinite,
     SingularPoint,
     StencilCrossesSingularity,
 )
@@ -20,6 +23,7 @@ from relaxarea.fields import (
     minor_pairs,
     minors2,
 )
+from relaxarea.topology import GridSpec, _block_points
 
 
 def fd_twin(field):
@@ -60,6 +64,55 @@ class TestEvaluate:
             U = f.evaluate_many(X)
             norms = np.linalg.norm(U, axis=1)
             assert np.max(np.abs(norms - 1.0)) <= 1e-9
+
+
+class TestAngles:
+    """``angles_many`` from a principal-angle evaluator keeps every guard of
+    the values and their angles."""
+
+    @pytest.mark.parametrize("read", ["evaluate_many", "angles_many"])
+    def test_axis_beyond_the_declared_segment_is_singular(self, read):
+        pv = make_example_field("planar_vortex")
+        X = np.array([[0.3, 0.1, 0.0], [0.0, 0.0, 1.5]])
+        assert distance_to_chain(X, pv.singular_set)[1] == pytest.approx(0.5)
+        with pytest.raises(SingularPoint, match="on its axis"):
+            getattr(pv, read)(X)
+
+    def test_declared_singular_set_is_checked(self):
+        f = VectorField(2, 2, lambda X: np.ones_like(X),
+                        singular_set=SingularChain.points(2, [((0.5, 0.0), 1)]),
+                        angle=lambda X: np.zeros(len(X)))
+        X = np.array([[0.0, 0.0], [0.5, 0.0]])
+        with pytest.raises(SingularPoint, match="declared singular set"):
+            f.angles_many(X)
+        with pytest.raises(SingularPoint, match="declared singular set"):
+            f.angles_many(X[:1], dist=np.zeros(1))  # a given distance is read
+        assert np.array_equal(f.angles_many(X[:1]), [0.0])
+
+    @pytest.mark.parametrize("read", ["evaluate_many", "angles_many"])
+    def test_nan_row_is_non_finite(self, read):
+        pv = make_example_field("planar_vortex")
+        X = np.array([[0.3, 0.1, 0.0], [np.nan] * 3])
+        with pytest.raises(NonFinite):
+            getattr(pv, read)(X)
+
+    def test_angle_needs_m_2(self):
+        with pytest.raises(InvalidParams, match="m=2"):
+            VectorField(3, 3, lambda X: X, angle=lambda X: X[:, 0])
+        with pytest.raises(InvalidParams, match="m=2"):
+            make_example_field("sphere_vortex").angles_many(np.ones((1, 3)))
+
+    def test_node_angles_match_the_value_path(self):
+        pv = make_example_field("planar_vortex")
+        grid = GridSpec(3, 32)
+        X = _block_points([grid.axis_nodes(a) for a in range(3)])
+        got = pv.angles_many(X)
+        want = angle_free_twin(pv).angles_many(X)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_vanishing_values_have_no_angle(self):
+        c = make_example_field("constant", value=(0.0, 0.0))
+        assert np.all(np.isnan(c.angles_many(np.ones((3, 2)))))
 
 
 class TestJacobian:
@@ -166,6 +219,12 @@ class TestExampleFields:
         j = np.arange(1, 6)
         assert np.allclose(centers[:, 0], 1.0 - 2.0 ** (1 - j))
         assert np.allclose(radii, 2.0 ** (-(j + 1.0)))
+
+    def test_degree_0_vortex_is_constant(self):
+        v = make_example_field("vortex", d=0, phase=0.5)
+        assert len(v.singular_set.cells) == 0
+        assert np.allclose(v.evaluate((0.0, 0.0)), (math.cos(0.5), math.sin(0.5)))
+        assert np.all(v.jacobian_at((0.0, 0.0)) == 0.0)
 
     def test_planar_vortex_singular_segment(self):
         f = make_example_field("planar_vortex")

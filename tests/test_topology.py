@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line_field, random_phase_field
+from conftest import angle_free_twin, line_field, random_phase_field
 
 from relaxarea.chains import (
     SingularChain,
@@ -18,7 +18,12 @@ from relaxarea.chains import (
     interior_boundary,
 )
 from relaxarea.domains import Ball, Cube
-from relaxarea.errors import AmbiguousWinding, InvalidParams, SingularOnLoop
+from relaxarea.errors import (
+    AmbiguousWinding,
+    InvalidParams,
+    SingularOnLoop,
+    SingularPoint,
+)
 from relaxarea import topology
 from relaxarea.fields import (
     SINGULAR_GUARD,
@@ -431,6 +436,51 @@ class TestLatticeOrderSweep:
         grid = GridSpec(3, 24)
         assert chain_csv_text(extract_lines_3d(f, grid)) == chain_csv_text(
             reference_lines_3d(f, grid))
+
+
+def chain_or_refusal(field, grid):
+    """The extracted chain's CSV text, or the refusal's type and message."""
+    try:
+        return chain_csv_text(extract_lines_3d(field, grid))
+    except (AmbiguousWinding, SingularPoint) as exc:
+        return type(exc), str(exc)
+
+
+class TestAngleEvaluator:
+    """The planar vortex's own angles give the chains and refusals of the
+    angles taken from its values."""
+
+    OFF_AXIS = (0.013, -0.02, 0.1)
+
+    @pytest.mark.parametrize("resolution", [8, 9, 16, 33, 100])
+    def test_chains_and_refusals_match_the_value_path(self, resolution):
+        pv = make_example_field("planar_vortex")
+        twin = angle_free_twin(pv)
+        for offset in (0.0, 0.37, 0.5):
+            for center in ((0.0, 0.0, 0.0), self.OFF_AXIS):
+                grid = GridSpec(3, resolution, center=center, offset=offset)
+                got = chain_or_refusal(pv, grid)
+                assert got == chain_or_refusal(twin, grid)
+                if (resolution, offset, center) == (100, 0.0, self.OFF_AXIS):
+                    # a node within the guard of the axis but not on it
+                    assert got == (SingularPoint,
+                                   "planar vortex evaluated on its axis")
+
+    def test_default_128_lattice(self):
+        pv = make_example_field("planar_vortex")
+        grid = GridSpec(3, 128)
+        assert chain_csv_text(extract_lines_3d(pv, grid)) == chain_csv_text(
+            extract_lines_3d(angle_free_twin(pv), grid))
+
+    @pytest.mark.parametrize("loop", [
+        Circle((0.0, 0.0, 0.3), 0.5),
+        Circle((0.01, -0.02, -0.9), 0.05),
+        Circle((0.6, 0.2, 0.0), 0.3),
+        [(0.5, 0.5, 0.2), (-0.5, 0.5, 0.2), (-0.5, -0.5, -0.2), (0.5, -0.5, 0.0)],
+    ])
+    def test_winding_numbers_match(self, loop):
+        pv = make_example_field("planar_vortex")
+        assert winding_number(pv, loop) == winding_number(angle_free_twin(pv), loop)
 
 
 def slab_monkeypatch(monkeypatch, grid, layers, tile):
