@@ -30,7 +30,6 @@ from .errors import (
     RelaxAreaError,
     SingularOnLoop,
     SingularPoint,
-    StencilCrossesSingularity,
 )
 from .fields import (
     VectorField,

@@ -1,14 +1,16 @@
 """Vector fields, example maps, and pointwise differential quantities.
 
 A :class:`VectorField` is an immutable bundle of a vectorized evaluator
-``(N, n) -> (N, m)``, an optional vectorized analytic Jacobian
+``(N, n) -> (N, m)``, an optional vectorized closed-form Jacobian
 ``(N, n) -> (N, m, n)``, for m = 2 an optional vectorized principal-angle
-evaluator ``(N, n) -> (N,)``, and a declared singular set.  Winding
-numbers and lattice extraction read only the angle of the value
-(:meth:`VectorField.angles_many`); a field that knows it in closed form
-saves building the value first.  Jacobians and minor vectors are plain
-``numpy`` arrays; :func:`minors2` and :func:`area_integrand` operate on
-single matrices or stacks.
+evaluator ``(N, n) -> (N,)``, and a declared singular set.  Every example
+map has its Jacobian in closed form; a field built without one serves
+evaluation and extraction, and :meth:`VectorField.jacobian_many` refuses
+it.  Winding numbers and lattice extraction read only the angle of the
+value (:meth:`VectorField.angles_many`); a field that knows it in closed
+form saves building the value first.  Jacobians and minor vectors are
+plain ``numpy`` arrays; :func:`minors2` and :func:`area_integrand`
+operate on single matrices or stacks.
 
 All fields here are nondimensional, with lengths in units of the unit
 ball/cube of the source space.
@@ -23,10 +25,7 @@ import numpy as np
 
 from .chains import SINGULAR_GUARD, SingularChain, distance_to_chain
 from .domains import row_norms
-from .errors import InvalidParams, NonFinite, SingularPoint, StencilCrossesSingularity
-
-#: relative central-difference step (sqrt(machine eps) balance)
-FD_STEP = 1e-5
+from .errors import InvalidParams, NonFinite, SingularPoint
 
 
 def minor_pairs(n: int) -> list[tuple[int, int]]:
@@ -192,38 +191,21 @@ class VectorField:
     # -- Jacobians ----------------------------------------------------------
 
     def jacobian_many(self, X: np.ndarray) -> np.ndarray:
+        """Gradient matrices (N, m, n) at the points X (N, n), guarded as
+        :meth:`evaluate_many`; a field built without a Jacobian is refused."""
+        if self._jac is None:
+            raise InvalidParams(f"{self.name} was built without a Jacobian")
         X = np.asarray(X, dtype=float)
         self._check_points(X)
-        if self._jac is not None:
-            J = self._jac(X)
-        else:
-            J = self._fd_jacobian(X)
+        J = self._jac(X)
         if not np.all(np.isfinite(J)):
             raise NonFinite(f"{self.name}: non-finite Jacobian")
         return J
 
     def jacobian_at(self, x) -> np.ndarray:
-        """Gradient matrix (m, n) at a point, analytic or central-difference."""
+        """Gradient matrix (m, n) at a single point, as :meth:`jacobian_many`."""
         X, _ = _as_batch(x, self.n)
         return self.jacobian_many(X)[0]
-
-    def _fd_jacobian(self, X):
-        N = X.shape[0]
-        h = FD_STEP * np.maximum(1.0, row_norms(X))
-        if self.singular_set is not None and len(self.singular_set.cells) > 0:
-            d = distance_to_chain(X, self.singular_set)
-            if np.any(d <= 1.01 * h * math.sqrt(self.n)):
-                raise StencilCrossesSingularity(
-                    "finite-difference stencil too near the singular set"
-                )
-        J = np.empty((N, self.m, self.n))
-        for a in range(self.n):
-            E = np.zeros_like(X)
-            E[:, a] = h
-            up = self._eval(X + E)
-            dn = self._eval(X - E)
-            J[:, :, a] = (up - dn) / (2.0 * h)[:, None]
-        return J
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +353,9 @@ def _chain_keys(centers, radii):
     return np.stack([centers[:, 0] - radii, centers[:, 0] + radii], axis=1).ravel()
 
 
-def _chain_angle(X, centers, radii, region=None):
-    """Target angle of the vortex-chain map (values are (cos T, sin T)).
+def _chain_angle(X, centers, radii, region=None, grad=False):
+    """Target angle T of the vortex-chain map (values are (cos T, sin T)),
+    and with ``grad`` also its gradient (N, 2).
 
     Regions: inscribed disks carry alternating-orientation vortices, the
     circumscribing squares extend the boundary trace constantly along
@@ -382,16 +365,26 @@ def _chain_angle(X, centers, radii, region=None):
 
     x1 alone names each point's only candidate region (``region``, the
     codes of :func:`_chain_keys`); each region present is then evaluated
-    on its own points.
+    on its own points, and its gradient on the same points.  Outside the
+    disks T is a constant plus or minus arcsin(x2 / H), with H the region's
+    half-height (linear in x1 across a gap); each region keeps only its
+    points with |x2| <= H, so x2 / H lies in [-1, 1] (division rounds
+    monotonically).  On the creases |x2| = H the derivative of arcsin is
+    infinite; these points are a null set, and they get the gradient of
+    the constant side, zero, so that no integral fails there.
     """
     m = len(radii)
     x1, x2 = X[:, 0], X[:, 1]
     if region is None:
         region = np.searchsorted(_chain_keys(centers, radii), x1, "right")
     T = np.where(x2 >= 0.0, 0.0, np.pi)  # default: the two constant components
+    # no region takes a NaN coordinate, so its gradient stays NaN
+    G = np.where(np.isnan(X), np.nan, 0.0) if grad else None
 
-    def arc_angle(s):
-        return np.arcsin(np.clip(s, -1.0, 1.0))
+    def arc_slope(y, H):
+        # d/dy arcsin(y / H) = 1 / sqrt(H^2 - y^2), zero on the crease |y| = H
+        q = (H - np.abs(y)) * (H + np.abs(y))
+        return np.divide(1.0, np.sqrt(q), out=np.zeros_like(q), where=q > 0.0)
 
     for r in np.flatnonzero(np.bincount(region, minlength=2 * m + 1)):
         idx = np.flatnonzero(region == r)
@@ -400,74 +393,74 @@ def _chain_angle(X, centers, radii, region=None):
             cx, h = centers[j, 0], radii[j]
             idx = idx[np.abs(x2[idx]) <= h]
             dx, dy = x1[idx] - cx, x2[idx]
-            rr = np.hypot(dx, dy)
-            theta = np.where(
-                rr < h,
-                np.arctan2(dy, dx),
-                np.where(dx >= 0, arc_angle(dy / h), np.pi - arc_angle(dy / h)),
-            )
+            disk = np.hypot(dx, dy) < h
+            s = np.arcsin(dy / h)
+            theta = np.where(disk, np.arctan2(dy, dx),
+                             np.where(dx >= 0, s, np.pi - s))
             T[idx] = theta - np.pi / 2 if j % 2 == 0 else np.pi / 2 - theta
+            if grad:
+                d = 1.0 if j % 2 == 0 else -1.0  # the vortex's degree
+                k, kx, ky = idx[disk], dx[disk], dy[disk]
+                r2 = kx**2 + ky**2
+                G[k, 0] = d * (-ky / r2)
+                G[k, 1] = d * (kx / r2)
+                out = ~disk
+                G[idx[out], 1] = (np.where(dx[out] >= 0, d, -d)
+                                  * arc_slope(dy[out], h))
         elif r == 0:  # strip joining the first square to the boundary
             idx = idx[np.abs(x2[idx]) <= radii[0]]
-            T[idx] = np.pi / 2 - arc_angle(x2[idx] / radii[0])
+            T[idx] = np.pi / 2 - np.arcsin(x2[idx] / radii[0])
+            if grad:
+                G[idx, 1] = -arc_slope(x2[idx], radii[0])
         elif r == 2 * m:  # tail strip, whose code NaN shares
             idx = idx[(x1[idx] >= centers[-1, 0] + radii[-1])
                       & (np.abs(x2[idx]) <= radii[-1])]
-            s = arc_angle(x2[idx] / radii[-1])
+            s = np.arcsin(x2[idx] / radii[-1])
             T[idx] = s - np.pi / 2 if (m - 1) % 2 == 0 else np.pi / 2 - s
+            if grad:
+                sign = 1.0 if (m - 1) % 2 == 0 else -1.0
+                G[idx, 1] = sign * arc_slope(x2[idx], radii[-1])
         else:  # gap trapezoid after square j - 1
             right = centers[j - 1, 0] + radii[j - 1]
             left = centers[j, 0] - radii[j]
+            # right <= x1 < left, so lam lies in [0, 1]
             lam = (x1[idx] - right) / (left - right)
-            H = radii[j - 1] + (radii[j] - radii[j - 1]) * np.clip(lam, 0.0, 1.0)
+            H = radii[j - 1] + (radii[j] - radii[j - 1]) * lam
             inside = np.abs(x2[idx]) <= H
-            idx = idx[inside]
-            s = arc_angle(x2[idx] / H[inside])
+            idx, H = idx[inside], H[inside]
+            s = np.arcsin(x2[idx] / H)
             T[idx] = s - np.pi / 2 if (j - 1) % 2 == 0 else np.pi / 2 - s
-    return T
+            if grad:
+                # s = arcsin(x2 / H(x1)), H' = (h_j - h_{j-1}) / (left - right)
+                y = x2[idx]
+                g = (1.0 if (j - 1) % 2 == 0 else -1.0) * arc_slope(y, H)
+                slope = (radii[j] - radii[j - 1]) / (left - right)
+                G[idx, 0] = -slope * (y / H) * g
+                G[idx, 1] = g
+    return (T, G) if grad else T
 
 
 def _vortex_chain(m: int) -> VectorField:
     centers, radii = chain_centers_radii(m)
     keys = _chain_keys(centers, radii)
 
-    def squares(X):
-        """Region codes of X and, for the points with c - h <= x1 < c + h of
-        a square, their indices, square and offsets (x1 - c, x2) from its
-        centre."""
-        region = np.searchsorted(keys, X[:, 0], "right")
-        idx = np.flatnonzero(region % 2)
-        j = region[idx] // 2
-        return region, idx, j, X[idx, 0] - centers[j, 0], X[idx, 1]
-
     def ev(X):
         # only a point's own square can hold a centre within the guard
-        region, _, _, dx, dy = squares(X)
+        region = np.searchsorted(keys, X[:, 0], "right")
+        idx = np.flatnonzero(region % 2)
+        dx = X[idx, 0] - centers[region[idx] // 2, 0]
+        dy = X[idx, 1]
         if np.any(np.sqrt(dx * dx + dy * dy) <= SINGULAR_GUARD):
             raise SingularPoint("vortex chain evaluated at a disk center")
         T = _chain_angle(X, centers, radii, region)
         return np.stack([np.cos(T), np.sin(T)], axis=1)
 
     def jac(X):
-        # analytic inside the open disks (where the studies integrate),
-        # central differences in the interpolation regions
-        J = np.empty((X.shape[0], 2, 2))
-        _, idx, j, dx, dy = squares(X)
-        r2 = dx**2 + dy**2
-        disk = r2 < (0.999 * radii[j]) ** 2
-        idx, j, dx, dy, r2 = idx[disk], j[disk], dx[disk], dy[disk], r2[disk]
-        theta = np.arctan2(dy, dx)
-        odd = j % 2 == 0  # paper indices start at 1
-        T = np.where(odd, theta - np.pi / 2, np.pi / 2 - theta)
-        uperp = np.stack([-np.sin(T), np.cos(T)], axis=1)
-        gt = np.stack([-dy / r2, dx / r2], axis=1)
-        d = np.where(odd, 1.0, -1.0)[:, None, None]
-        J[idx] = d * uperp[:, :, None] * gt[:, None, :]
-        rest = np.ones(X.shape[0], dtype=bool)
-        rest[idx] = False
-        if np.any(rest):
-            sub = VectorField(2, 2, ev, None, name="chain-fd")
-            J[rest] = sub._fd_jacobian(X[rest])
+        # (-sin T, cos T) outer grad T: rank one by construction
+        T, G = _chain_angle(X, centers, radii, grad=True)
+        J = np.empty((len(T), 2, 2))
+        J[:, 0] = -np.sin(T)[:, None] * G
+        J[:, 1] = np.cos(T)[:, None] * G
         return J
 
     cells = [(tuple(centers[j]), 1 if j % 2 == 0 else -1) for j in range(m)]

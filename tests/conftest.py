@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from relaxarea.chains import SingularChain
+from relaxarea.chains import SingularChain, distance_to_chain
+from relaxarea.domains import row_norms
+from relaxarea.errors import SingularPoint
 from relaxarea.fields import VectorField
 
 # frozen closed-form oracle values (radial reductions computed by hand)
@@ -51,6 +53,25 @@ def vortex_cube2_area_oracle():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def fd_jacobian(ev, X, singular_set=None):
+    """Central-difference Jacobian (N, m, n) of the evaluator ``ev`` at X,
+    with the relative step 1e-5 * max(1, |x|); a stencil that comes within
+    1.01 * step * sqrt(n) of ``singular_set`` raises SingularPoint."""
+    N, n = X.shape
+    h = 1e-5 * np.maximum(1.0, row_norms(X))
+    if singular_set is not None and len(singular_set.cells) > 0:
+        d = distance_to_chain(X, singular_set)
+        if np.any(d <= 1.01 * h * math.sqrt(n)):
+            raise SingularPoint(
+                "finite-difference stencil too near the singular set")
+    cols = []
+    for a in range(n):
+        E = np.zeros_like(X)
+        E[:, a] = h
+        cols.append((ev(X + E) - ev(X - E)) / (2.0 * h)[:, None])
+    return np.stack(cols, axis=2)
 
 
 def random_phase_field(rng, n_vortices):

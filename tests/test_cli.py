@@ -67,6 +67,15 @@ class TestEnergy:
         assert tv_area == pytest.approx(area, abs=1e-10)
         assert rhs == tv_area
 
+    def test_vortex_chain_on_the_cube_has_no_minor_mass(self, capsys):
+        # the chain map is circle-valued and its Jacobian rank one in every
+        # region, so its minor column is rounding, not a refusal
+        code, out, _ = run(capsys, "energy", "--field", "vortex_chain",
+                           "--m", "3", "--domain", "cube2", "--radius", "1",
+                           "--tol", "1e-2")
+        assert code == 0
+        assert float(out.split("m2=")[1].split()[0]) < 1e-12
+
     def test_point_on_the_domain_boundary_exits_2(self, capsys):
         # vortex_chain m=3 has a vortex at x = 0.5, on this ball's boundary
         code, _, err = run(capsys, "energy", "--field", "vortex_chain",

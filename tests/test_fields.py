@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import angle_free_twin
+from conftest import angle_free_twin, fd_jacobian
 
 from relaxarea import fields
 from relaxarea.chains import SingularChain, distance_to_chain
-from relaxarea.errors import (
-    InvalidParams,
-    NonFinite,
-    SingularPoint,
-    StencilCrossesSingularity,
-)
+from relaxarea.errors import InvalidParams, NonFinite, SingularPoint
 from relaxarea.fields import (
     VectorField,
     area_integrand,
@@ -28,7 +23,8 @@ from relaxarea.topology import GridSpec, _block_points
 
 def fd_twin(field):
     """Same evaluator, finite-difference Jacobian."""
-    return VectorField(field.n, field.m, field._eval, None,
+    return VectorField(field.n, field.m, field._eval,
+                       lambda X: fd_jacobian(field._eval, X, field.singular_set),
                        singular_set=field.singular_set, name=field.name + "-fd")
 
 
@@ -143,7 +139,7 @@ class TestJacobian:
 
     def test_stencil_near_singularity_errors(self):
         v = fd_twin(make_example_field("vortex", d=1))
-        with pytest.raises(StencilCrossesSingularity):
+        with pytest.raises(SingularPoint, match="stencil"):
             v.jacobian_at((1e-7, 0.0))
 
 
@@ -366,8 +362,7 @@ def reference_chain_field(m):
                 handled |= mask
         rest = ~handled
         if np.any(rest):
-            sub = VectorField(2, 2, ev, None, name="reference-chain-fd")
-            J[rest] = sub._fd_jacobian(X[rest])
+            J[rest] = fd_jacobian(ev, X[rest])
         return J
 
     return VectorField(2, 2, ev, jac, singular_set=make_example_field(
@@ -425,13 +420,59 @@ class TestChainMap:
         X = chain_probe_points(m, rng)
         X = X[distance_to_chain(X, f.singular_set) > 1e-6]
         assert np.array_equal(f.evaluate_many(X), ref.evaluate_many(X))
-        # a disk point given the wrong square's angle falls back to finite
-        # differences: close to the reference, but not equal to it
-        assert np.array_equal(f.jacobian_many(X), ref.jacobian_many(X))
+        # the reference is analytic only in r < 0.999 h of each disk, and
+        # takes central differences elsewhere; tests/test_jacobians.py
+        # checks the whole map against central differences
+        centers, radii = chain_centers_radii(m)
+        r2 = (X[:, None, 0] - centers[:, 0]) ** 2 + X[:, None, 1] ** 2
+        disk = np.any(r2 < (0.999 * radii) ** 2, axis=1)
+        assert np.count_nonzero(disk) >= 300
+        assert np.array_equal(f.jacobian_many(X[disk]),
+                              ref.jacobian_many(X[disk]))
+
+    @pytest.mark.parametrize("m", [1, 3, 6, 9])
+    def test_jacobian_is_rank_one(self, m, rng):
+        # the map is circle-valued, so its one 2x2 minor vanishes
+        f = make_example_field("vortex_chain", m=m)
+        X = chain_probe_points(m, rng)
+        X = X[distance_to_chain(X, f.singular_set) > 1e-6]
+        J = f.jacobian_many(X)
+        bound = 1e-12 * (1.0 + np.sum(J * J, axis=(1, 2)))
+        assert np.all(np.abs(minors2(J)[:, 0]) <= bound)
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_creases_take_the_constant_sides_zero_gradient(self, m):
+        # on |x2| = H, where d/dx2 arcsin(x2 / H) is infinite: the tops and
+        # bottoms of the squares outside their disks, of the end strips,
+        # and of each gap at its middle, where H is exact
+        centers, radii = chain_centers_radii(m)
+        c, h = centers[:, 0], radii
+        mid, hm = 0.5 * (c[:-1] + h[:-1] + c[1:] - h[1:]), 0.5 * (h[:-1] + h[1:])
+        x1 = np.concatenate([c + 0.5 * h, c - 0.5 * h, mid, [-1.1, 1.1]])
+        H = np.concatenate([h, h, hm, [h[0], h[-1]]])
+        X = np.concatenate([np.stack([x1, H], 1), np.stack([x1, -H], 1)])
+        f = make_example_field("vortex_chain", m=m)
+        assert np.all(f.jacobian_many(X) == 0.0)
+        # and just inside them the gradient is finite, if large
+        X[:, 1] = np.nextafter(X[:, 1], 0.0)
+        assert np.all(np.linalg.norm(f.jacobian_many(X), axis=(1, 2)) > 1.0)
+
+    def test_nan_row_jacobian_is_non_finite(self):
+        f = make_example_field("vortex_chain", m=3)
+        for x in ([np.nan, 0.01], [0.1, np.nan]):
+            with pytest.raises(NonFinite):
+                f.jacobian_many(np.array([[0.3, 0.1], x]))
+
+    def test_field_without_a_jacobian_is_refused(self):
+        f = make_example_field("smooth_lift", f=lambda X: X[:, 0])
+        assert np.allclose(f.evaluate((0.2, 0.3)), (math.cos(0.2), math.sin(0.2)))
+        with pytest.raises(InvalidParams, match="smooth_lift.*without a Jacobian"):
+            f.jacobian_at((0.2, 0.3))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6, 9])
     def test_evaluator_refuses_each_centre(self, m):
-        # the path of the finite-difference sub-field, which has no guard
+        # the evaluator's own guard, which holds also where a caller passes
+        # its own distances to evaluate_many
         f = make_example_field("vortex_chain", m=m)
         centers, _ = chain_centers_radii(m)
         far = np.array([[-1.1, 0.7]])

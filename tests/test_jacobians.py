@@ -5,7 +5,8 @@ loci where the field is only piecewise smooth: the regions named by its
 ``chart_breaks`` and the edges of the region a construction replaces.
 Points are kept at least ``CLEARANCE`` from every such locus, so that no
 stencil straddles one, and at least ``SINGULAR_CLEARANCE`` from the
-declared singular set.
+declared singular set, or at the smaller ``THIN_CLEARANCES`` of a case
+whose regions are thinner than that.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from relaxarea.chains import distance_to_chain
-from relaxarea.fields import make_example_field
+from relaxarea.fields import chain_centers_radii, make_example_field
 from relaxarea.recovery import (
     cone_defect_field_4d,
     cone_defect_filler,
@@ -32,6 +33,9 @@ from relaxarea.recovery import (
 H = 1e-6
 CLEARANCE = 1e-3
 SINGULAR_CLEARANCE = 0.05
+#: (singular, locus) clearances of the cases whose regions are too thin for
+#: the defaults: the vortex chain's j-th disk has radius 2^-(j+1)
+THIN_CLEARANCES = {"vortex_chain": (2e-3, 5e-4), "vortex_chain-6": (2e-3, 5e-4)}
 SAMPLES = 400
 LIPSCHITZ = 1.1  # sqrt(1 + (t eps)^2) for the cone sheets, 1 for the rest
 
@@ -65,23 +69,50 @@ def conical(codim, eps, base=(-1.0, 1.0), t_max=1.3):
     return sample
 
 
-def chain_disks(m):
-    """Points in the open disks, the only part with an analytic Jacobian
-    (the vortex chain differentiates numerically in between)."""
-    centres = 1.0 - 2.0 ** (1 - np.arange(1, m + 1))
-    radii = 2.0 ** -(np.arange(1, m + 1) + 1.0)
+def chain_regions(m):
+    """Points over [-1.2, 1.2]^2, and as many again in each square, in each
+    square's outer corners, in the bounding box of each gap trapezoid and in
+    each end strip, so that the thin regions of the chain are reached."""
+    centers, radii = chain_centers_radii(m)
+    c, h = centers[:, 0], radii
+    # (x1 from, x1 to, |x2| from, |x2| to), each mirrored in x2 = 0
+    boxes = [(-1.2, 1.2, 0.0, 1.2)]
+    for a, b in zip(c, h):
+        boxes += [(a - b, a + b, 0.0, b), (a - b, a - 0.5 * b, 0.5 * b, b),
+                  (a + 0.5 * b, a + b, 0.5 * b, b)]
+    boxes += [(a + b, d - e, 0.0, b) for a, b, d, e in zip(c, h, c[1:], h[1:])]
+    boxes += [(-1.2, c[0] - h[0], 0.0, h[0]), (c[-1] + h[-1], 1.2, 0.0, h[-1])]
+    lo1, hi1, lo2, hi2 = np.array(boxes).T
 
     def sample(rng):
-        j = rng.integers(0, m, 4 * SAMPLES)
-        th = rng.uniform(-math.pi, math.pi, 4 * SAMPLES)
-        r = radii[j] * rng.uniform(0.0, 0.99, 4 * SAMPLES)
-        return np.stack([centres[j] + r * np.cos(th), r * np.sin(th)], axis=1)
+        k = rng.integers(0, len(boxes), 4 * SAMPLES)
+        u = rng.uniform(0.0, 1.0, (4 * SAMPLES, 2))
+        sign = rng.choice([-1.0, 1.0], 4 * SAMPLES)
+        return np.stack([lo1[k] + u[:, 0] * (hi1[k] - lo1[k]),
+                         sign * (lo2[k] + u[:, 1] * (hi2[k] - lo2[k]))], axis=1)
     return sample
 
 
 # the piecewise loci, each as the zero set of a function with Lipschitz
 # constant at most LIPSCHITZ, so that |g(x)| >= LIPSCHITZ * CLEARANCE puts x
 # at least CLEARANCE from the locus
+
+def chain_creases(m):
+    """The vortex chain's disk circles r = h_j, its square sides
+    x1 = c_j +- h_j, and its half-height |x2| = H(x1), whose slope is 0 or
+    -1 (so divided by sqrt 2)."""
+    centers, radii = chain_centers_radii(m)
+    c, h = centers[:, 0], radii
+    sides = np.stack([c - h, c + h], axis=1).ravel()
+
+    def gaps(X):
+        x1, x2 = X[:, 0], X[:, 1]
+        H = np.interp(x1, sides, np.repeat(h, 2))
+        return ([np.hypot(x1 - a, x2) - b for a, b in zip(c, h)]
+                + [x1 - s for s in sides]
+                + [(np.abs(x2) - H) / math.sqrt(2.0)])
+    return gaps
+
 
 def spheres(*radii, centre=None):
     def gaps(X):
@@ -143,7 +174,9 @@ CASES = {
     "planar_vortex": (lambda: make_example_field("planar_vortex"), box(3),
                       None),
     "vortex_chain": (lambda: make_example_field("vortex_chain", m=3),
-                     chain_disks(3), None),
+                     chain_regions(3), chain_creases(3)),
+    "vortex_chain-6": (lambda: make_example_field("vortex_chain", m=6),
+                       chain_regions(6), chain_creases(6)),
     "sphere_vortex": (lambda: make_example_field("sphere_vortex"), box(3),
                       None),
     "constant": (lambda: make_example_field("constant", value=(0.6, -0.8)),
@@ -197,13 +230,14 @@ def central_differences(field, X):
     return J
 
 
-def clear_points(field, sample, loci, rng):
+def clear_points(field, sample, loci, rng,
+                 clearances=(SINGULAR_CLEARANCE, CLEARANCE)):
     X = sample(rng)
     keep = np.ones(len(X), dtype=bool)
     if field.singular_set is not None and len(field.singular_set.cells):
-        keep &= distance_to_chain(X, field.singular_set) >= SINGULAR_CLEARANCE
+        keep &= distance_to_chain(X, field.singular_set) >= clearances[0]
     for gap in (loci(X) if loci else []):
-        keep &= np.abs(gap) >= LIPSCHITZ * CLEARANCE
+        keep &= np.abs(gap) >= LIPSCHITZ * clearances[1]
     return X[keep][:SAMPLES]
 
 
@@ -215,7 +249,8 @@ def case_rng(case):
 def test_jacobian_matches_central_differences(case):
     build, sample, loci = CASES[case]
     field = build()
-    X = clear_points(field, sample, loci, case_rng(case))
+    X = clear_points(field, sample, loci, case_rng(case),
+                     THIN_CLEARANCES.get(case, (SINGULAR_CLEARANCE, CLEARANCE)))
     assert len(X) >= SAMPLES // 2
     J = field.jacobian_many(X)
     J_fd = central_differences(field, X)
@@ -234,3 +269,21 @@ def test_cone_extension_core_is_reached(eps):
     rho = np.linalg.norm(X[:, :3], axis=1)
     core = rho <= eps * eps * np.minimum(X[:, 3] + 1.0, 1.0 - X[:, 3])
     assert np.count_nonzero(core) >= 20
+
+
+@pytest.mark.parametrize("case, m", [("vortex_chain", 3), ("vortex_chain-6", 6)])
+def test_chain_regions_are_reached(case, m):
+    # each gap and end strip, and each square's disk and outer corners
+    build, sample, loci = CASES[case]
+    X = clear_points(build(), sample, loci, case_rng(case), THIN_CLEARANCES[case])
+    centers, radii = chain_centers_radii(m)
+    c, h = centers[:, 0], radii
+    sides = np.stack([c - h, c + h], axis=1).ravel()
+    region = np.searchsorted(sides, X[:, 0], "right")
+    band = np.abs(X[:, 1]) < np.interp(X[:, 0], sides, np.repeat(h, 2))
+    parts = [band & (region == r) for r in range(0, 2 * m + 1, 2)]
+    for j in range(m):
+        square = band & (region == 2 * j + 1)
+        in_disk = np.hypot(X[:, 0] - c[j], X[:, 1]) < h[j]
+        parts += [square & in_disk, square & ~in_disk]
+    assert min(np.count_nonzero(p) for p in parts) >= 3

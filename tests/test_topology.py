@@ -907,7 +907,8 @@ class TestRelaxedRhs:
         points = make_example_field("vortex_chain", m=3).singular_set
         rhs = relaxed_area_rhs(flat2, Ball(2, 0.3), points, 1e-8)
         assert rhs == pytest.approx(math.pi * 0.09 + math.pi, rel=1e-9)
-        flat3 = lift_field(lambda X: 0.0 * X[:, 0], n=3)
+        flat3 = lift_field(lambda X: 0.0 * X[:, 0],
+                           lambda X: np.zeros((len(X), 3)), n=3)
         axis = make_example_field("planar_vortex").singular_set
         rhs = relaxed_area_rhs(flat3, Cube(3, 0.5), axis, 1e-8)
         assert rhs == pytest.approx(1.0 + math.pi, rel=1e-9)
