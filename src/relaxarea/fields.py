@@ -138,6 +138,10 @@ class VectorField:
     # -- evaluation ---------------------------------------------------------
 
     def _check_points(self, X, dist=None):
+        # a given distance comes from a caller that has already dealt with
+        # non-finite rows (extraction masks NaN distances)
+        if dist is None and not np.isfinite(X).all():
+            raise NonFinite(f"{self.name}: non-finite point")
         if self.singular_set is not None and len(self.singular_set.cells) > 0:
             d = distance_to_chain(X, self.singular_set) if dist is None else dist
             if np.any(d <= SINGULAR_GUARD):

@@ -7,46 +7,48 @@ requested relative tolerance.  A cell is split dyadically, along the axis
 with the roughest value profile, up to the depth cap of 14 halvings per
 axis.
 
-An integrand returns (N,) or (N, K) values.  The K components share one
-refinement tree, as in DCUHRE (Berntsen, Espelid & Genz, ACM TOMS 17,
-1991), and each must meet the tolerance on its own.  Weighted by
-1 / max(|initial chart total|, SCALE_FLOOR), a cell's largest component
-error ranks it, and that component's value profile picks the split axis.
+An integral has one refinement tree, as in DCUHRE (Berntsen, Espelid &
+Genz, ACM TOMS 17, 1991): one table holds the cells of every chart of the
+domain, and one weight vector, one stop rule and one ``max_cells`` budget
+serve them all.  An integrand returns (N,) or (N, K) values; the K
+components share the tree, and each must meet the tolerance on its own.
+Weighted by 1 / max(|initial total|, SCALE_FLOOR), a cell's largest
+component error ranks it, and that component's value profile picks the
+split axis.
 
 Waves follow the parallel globally adaptive rule of Bull & Freeman (the
-vectorized mode of S. G. Johnson's ``cubature`` works alike).  In each
-wave a chart orders its cells by rank, worst first, and takes the fewest
-leading cells whose summed error reaches its excess
+vectorized mode of S. G. Johnson's ``cubature`` works alike).  Each wave
+orders the open cells by rank, worst first, and takes the fewest leading
+cells whose summed error reaches the excess
 total_err - tol * max(|total_val|, SCALE_FLOOR) in every component that
 has neither met tol nor been decided; it takes no cell whose weighted
-error is below half of the worst one's, and always at least one.  Taken
-cells at the depth cap become final; the others are split, and all their
-children are evaluated with one integrand call.  On every acceptance
+error is below half of the worst one's, and always at least one.  A taken
+cell is split along an open axis, one below the depth cap along which its
+profile varies, and all the children are evaluated with one integrand
+call; a taken cell with no open axis becomes final.  On every acceptance
 integral the waves grow the same tree as splitting the one worst cell per
 call did, so values, errors and node counts are unchanged; they save
 integrand calls, most of all in a refusal, which reaches the depth cap in
-about one call per level.  ``max_cells`` caps the cells of each chart: a wave splits no more cells
-than that budget has left.
+about one call per level.  A wave splits no more cells than
+``max_cells`` has left.
 
-A depth-capped cell is final, as in DCUHRE: it is never split again and
-its own error estimate stays in the sum.  So a refusal can be decided
-before the cell budget runs out.  With C_k the capped error of component
-k summed over all charts, V_k the sum over charts of |chart value_k| and
-U_k their uncapped error, component k is *decided* once
+A final cell stays in the table, is never split again, as in DCUHRE, and
+keeps its own error estimate in the sum, so a refusal can be decided
+before the cell budget runs out.  "Capped" (``CappedCell`` and the
+"depth-capped" of a refusal) names a final cell, which also covers a cell
+whose profile is flat along every axis below the cap.  With C_k the
+capped error of component k, V_k = |value_k| and U_k the error of the
+open cells, component k is *decided* once
 
     C_k > tol * max(V_k + U_k, SCALE_FLOOR).
 
 This refusal is safe: the final absolute error is at least C_k, because
-refinement only replaces uncapped cells, and refinement moves each chart's
-value by at most its uncapped error, so the final |value_k| is at most
-V_k + U_k.  (This trusts the cell error estimates, as the convergence test
-itself does.)  Neither argument depends on how many cells a step splits,
-so both hold for waves.  Every chart's first cells are evaluated before
-any is refined, so the sums cover the whole integral: a chart that cannot
-meet tol on its own value does not refuse an integral that converges as a
-whole.  The test runs after every wave, over all charts; a chart stops
-once each component has met tol on the chart or been decided, and a
-component that can still converge keeps refining.
+refinement only replaces open cells, and it moves the value by at most
+U_k, so the final |value_k| is at most V_k + U_k.  (This trusts the cell
+error estimates, as the convergence test itself does.)  Neither argument
+depends on how many cells a wave splits.  The test runs after every wave;
+refinement stops once each component has met tol or been decided, and a
+component that can still converge refines on.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ BLOCK_POINTS = 2048
 SCALE_FLOOR = 1e-6
 
 
-#: a depth-capped cell: its centre in physical coordinates and its distance
-#: to the singular set (inf without one)
+#: a capped (final) cell: its centre in physical coordinates and its
+#: distance to the singular set (inf without one)
 CappedCell = namedtuple("CappedCell", "centre distance")
 
 
@@ -113,12 +115,6 @@ def _tensor_rule(order: int, dim: int):
     return pts, wts
 
 
-def _per_cell(A, C):
-    """One rule's (C * points, K) values as (C, K, points), each row
-    contiguous so that it sums in the order it would for a lone cell."""
-    return np.ascontiguousarray(A.reshape(C, -1, A.shape[1]).transpose(0, 2, 1))
-
-
 def _dots(rows, w):
     """w @ each row of rows (C, K, len(w)), one 1-d product per row: a batched
     product adds in another order, so values would depend on the batch."""
@@ -146,34 +142,31 @@ class _Integrand:
 
 
 class _Cells:
-    """Cells as the rows of one float array, so that taking and joining
-    cells are single operations.  Its column blocks: halvings per axis
-    ``splits`` and corners ``lo``, ``hi`` (dim each), so that the leading
+    """Cells as the rows of one float array, so that taking cells is one
+    operation.  Its column blocks: halvings per axis ``splits``, corners
+    ``lo``, ``hi`` (dim each) and the ``chart`` index, so that the leading
     columns order cells as the reduction does; ``value`` and ``err`` (K
-    each); ``rank``, minus the largest weighted error; and ``rough``, the
-    value profile of that component (dim)."""
+    each); ``rank``, minus the largest weighted error, +inf once the cell is
+    final; and ``rough``, the value profile of that component (dim)."""
 
     def __init__(self, rows, dim):
         self.rows, self.dim = rows, dim
-        self.K = (rows.shape[1] - 4 * dim - 1) // 2
+        self.K = (rows.shape[1] - 4 * dim - 2) // 2
 
     splits = property(lambda c: c.rows[:, :c.dim])
     lo = property(lambda c: c.rows[:, c.dim:2 * c.dim])
     hi = property(lambda c: c.rows[:, 2 * c.dim:3 * c.dim])
-    value = property(lambda c: c.rows[:, 3 * c.dim:3 * c.dim + c.K])
-    err = property(lambda c: c.rows[:, 3 * c.dim + c.K:3 * c.dim + 2 * c.K])
-    rank = property(lambda c: c.rows[:, 3 * c.dim + 2 * c.K])
-    rough = property(lambda c: c.rows[:, 3 * c.dim + 2 * c.K + 1:])
+    chart = property(lambda c: c.rows[:, 3 * c.dim])
+    value = property(lambda c: c.rows[:, 3 * c.dim + 1:3 * c.dim + 1 + c.K])
+    err = property(lambda c: c.rows[:, 3 * c.dim + 1 + c.K:3 * c.dim + 1 + 2 * c.K])
+    rank = property(lambda c: c.rows[:, 3 * c.dim + 1 + 2 * c.K])
+    rough = property(lambda c: c.rows[:, 3 * c.dim + 2 + 2 * c.K:])
 
     def __len__(self):
         return self.rows.shape[0]
 
     def take(self, idx):
-        return _Cells(self.rows[idx], self.dim)
-
-    @staticmethod
-    def join(parts):
-        return _Cells(np.concatenate([c.rows for c in parts]), parts[0].dim)
+        return _Cells(self.rows.take(idx, axis=0), self.dim)
 
 
 def _split_box_at_breaks(box, axes, breaks):
@@ -188,95 +181,114 @@ def _split_box_at_breaks(box, axes, breaks):
     return boxes[:, :, 0], boxes[:, :, 1]
 
 
-class _ChartIntegrator:
-    """One chart's refinement tree: its open cells in the order they were
-    made, the depth-capped cells that are final, and their totals."""
+class _Tree:
+    """One integral's refinement tree: the cells of all its charts, open and
+    final, in one table, with their totals."""
 
-    def __init__(self, f, chart, singular_set, breaks):
+    def __init__(self, f, charts, singular_set, breaks):
         self.f = f
-        self.chart = chart
+        self.charts = charts
         self.singular_set = singular_set
         self.weight = None  # per component, set by the first batch
-        self.dim = len(chart.box)
-        self.P8, self.W8 = _tensor_rule(GAUSS_ORDER, self.dim)
-        self.P4, self.W4 = _tensor_rule(ERROR_ORDER, self.dim)
+        self.dim = len(charts[0].box)
+        P8, self.W8 = _tensor_rule(GAUSS_ORDER, self.dim)
+        P4, self.W4 = _tensor_rule(ERROR_ORDER, self.dim)
+        self.Q = np.concatenate([P8, P4])  # each cell's nodes, Gauss-8 first
         self.nodes_used = 0
-        lo, hi = _split_box_at_breaks(chart.box, chart.axes, breaks)
-        self.open = self.eval_cells(lo, hi, np.zeros(lo.shape, dtype=int))
-        self.capped = []  # batches of depth-capped cells, which are final
-        self.where = []  # the CappedCell of each, in the same order
-        self.n_capped = 0
-        self.capped_val = self.capped_err = 0.0  # their sums
+        boxes = [_split_box_at_breaks(ch.box, ch.axes, breaks) for ch in charts]
+        lo, hi = (np.concatenate(b) for b in zip(*boxes))
+        chart = np.repeat(np.arange(len(charts)), [len(b) for b, _ in boxes])
+        self.cells = self.eval_cells(lo, hi, np.zeros(lo.shape), chart)
         self._total()
 
     def _total(self):
-        self.total_val = self.open.value.sum(axis=0) + self.capped_val
-        self.total_err = self.open.err.sum(axis=0) + self.capped_err
+        self.total_val = self.cells.value.sum(axis=0)
+        self.total_err = self.cells.err.sum(axis=0)
 
-    def eval_cells(self, lo, hi, splits):
-        """Evaluate the cells [lo, hi] (C, dim) with one integrand call."""
-        C = lo.shape[0]
-        n8 = C * len(self.W8)  # the Gauss-8 points of all cells come first
-        span = (hi - lo)[:, None, :]
-        P = np.concatenate([(lo[:, None, :] + Q * span).reshape(-1, self.dim)
-                            for Q in (self.P8, self.P4)])
-        X = self.chart.to_physical(P)
-        w = np.asarray(self.chart.weight(P), dtype=float)
-        F = self.f(X) * w[:, None]
+    def eval_cells(self, lo, hi, splits, chart):
+        """Evaluate the cells [lo, hi] (C, dim) of the charts ``chart`` (C,),
+        grouped by chart, with one integrand call."""
+        C, n = lo.shape[0], len(self.Q)
+        P = (lo[:, None, :] + self.Q * (hi - lo)[:, None, :]).reshape(-1, self.dim)
+        # each chart's points are one slice of P, mapped without a copy
+        ends = (chart.searchsorted(np.arange(len(self.charts) + 1)) * n).tolist()
+        X, w = [], []
+        for ch, a, b in zip(self.charts, ends, ends[1:]):
+            if a < b:
+                X.append(ch.to_physical(P[a:b]))
+                w.append(ch.weight(P[a:b]))
+        F = self.f(np.concatenate(X)) * np.concatenate(w)[:, None]
         self.nodes_used += P.shape[0]
-        F8, F4 = _per_cell(F[:n8], C), _per_cell(F[n8:], C)
+        # (C, K, nodes), each row contiguous, so that it sums in the order it
+        # would for a lone cell
+        F = np.ascontiguousarray(F.reshape(C, n, -1).transpose(0, 2, 1))
+        n8 = len(self.W8)
         vol = np.prod(hi - lo, axis=1)[:, None]
-        value = _dots(F8, self.W8) * vol
-        err = np.abs(value - _dots(F4, self.W4) * vol)
+        value = _dots(F[:, :, :n8], self.W8) * vol
+        err = np.abs(value - _dots(F[:, :, n8:], self.W4) * vol)
         if self.weight is None:  # 1 / max(|total|, floor), the largest being 1
             scale = np.maximum(np.abs(value.sum(axis=0)), SCALE_FLOOR)
             self.weight = scale.min() / scale
         weighted = err * self.weight
         top = weighted.argmax(axis=1)
-        grid = F8[np.arange(C), top].reshape((C,) + (GAUSS_ORDER,) * self.dim)
+        grid = F[np.arange(C), top, :n8].reshape((C,) + (GAUSS_ORDER,) * self.dim)
         rough = np.array([np.abs(np.diff(grid, n=2, axis=1 + a)).reshape(
             C, -1).sum(axis=1) for a in range(self.dim)]).T
-        return _Cells(np.concatenate([splits, lo, hi, value, err,
+        return _Cells(np.concatenate([splits, lo, hi, chart[:, None], value, err,
                                       -weighted.max(axis=1)[:, None], rough],
                                      axis=1), self.dim)
 
-    def wave(self, tol, decided, max_cells):
-        """Split or cap the worst open cells, in rank order, until what is
-        left would meet tol; False, doing nothing, once the chart has stopped.
-        """
-        cells = self.open
-        excess = self.total_err - tol * np.maximum(np.abs(self.total_val),
-                                                   SCALE_FLOOR)
-        todo = (excess > 0) & ~decided
-        budget = max_cells - len(cells) - self.n_capped
-        if not len(cells) or budget <= 0 or not np.count_nonzero(todo):
-            return False
-        # take and count_nonzero rather than indexing and any(): on a wave's
-        # small arrays they cost a third as much
-        order = cells.rank.argsort(kind="stable")
-        rank = cells.rank.take(order)
-        # the fewest leading cells whose errors cover every open excess, but
-        # only those within half of the worst, and at least one
-        short = cells.err.take(order, axis=0).cumsum(axis=0) < excess
-        need = 1 + int(short.sum(axis=0)[todo].max())
-        n = max(1, min(need, int(rank.searchsorted(0.5 * rank[0], "right"))))
-        splittable = cells.splits.take(order[:n], axis=0).min(axis=1) < MAX_DEPTH
-        if n > budget:  # each split adds a cell, capping none
-            n = int(splittable.cumsum().searchsorted(budget, "right"))
-        sel, splittable = order[:n], splittable[:n]
-        parts = [cells.rows.take(np.sort(order[n:]), axis=0)]
-        n_split = np.count_nonzero(splittable)
-        if n_split < n:
-            self._cap(cells.take(sel[~splittable]))
-        if n_split:
-            parts.append(self._split(cells.rows.take(sel[splittable], axis=0)).rows)
-        self.open = _Cells(np.concatenate(parts), self.dim)
-        self._total()
-        return True
+    def refine(self, tol, max_cells):
+        """Split or finalize the worst open cells in waves, each taking cells
+        in rank order until what is left would meet tol, and stop once every
+        component has met tol or been decided, no cell is open or the cells
+        reach ``max_cells``."""
+        decided = np.zeros(len(self.total_err), dtype=bool)
+        while True:
+            cells = self.cells
+            # take and count_nonzero rather than indexing and any(): on a
+            # wave's small arrays they cost a third as much
+            order = cells.rank.argsort(kind="stable")
+            rank = cells.rank.take(order)
+            n_open = int(rank.searchsorted(math.inf))  # final cells rank last
+            if n_open < len(cells):
+                capped = cells.err.take(order[n_open:], axis=0).sum(axis=0)
+                decided |= capped > tol * np.maximum(
+                    np.abs(self.total_val) + self.total_err - capped, SCALE_FLOOR)
+            excess = self.total_err - tol * np.maximum(np.abs(self.total_val),
+                                                       SCALE_FLOOR)
+            todo = (excess > 0) & ~decided
+            budget = max_cells - len(cells)
+            if not n_open or budget <= 0 or not np.count_nonzero(todo):
+                return
+            # the fewest leading cells whose errors cover every open excess,
+            # but only those within half of the worst, and at least one
+            short = cells.err.take(order[:n_open], axis=0).cumsum(axis=0) < excess
+            need = 1 + int(short.sum(axis=0)[todo].max())
+            n = max(1, min(need, int(rank.searchsorted(0.5 * rank[0], "right"))))
+            sel = order[:n]
+            # an axis is open below the depth cap where the profile varies
+            splittable = ((cells.splits.take(sel, axis=0) < MAX_DEPTH)
+                          & (cells.rough.take(sel, axis=0) > 0)).any(axis=1)
+            if n > budget:  # each split adds a cell, finalizing none
+                n = int(splittable.cumsum().searchsorted(budget, "right"))
+                sel, splittable = sel[:n], splittable[:n]
+            parts = [cells.rows.take(np.sort(order[n:]), axis=0)]
+            if np.count_nonzero(splittable) < n:
+                final = cells.take(sel[~splittable])
+                final.rank[:] = math.inf
+                parts.append(final.rows)
+            split = sel[splittable]
+            if len(split):  # the children are evaluated grouped by chart
+                split = split[cells.chart.take(split).argsort(kind="stable")]
+                parts.append(self._split(cells.rows.take(split, axis=0)).rows)
+            self.cells = _Cells(np.concatenate(parts), self.dim)
+            self._total()
 
     def _split(self, rows):
-        """The children of halving each cell of ``rows`` (of a _Cells table)
-        along its roughest open axis, evaluated with one integrand call."""
+        """The children of halving each cell of ``rows`` (of a _Cells table,
+        grouped by chart) along its roughest open axis, evaluated with one
+        integrand call."""
         kids = _Cells(rows.repeat(2, axis=0), self.dim)
         lo, hi, splits = kids.lo, kids.hi, kids.splits
         rough = np.where(splits < MAX_DEPTH, kids.rough, -np.inf)
@@ -285,58 +297,15 @@ class _ChartIntegrator:
         np.copyto(hi[0::2], mid[0::2], where=cut[0::2])
         np.copyto(lo[1::2], mid[1::2], where=cut[1::2])
         splits += cut
-        return self.eval_cells(lo, hi, splits)
+        return self.eval_cells(lo, hi, splits, kids.chart)
 
-    def _cap(self, cells):
-        """Keep depth-capped cells as final, each with its own error
-        estimate, and note where they are."""
-        centres = self.chart.to_physical(0.5 * (cells.lo + cells.hi))
-        if self.singular_set is None:
-            dist = np.full(len(cells), math.inf)
-        else:
-            dist = distance_to_chain(centres, self.singular_set)
-        self.where += [CappedCell(tuple(float(x) for x in c), float(d))
-                       for c, d in zip(centres, dist)]
-        self.capped.append(cells)
-        self.n_capped += len(cells)
-        self.capped_val = self.capped_val + cells.value.sum(axis=0)
-        self.capped_err = self.capped_err + cells.err.sum(axis=0)
-
-
-def _decided(integs, tol):
-    """Components whose refusal is decided: their depth-capped error alone
-    exceeds tol times the largest |value| that refinement can still reach."""
-    capped = sum(i.capped_err for i in integs)
-    reach = sum(np.abs(i.total_val) + (i.total_err - i.capped_err)
-                for i in integs)
-    return capped > tol * np.maximum(reach, SCALE_FLOOR)
-
-
-def _integrate_charts(f, charts, tol, singular_set, breaks, max_cells):
-    # the first cells of every chart come before any refinement, so that a
-    # refusal is decided against the whole integral, not one chart of it
-    integs = [_ChartIntegrator(f, chart, singular_set, breaks or {})
-              for chart in charts]
-    decided = np.zeros(np.shape(integs[0].total_err), dtype=bool)
-    live = integs
-    while live:
-        live = [i for i in live if i.wave(tol, decided, max_cells)]
-        if any(i.n_capped for i in integs):  # else nothing can be decided
-            decided = decided | _decided(integs, tol)
-
-    # deterministic reduction: the cells in a fixed order, by splits, then lo,
-    # then hi, whatever the schedule, summed one after another
-    capped = [c for i in integs for c in i.capped]
-    cells = _Cells.join(capped + [i.open for i in integs])
-    order = np.lexsort(cells.rows[:, :3 * cells.dim].T[::-1])
-    value = cells.value[order].cumsum(axis=0)[-1]
-    err = cells.err[order].cumsum(axis=0)[-1]
-    worst = None
-    if capped:
-        scale = np.maximum(np.abs(value), SCALE_FLOOR)
-        shares = (_Cells.join(capped).err / scale).max(axis=1)
-        worst = [w for i in integs for w in i.where][int(np.argmax(shares))]
-    return value, err, sum(i.nodes_used for i in integs), worst
+    def capped_cell(self, cell):
+        """The CappedCell of a one-row _Cells table."""
+        centre = self.charts[int(cell.chart[0])].to_physical(
+            0.5 * (cell.lo + cell.hi))
+        dist = (math.inf if self.singular_set is None
+                else float(distance_to_chain(centre, self.singular_set)[0]))
+        return CappedCell(tuple(float(x) for x in centre[0]), dist)
 
 
 def _components(res: QuadratureResult, tol: float) -> list:
@@ -384,16 +353,16 @@ def integrate(
     each meets ``tol`` relative to its own value; the result then holds
     (K,) arrays and is converged when all components are.
 
-    Refinement runs in waves: each chart splits its worst cells, worst
+    Refinement runs in waves: each splits the integral's worst cells, worst
     first, until their errors would cover the excess over ``tol``, but
     none below half of the worst cell's weighted error, and evaluates all
     the children with one call of f (see the module docstring).
-    ``max_cells`` caps the cells of each chart, not of the integral.
+    ``max_cells`` caps the cells of the integral, over all its charts.
 
-    Refinement stops early once the depth-capped cells decide that a
+    Refinement stops early once the capped (final) cells decide that a
     component cannot meet ``tol``: their summed error exceeds ``tol`` times
-    the largest |value| that refinement can still reach (the sum over
-    charts of |value| plus uncapped error; see the module docstring).
+    the largest |value| that refinement can still reach (|value| plus the
+    error of the open cells; see the module docstring).
     Components that can still converge refine on.  With
     ``raise_on_failure=False`` an unconverged result is returned as the
     tree stood when it stopped: the value of all its cells, their summed
@@ -407,13 +376,26 @@ def integrate(
     if singular_set is not None and len(singular_set.cells) == 0:
         singular_set = None
     g = _Integrand(f)
-    value, abs_err, nodes, where = _integrate_charts(
-        g, domain.charts(), tol, singular_set, breaks, max_cells)
-    rel = abs_err / np.maximum(np.abs(value), SCALE_FLOOR)
+    tree = _Tree(g, domain.charts(), singular_set, breaks or {})
+    tree.refine(tol, max_cells)
+
+    # deterministic reduction: the cells in a fixed order, by splits, then lo,
+    # then hi, then chart, whatever the schedule, summed one after another
+    cells = tree.cells
+    order = np.lexsort(cells.rows[:, :3 * cells.dim + 1].T[::-1])
+    value = cells.value[order].cumsum(axis=0)[-1]
+    abs_err = cells.err[order].cumsum(axis=0)[-1]
+    scale = np.maximum(np.abs(value), SCALE_FLOOR)
+    rel = abs_err / scale
+    final = np.flatnonzero(cells.rank == math.inf)
+    where = None
+    if len(final):  # the capped cell with the largest relative error
+        worst = final[(cells.err[final] / scale).max(axis=1).argmax()]
+        where = tree.capped_cell(cells.take([worst]))
     if g.scalar:
         value, rel, abs_err = float(value[0]), float(rel[0]), float(abs_err[0])
-    res = QuadratureResult(value, rel, nodes, bool(np.all(rel <= tol)), abs_err,
-                           where)
+    res = QuadratureResult(value, rel, tree.nodes_used, bool(np.all(rel <= tol)),
+                           abs_err, where)
     if raise_on_failure:
         parts = _components(res, tol)
         _refuse_unconverged(["integral"] if g.scalar else

@@ -373,6 +373,30 @@ class TestFailFast:
             area_functional(v, small, 1e-6, max_cells=200)
         assert area_functional(v, dom, 1e-6, max_cells=200).converged
 
+    def test_max_cells_is_a_budget_per_integral(self):
+        # neither chart converges at 1e-8; together they hold max_cells cells,
+        # not max_cells each
+        v = make_example_field("vortex", d=1)
+        dom = Difference(Cube(2, 1.0, center=(-0.25, 0.5)),
+                         Cube(2, 0.5, center=(0.25, 1.0)))
+        initial = sum(len(quadrature._split_box_at_breaks(
+            ch.box, ch.axes, v.chart_breaks)[0]) for ch in dom.charts())
+        res = area_functional(v, dom, 1e-8, max_cells=50,
+                              raise_on_failure=False)
+        assert not res.converged
+        # each split evaluates two cells and adds one to the tree
+        assert (res.nodes_used // 80 + initial) // 2 == 50
+
+    def test_cell_flat_along_its_open_axes_is_final(self):
+        # the planar vortex does not vary along its singular line, so a cell
+        # next to it that reaches the depth cap on the two normal axes is
+        # final rather than halved along the line again and again
+        pv = make_example_field("planar_vortex")
+        res = area_functional(pv, Cube(3, 1.0), 1e-6, raise_on_failure=False)
+        assert not res.converged and res.nodes_used < 10**6
+        assert abs(res.value - 2.0 * vortex_cube2_area_oracle()) <= res.abs_error
+        assert res.capped_cell.distance < 2.0 * 2.0**-14
+
     def test_converging_component_refines_past_a_decided_one(self):
         v = make_example_field("vortex", d=1)
 
@@ -659,48 +683,56 @@ def reference_heap(f, domain, tol, singular_set=None, breaks=None,
         calls.append(len(X))
         return f(X)
 
-    integs = [quadrature._ChartIntegrator(
-        quadrature._Integrand(counted), chart, singular_set,
+    integs = [quadrature._Tree(
+        quadrature._Integrand(counted), [chart], singular_set,
         breaks or {}) for chart in domain.charts()]
+    capped = [[] for _ in integs]  # each chart's final cells
     seq = itertools.count()
     heaps = []
     for integ in integs:
-        first, integ.open = integ.open, integ.open.take([])
+        first = integ.cells
         heaps.append([(r, next(seq), first.take([i]))
                       for i, r in enumerate(first.rank)])
         heapq.heapify(heaps[-1])
         integ.total_val = sum(first.value)
         integ.total_err = sum(first.err)
     decided = False
-    for integ, heap in zip(integs, heaps):
+    for integ, heap, final in zip(integs, heaps, capped):
         while heap:
             scale = np.maximum(np.abs(integ.total_val), quadrature.SCALE_FLOOR)
             met = integ.total_err <= tol * scale
-            if np.all(met | decided) or integ.n_capped + len(heap) >= max_cells:
+            if np.all(met | decided) or len(final) + len(heap) >= max_cells:
                 break
             _, _, cell = heapq.heappop(heap)
             if cell.splits.min() >= quadrature.MAX_DEPTH:
-                err = cell.err[0].copy()
-                integ._cap(cell)  # keeps cell.err, so this adds 0
-                integ.total_err += cell.err[0] - err
+                final.append(cell)  # keeps cell.err in the total
             else:
                 children = integ._split(cell.rows)
                 integ.total_val += sum(children.value) - cell.value[0]
                 integ.total_err += sum(children.err) - cell.err[0]
                 for i, r in enumerate(children.rank):
                     heapq.heappush(heap, (r, next(seq), children.take([i])))
-            if any(i.n_capped for i in integs):
-                decided = decided | quadrature._decided(integs, tol)
+            if any(capped):
+                # the capped error alone exceeds tol times the largest
+                # |value| that refinement can still reach, over all charts
+                errs = [sum((c.err[0] for c in cs), 0.0) for cs in capped]
+                reach = sum(np.abs(i.total_val) + (i.total_err - e)
+                            for i, e in zip(integs, errs))
+                decided = decided | (sum(errs) > tol * np.maximum(
+                    reach, quadrature.SCALE_FLOOR))
 
     rows = [(tuple(c.splits[0]), tuple(c.lo[0]), tuple(c.hi[0]), c.value[0],
-             c.err[0]) for integ, heap in zip(integs, heaps)
-            for c in integ.capped + [c for _, _, c in heap]]
+             c.err[0]) for heap, final in zip(heaps, capped)
+            for c in final + [c for _, _, c in heap]]
     rows.sort(key=lambda r: r[:3])
     value, err = sum(r[3] for r in rows), sum(r[4] for r in rows)
     scale = np.maximum(np.abs(value), quadrature.SCALE_FLOOR)
-    shares = [(np.max(c.err[0] / scale), w) for integ in integs
-              for c, w in zip(integ.capped, integ.where)]
-    worst = max(shares, key=lambda p: p[0])[1] if shares else None
+    shares = [(np.max(c.err[0] / scale), integ, c)
+              for integ, final in zip(integs, capped) for c in final]
+    worst = None
+    if shares:
+        _, integ, cell = max(shares, key=lambda p: p[0])
+        worst = integ.capped_cell(cell)
     return value, err, sum(i.nodes_used for i in integs), worst, len(calls)
 
 

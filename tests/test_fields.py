@@ -61,6 +61,23 @@ class TestEvaluate:
             norms = np.linalg.norm(U, axis=1)
             assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
+    @pytest.mark.parametrize("kind, params", [
+        ("vortex", {"d": 1}), ("vortex", {"d": 0}), ("planar_vortex", {}),
+        ("vortex_chain", {"m": 3}), ("sphere_vortex", {}),
+        ("constant", {"value": (1.0, 0.0)}),
+        ("smooth_lift", {"f": lambda X: X[:, 0], "grad_f": lambda X: X * 0.0}),
+    ])
+    def test_non_finite_point_is_refused(self, kind, params):
+        f = make_example_field(kind, **params)
+        reads = ["evaluate_many", "jacobian_many"] + (["angles_many"]
+                                                      if f.m == 2 else [])
+        for bad in (np.nan, np.inf):
+            X = np.full((2, f.n), 0.3)
+            X[1, 0] = bad
+            for read in reads:
+                with pytest.raises(NonFinite, match="non-finite point"):
+                    getattr(f, read)(X)
+
 
 class TestAngles:
     """``angles_many`` from a principal-angle evaluator keeps every guard of
