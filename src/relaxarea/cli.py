@@ -68,19 +68,22 @@ def _positive(values, what):
     return values
 
 
+def _refuse_unread(args, choice, readers):
+    """Refuse a flag that the value of ``--choice`` does not read.
+
+    ``readers`` maps each flag's dest to the values of ``choice`` that read
+    it; an unset flag is None, given neither on the line nor in a config.
+    """
+    value = getattr(args, choice)
+    for dest, values in readers.items():
+        if getattr(args, dest) is not None and value not in values:
+            raise InvalidParams(f"--{dest} has no effect on --{choice} {value}")
+
+
 def _build_field(args):
-    kind = args.field
-    if kind == "vortex":
-        return make_example_field("vortex", d=args.d)
-    if kind == "planar_vortex":
-        return make_example_field("planar_vortex")
-    if kind == "vortex_chain":
-        return make_example_field("vortex_chain", m=args.m)
-    if kind == "sphere_vortex":
-        return make_example_field("sphere_vortex")
-    if kind == "constant":
-        return make_example_field("constant", value=(1.0, 0.0))
-    raise InvalidParams(f"unknown field {kind!r}")
+    _refuse_unread(args, "field", {"d": ("vortex",), "m": ("vortex_chain",)})
+    return make_example_field(args.field, **{
+        k: getattr(args, k) for k in ("d", "m") if getattr(args, k) is not None})
 
 
 def _build_domain(args):
@@ -167,9 +170,8 @@ def _run_jacobian(args):
 def _run_recover(args):
     name = args.construction
     # the vortex constructions read a degree, the removals an inner radius
-    unread = "delta" if name in ("smoothing", "dipole") else "d"
-    if getattr(args, unread) is not None:
-        raise InvalidParams(f"--{unread} has no effect on --construction {name}")
+    _refuse_unread(args, "construction", {"d": ("smoothing", "dipole"),
+                                          "delta": ("point", "cone4")})
     _positive([args.eps], "--eps")
     if args.delta is not None:
         _positive([args.delta], "--delta")
@@ -212,9 +214,15 @@ _STUDIES = ("smoothing", "dipole", "dipole-grad", "chain", "cyl2d")
 
 def _run_relax(args):
     name = args.study
+    if name not in _STUDIES:
+        raise InvalidParams(f"unknown study {name!r}; choose from {_STUDIES}")
+    _refuse_unread(args, "study", {
+        "eps": ("smoothing", "dipole", "dipole-grad"), "k": ("cyl2d",),
+        "m": ("chain",), "disk": ("chain",)})
     verdicts = {}
     if name in ("smoothing", "dipole", "dipole-grad"):
-        eps = _positive(_number_list(args.eps, "--eps"), "--eps values")
+        text = "0.2,0.1,0.05,0.025" if args.eps is None else args.eps
+        eps = _positive(_number_list(text, "--eps"), "--eps values")
     if name == "smoothing":
         report = rx.study_vortex_smoothing(eps, args.tol)
         verdicts["tv_vs_2pi"] = rx.strict_bv_check(report, 2 * math.pi)
@@ -223,15 +231,16 @@ def _run_relax(args):
     elif name == "dipole-grad":
         report = rx.study_dipole_gradient(eps, args.tol)
     elif name == "chain":
-        chain = make_example_field("vortex_chain", m=args.m)
-        report, ref = rx.study_chain_disk(chain, args.disk, tol=args.tol)
+        m = 3 if args.m is None else args.m
+        disk = 1 if args.disk is None else args.disk
+        report, ref = rx.study_chain_disk(make_example_field("vortex_chain", m=m),
+                                          disk, tol=args.tol)
         verdicts["disk_gap"] = f"{report.limits['area'] - ref:.6g}"
-    elif name == "cyl2d":
-        report = rx.study_cylinder_analogue_2d(
-            _number_list(args.k, "--k", int), args.tol)
+    else:  # cyl2d
+        text = "4,8,16,32" if args.k is None else args.k
+        report = rx.study_cylinder_analogue_2d(_number_list(text, "--k", int),
+                                               args.tol)
         verdicts["tv_vs_2pi"] = rx.strict_bv_check(report, 2 * math.pi)
-    else:
-        raise InvalidParams(f"unknown study {name!r}; choose from {_STUDIES}")
     lim = report.limits
     print(f"study={name} limit_A={lim.get('area', float('nan')):.10g} "
           f"limit_TV={lim.get('tv', float('nan')):.10g} "
@@ -285,15 +294,17 @@ def _run_subadd(args):
 
 
 def _run_sweep(args):
+    d = 1 if args.d is None else args.d
     field_of = {
         "smoothing": lambda eps: vortex_smoothing_2d(
-            make_example_field("vortex", d=args.d), (0.0, 0.0), args.d, eps),
+            make_example_field("vortex", d=d), (0.0, 0.0), d, eps),
         "ball": lambda invk: counterexample_sequence("ball", int(round(1 / invk))),
         "cylinder": lambda invk: counterexample_sequence(
             "cylinder", int(round(1 / invk))),
     }
     if args.family not in field_of:
         raise InvalidParams(f"unknown sweep family {args.family!r}")
+    _refuse_unread(args, "family", {"d": ("smoothing",)})
     values = _positive(_number_list(args.values, "--values"), "sweep values")
     if args.family in ("ball", "cylinder"):
         for v in values:  # each value is 1/k; none may round to another k
@@ -353,7 +364,14 @@ def _read_config(argv):
         pre.error(f"cannot read config {known.config}: {exc}")
     if not isinstance(defaults, dict):
         pre.error(f"config {known.config} must hold a JSON object")
-    return defaults, rest
+    for key, value in defaults.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            pre.error(f"config {known.config}: {key!r} must be a string or a "
+                      f"number, got {json.dumps(value)}")
+    # argparse runs a flag's type on string defaults only, so a number goes
+    # in as its text and its flag parses it
+    return {k: v if isinstance(v, str) else repr(v)
+            for k, v in defaults.items()}, rest
 
 
 def build_parser():
@@ -399,8 +417,10 @@ def _build_parser():
         p.add_argument("--field", default="vortex",
                        choices=["vortex", "planar_vortex", "vortex_chain",
                                 "sphere_vortex", "constant"])
-        p.add_argument("--d", type=int, default=1)
-        p.add_argument("--m", type=int, default=3)
+        p.add_argument("--d", type=int, default=None,
+                       help="degree of --field vortex (default 1)")
+        p.add_argument("--m", type=int, default=None,
+                       help="disks of --field vortex_chain (default 3)")
 
     def domain_flags(p):
         p.add_argument("--domain", default="ball2",
@@ -431,10 +451,15 @@ def _build_parser():
     p = command("relax", "convergence study along a schedule")
     p.add_argument("--study", required=True,
                    choices=list(_STUDIES))
-    p.add_argument("--eps", default="0.2,0.1,0.05,0.025")
-    p.add_argument("--k", default="4,8,16,32")
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--disk", type=int, default=1)
+    p.add_argument("--eps", default=None,
+                   help="schedule of smoothing, dipole and dipole-grad "
+                        "(default 0.2,0.1,0.05,0.025)")
+    p.add_argument("--k", default=None,
+                   help="schedule of cyl2d (default 4,8,16,32)")
+    p.add_argument("--m", type=int, default=None,
+                   help="disks of the chain study (default 3)")
+    p.add_argument("--disk", type=int, default=None,
+                   help="disk of the chain study (default 1)")
 
     p = command("counterexample", "filling sequences of the 3d vortex")
     p.add_argument("--variant", required=True,
@@ -453,7 +478,8 @@ def _build_parser():
                    choices=["smoothing", "ball", "cylinder"])
     p.add_argument("--quantity", default="area", choices=["area", "tv", "m2"])
     p.add_argument("--values", default="0.2,0.1,0.05,0.025")
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=int, default=None,
+                   help="degree of the smoothing family (default 1)")
 
     return parser, commands
 

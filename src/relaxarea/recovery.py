@@ -1,10 +1,12 @@
 """Explicit approximating maps used to realize the relaxed-energy bounds.
 
-Constructions: 2d vortex core smoothing (homotopy ring plus linear core),
-the cone dipole around a codimension-2 segment, zero-homogeneous removal
-of point and codimension>=3 singularities with rescaled smooth fillers,
-and the two 3d counterexample sequences (ball fill and sphere-sweeping
-cylinder fill) together with the 2d analogue of the latter.
+Constructions: the vortex tube (a homotopy ring over a linear core), whose
+constant-radius 2d case is the vortex core smoothing and whose 3d case
+with the cone profile as radius is the dipole around a codimension-2
+segment; zero-homogeneous removal of point and codimension>=3
+singularities with rescaled smooth fillers; and the two 3d counterexample
+sequences (ball fill and sphere-sweeping cylinder fill) together with the
+2d analogue of the latter.
 
 Every builder returns a plain :class:`~relaxarea.fields.VectorField` that
 agrees with its input outside the declared modification region.  Homotopy
@@ -95,19 +97,123 @@ def _pullback(v, phi):
 
 
 # ---------------------------------------------------------------------------
-# 2d vortex smoothing
+# vortex tubes: the 2d smoothing and the cone dipole (n = 3, segment on x3)
 # ---------------------------------------------------------------------------
+
+
+def _vortex_tube(field, centre, d, radius, slope, probe, **kwargs):
+    """The field with its vortex tube rho < R(z) replaced by a degree-d cap.
+
+    (rho, theta) are polar coordinates of (x1, x2) about ``centre`` and
+    z = x3 exists only for n = 3.  ``radius(z)`` is R and ``slope(z)``
+    dR/dz; in 2d z is None, R one value and ``slope`` None.  On
+    R/2 <= rho < R a homotopy ring deforms (cos d theta, sin d theta) onto
+    the trace U of the field on rho = R; inside, the linear core
+    (2 rho / R)(cos d theta, sin d theta).  A trace that comes
+    ``LIFT_PINCH`` close to antipodal at the ``probe`` rows (theta, z) is
+    refused.  That check and the ring's values read trace values only; the
+    input's Jacobian is read only when the built field's Jacobian is.
+    ``kwargs`` go to the built VectorField.
+    """
+    n = field.n
+    c = np.asarray(centre, dtype=float)
+
+    def radial(X):
+        """x1 - c1, x2 - c2, rho, z and R(z) (in 2d: None and one value)."""
+        x1, x2 = X[:, 0] - c[0], X[:, 1] - c[1]
+        z = X[:, 2] if n == 3 else None
+        return x1, x2, np.hypot(x1, x2), z, radius(z)
+
+    def polar(X):
+        x1, x2, rho, z, R = radial(X)
+        return rho, np.arctan2(x2, x1), z, R
+
+    def offset(theta, z):
+        """The lift offset g = wrap(atan2(U2, U1) - d theta) of the trace U.
+
+        Returns ``(g, U, pts)``; only values of the input are read.
+        """
+        R, cos, sin = radius(z), np.cos(theta), np.sin(theta)
+        rim = [c[0] + R * cos, c[1] + R * sin]
+        pts = np.stack(rim if z is None else rim + [z], axis=1)
+        U = field.evaluate_many(pts)
+        return _wrap(np.arctan2(U[:, 1], U[:, 0]) - d * theta), U, pts
+
+    def trace(theta, z):
+        """g, dg/dtheta and dg/dz (None in 2d), which read the input's Jacobian."""
+        g, U, pts = offset(theta, z)
+        J = field.jacobian_many(pts)
+        R, cos, sin = radius(z), np.cos(theta), np.sin(theta)
+        J2 = J[:, :, :2]
+        dth = np.stack([-R * sin, R * cos], axis=1)
+        g_th = _target_angle_grad(U, np.einsum("nij,nj->ni", J2, dth)) - d
+        if z is None:
+            return g, g_th, None
+        dz = np.stack([slope(z) * cos, slope(z) * sin], axis=1)
+        return g, g_th, _target_angle_grad(
+            U, np.einsum("nij,nj->ni", J2, dz) + J[:, :, 2])
+
+    gmax = float(np.max(np.abs(offset(*probe)[0])))
+    if gmax > LIFT_PINCH:
+        raise InvalidParams(
+            "boundary trace too far from the reference vortex for a "
+            "shortest-arc homotopy ring"
+        )
+
+    def classify(X):
+        # R(z) <= 0 off the dipole's segment, so the open tube ends there
+        _, _, rho, _, R = radial(X)
+        tube = rho < R
+        return np.add(tube, tube & (rho < R / 2), dtype=np.int8)
+
+    def ring_ev(X):
+        rho, theta, z, R = polar(X)
+        g = offset(theta, z)[0]
+        return _circle_frame(d * theta + (2.0 * rho / R - 1.0) * g)[0]
+
+    def ring_jac(X):
+        rho, theta, z, R = polar(X)
+        g, g_th, g_z = trace(theta, z)
+        e_rho, e_th = _circle_frame(theta)
+        t = 2.0 * rho / R - 1.0
+        grad_ang = (((d + t * g_th) / rho)[:, None] * e_th
+                    + (2.0 * g / R)[:, None] * e_rho)
+        uperp = _circle_frame(d * theta + t * g)[1]
+        J = uperp[:, :, None] * grad_ang[:, None, :]
+        if z is None:
+            return J
+        ang_z = t * g_z - g * (2.0 * rho * slope(z) / R**2)
+        return np.concatenate((J, (uperp * ang_z[:, None])[:, :, None]), axis=2)
+
+    def core_ev(X):
+        rho, theta, _, R = polar(X)
+        return (2.0 * rho / R)[:, None] * _circle_frame(d * theta)[0]
+
+    def core_jac(X):
+        rho, theta, z, R = polar(X)
+        e_rho, e_th = _circle_frame(theta)
+        e, eperp = _circle_frame(d * theta)
+        J = np.reshape(2.0 / R, (-1, 1, 1)) * (  # one R in 2d, one per row in 3d
+            e[:, :, None] * e_rho[:, None, :] + d * eperp[:, :, None] * e_th[:, None, :])
+        if z is None:
+            return J
+        s_z = -(2.0 * rho * slope(z) / R**2)
+        return np.concatenate((J, (e * s_z[:, None])[:, :, None]), axis=2)
+
+    ev, jac = _piecewise(n, 2, classify, [
+        (field.evaluate_many, field.jacobian_many), (ring_ev, ring_jac),
+        (core_ev, core_jac)])
+    return VectorField(n, 2, ev, jac, **kwargs)
 
 
 def vortex_smoothing_2d(field: VectorField, center, d: int, eps: float) -> VectorField:
     """Replace the field inside B_eps(center) by a smooth degree-d cap.
 
-    Outside B_eps the input is untouched; on eps/2 <= rho <= eps a homotopy
-    ring deforms (cos d theta, sin d theta) onto the boundary trace; inside,
-    the linear core (2 rho / eps) (cos d theta, sin d theta).  The pinch
-    check at build time (the trace stays ``LIFT_PINCH`` from antipodal) and
-    the ring's values read trace values only; the input's Jacobian is read
-    only when the built field's Jacobian is.
+    The vortex tube of constant radius eps: outside B_eps the input is
+    untouched; on eps/2 <= rho < eps a homotopy ring deforms
+    (cos d theta, sin d theta) onto the boundary trace; inside, the linear
+    core (2 rho / eps) (cos d theta, sin d theta).  A trace that comes
+    ``LIFT_PINCH`` close to antipodal is refused when the map is built.
     """
     if field.n != 2 or field.m != 2:
         raise InvalidParams("vortex_smoothing_2d expects an n=2, m=2 field")
@@ -119,95 +225,26 @@ def vortex_smoothing_2d(field: VectorField, center, d: int, eps: float) -> Vecto
     wd = winding_number(field, Circle(tuple(c), eps), samples=256)
     if wd != d:
         raise DegreeMismatch(f"winding on the eps-circle is {wd}, expected {d}")
-
-    def offset(theta):
-        """The lift offset g = wrap(atan2(U2, U1) - d theta) of the trace U.
-
-        Returns ``(g, U, pts)``; only values of the input are read.
-        """
-        pts = c + eps * _circle_frame(theta)[0]
-        U = field.evaluate_many(pts)
-        return _wrap(np.arctan2(U[:, 1], U[:, 0]) - d * theta), U, pts
-
-    def trace(theta):
-        """g and dg/dtheta, which reads the input's Jacobian."""
-        g, U, pts = offset(theta)
-        J = field.jacobian_many(pts)
-        dU = np.einsum("nij,nj->ni", J, eps * _circle_frame(theta)[1])
-        return g, _target_angle_grad(U, dU) - d
-
-    probe = np.linspace(-math.pi, math.pi, 256, endpoint=False)
-    gmax = float(np.max(np.abs(offset(probe)[0])))
-    if gmax > LIFT_PINCH:
-        raise InvalidParams(
-            "boundary trace too far from the reference vortex for a "
-            "shortest-arc homotopy ring"
-        )
-
-    def polar(X):
-        W = X - c
-        return np.hypot(W[:, 0], W[:, 1]), np.arctan2(W[:, 1], W[:, 0])
-
-    def classify(X):
-        W = X - c
-        rho = np.hypot(W[:, 0], W[:, 1])
-        return np.add(rho < eps, rho < eps / 2, dtype=np.int8)
-
-    def ring_ev(X):
-        rho, theta = polar(X)
-        g = offset(theta)[0]
-        return _circle_frame(d * theta + (2.0 * rho / eps - 1.0) * g)[0]
-
-    def ring_jac(X):
-        rho, theta = polar(X)
-        g, dg = trace(theta)
-        e_rho, e_th = _circle_frame(theta)
-        t = 2.0 * rho / eps - 1.0
-        grad_ang = (((d + t * dg) / rho)[:, None] * e_th
-                    + (2.0 * g / eps)[:, None] * e_rho)
-        uperp = _circle_frame(d * theta + t * g)[1]
-        return uperp[:, :, None] * grad_ang[:, None, :]
-
-    def core_ev(X):
-        rho, theta = polar(X)
-        return (2.0 * rho / eps)[:, None] * _circle_frame(d * theta)[0]
-
-    def core_jac(X):
-        _, theta = polar(X)
-        e_rho, e_th = _circle_frame(theta)
-        e, eperp = _circle_frame(d * theta)
-        return (2.0 / eps) * (e[:, :, None] * e_rho[:, None, :]
-                              + d * eperp[:, :, None] * e_th[:, None, :])
-
     keep = None
     if field.singular_set is not None:
         keep = field.singular_set.filtered(
             lambda p: float(np.linalg.norm(p - c)) >= eps
         )
-    ev, jac = _piecewise(2, 2, classify, [
-        (field.evaluate_many, field.jacobian_many), (ring_ev, ring_jac),
-        (core_ev, core_jac)])
-    return VectorField(
-        2, 2, ev, jac, singular_set=keep,
-        chart_breaks={"r": (eps / 2, float(eps))},
-        name=f"{field.name}+smooth(eps={eps:g})",
-    )
-
-
-# ---------------------------------------------------------------------------
-# cone dipole (n = 3, segment on the last axis)
-# ---------------------------------------------------------------------------
+    return _vortex_tube(
+        field, c, d, lambda z: eps, None,
+        (np.linspace(-math.pi, math.pi, 256, endpoint=False), None),
+        singular_set=keep, chart_breaks={"r": (eps / 2, float(eps))},
+        name=f"{field.name}+smooth(eps={eps:g})")
 
 
 def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
     """Remove the codimension-2 dipole over the base segment [a, b].
 
-    Inside the cone |x~| <= eps * dist(z, {a, b}) the map becomes a
-    homotopy shell (outer half) over a linear degree-d core (inner half),
-    with traces matching the input on the cone boundary.  As for
-    :func:`vortex_smoothing_2d`, the pinch check and the shell's values read
-    trace values only; the input's Jacobian is read only when the built
-    field's Jacobian is.
+    The vortex tube about the x3 axis whose radius is the cone profile
+    eps * dist(z, {a, b}): inside the cone the map becomes a homotopy shell
+    (outer half) over a linear degree-d core (inner half), with traces
+    matching the input on the cone boundary, as in
+    :func:`vortex_smoothing_2d`.
     """
     if field.n != 3 or field.m != 2:
         raise InvalidParams("cone_dipole expects an n=3, m=2 field")
@@ -221,92 +258,6 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
     if wd != d:
         raise DegreeMismatch(f"winding around the segment is {wd}, expected {d}")
 
-    def offset(theta, z):
-        """The lift offset g = wrap(atan2(U2, U1) - d theta) of the trace U.
-
-        Returns ``(g, U, pts)``; only values of the input are read.
-        """
-        r = cone.profile(z)
-        pts = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
-        U = field.evaluate_many(pts)
-        return _wrap(np.arctan2(U[:, 1], U[:, 0]) - d * theta), U, pts
-
-    def trace(theta, z):
-        """g and its theta- and z-derivatives, which read the input's Jacobian."""
-        g, U, pts = offset(theta, z)
-        J = field.jacobian_many(pts)
-        r = cone.profile(z)
-        dth = np.stack([-r * np.sin(theta), r * np.cos(theta), np.zeros_like(r)],
-                       axis=1)
-        slope = cone.slope(z)
-        dz = np.stack([slope * np.cos(theta), slope * np.sin(theta),
-                       np.ones_like(r)], axis=1)
-        g_th = _target_angle_grad(U, np.einsum("nij,nj->ni", J, dth)) - d
-        g_z = _target_angle_grad(U, np.einsum("nij,nj->ni", J, dz))
-        return g, g_th, g_z
-
-    tt, zz = np.meshgrid(
-        np.linspace(-math.pi, math.pi, 64, endpoint=False),
-        np.linspace(a + (b - a) / 64, b - (b - a) / 64, 33),
-        indexing="ij",
-    )
-    gmax = float(np.max(np.abs(offset(tt.ravel(), zz.ravel())[0])))
-    if gmax > LIFT_PINCH:
-        raise InvalidParams(
-            "trace too far from the reference vortex for a shortest-arc homotopy"
-        )
-
-    def cylinder(X):
-        z = X[:, 2]
-        return (np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0]), z,
-                cone.profile(z))
-
-    def gradients(rho, theta, z, r):
-        """e_theta, e_z and the gradient of 2 rho / r(z)."""
-        zeros = np.zeros_like(theta)
-        e_rho = np.stack([np.cos(theta), np.sin(theta), zeros], axis=1)
-        e_th = np.stack([-np.sin(theta), np.cos(theta), zeros], axis=1)
-        e_z = np.stack([zeros, zeros, np.ones_like(theta)], axis=1)
-        return e_th, e_z, ((2.0 / r)[:, None] * e_rho
-                           - (2.0 * rho * cone.slope(z) / r**2)[:, None] * e_z)
-
-    def classify(X):
-        z = X[:, 2]
-        rho, r = np.hypot(X[:, 0], X[:, 1]), cone.profile(z)
-        inside = (z > a) & (z < b) & (rho <= r)
-        return np.add(inside, inside & (rho < r / 2), dtype=np.int8)
-
-    def ring_ev(X):
-        rho, theta, z, r = cylinder(X)
-        g = offset(theta, z)[0]
-        return _circle_frame(d * theta + (2.0 * rho / r - 1.0) * g)[0]
-
-    def ring_jac(X):
-        rho, theta, z, r = cylinder(X)
-        g, g_th, g_z = trace(theta, z)
-        e_th, e_z, grad_t = gradients(rho, theta, z, r)
-        t = 2.0 * rho / r - 1.0
-        grad_ang = (
-            ((d + t * g_th) / rho)[:, None] * e_th
-            + g[:, None] * grad_t
-            + (t * g_z)[:, None] * e_z
-        )
-        uperp = _circle_frame(d * theta + t * g)[1]
-        return uperp[:, :, None] * grad_ang[:, None, :]
-
-    def core_ev(X):
-        rho, theta, _, r = cylinder(X)
-        return (2.0 * rho / r)[:, None] * _circle_frame(d * theta)[0]
-
-    def core_jac(X):
-        rho, theta, z, r = cylinder(X)
-        e_th, _, grad_s = gradients(rho, theta, z, r)
-        e, eperp = _circle_frame(d * theta)
-        return (
-            e[:, :, None] * grad_s[:, None, :]
-            + (d * (2.0 / r))[:, None, None] * eperp[:, :, None] * e_th[:, None, :]
-        )
-
     sing = SingularChain.points(3, [((0.0, 0.0, a), d if d else 1),
                                     ((0.0, 0.0, b), d if d else 1)])
     if field.singular_set is not None:
@@ -317,13 +268,15 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
         pts = [(np.asarray(s if extra.k == 0 else 0.5 * (s[0] + s[1])), m)
                for s, m in extra.cells]
         sing = SingularChain.points(3, list(sing.cells) + pts) if pts else sing
-    ev, jac = _piecewise(3, 2, classify, [
-        (field.evaluate_many, field.jacobian_many), (ring_ev, ring_jac),
-        (core_ev, core_jac)])
-    return VectorField(
-        3, 2, ev, jac, singular_set=sing, chart_breaks={"t": (0.5,)},
-        name=f"{field.name}+dipole(eps={eps:g})",
+    tt, zz = np.meshgrid(
+        np.linspace(-math.pi, math.pi, 64, endpoint=False),
+        np.linspace(a + (b - a) / 64, b - (b - a) / 64, 33),
+        indexing="ij",
     )
+    return _vortex_tube(
+        field, (0.0, 0.0), d, cone.profile, cone.slope, (tt.ravel(), zz.ravel()),
+        singular_set=sing, chart_breaks={"t": (0.5,)},
+        name=f"{field.name}+dipole(eps={eps:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -534,22 +487,29 @@ def _cylinder_variant(k: int) -> VectorField:
         tbp = theta_bd_prime(phi)
         fill = r < rk
         th = np.where(fill, math.pi + r * k * (tb - math.pi), tb)
+        # the e_r and e_phi components of grad th
         th_r = np.where(fill, k * (tb - math.pi), 0.0)
-        th_phi = np.where(fill, r * k * tbp, tbp)
+        th_phi = np.where(fill, r * k * tbp, tbp) / r
         ct, st = np.cos(th), np.sin(th)
         cps, sps = np.cos(psi), np.sin(psi)
-        u_th = np.stack([ct * cps, ct * sps, -st], axis=1)
-        u_psi = np.stack([-st * sps, st * cps, np.zeros_like(st)], axis=1)
         cphi, sphi = np.cos(phi), np.sin(phi)
-        e_r = np.stack([sphi * cps, sphi * sps, cphi], axis=1)
-        e_phi = np.stack([cphi * cps, cphi * sps, -sphi], axis=1)
-        e_psi = np.stack([-sps, cps, np.zeros_like(cps)], axis=1)
-        grad_th = th_r[:, None] * e_r + (th_phi / r)[:, None] * e_phi
+        # J = u_th (x) grad th + u_psi (x) grad psi, component by component;
+        # the third components of u_psi and grad psi are zero
+        u_th = (ct * cps, ct * sps, -st)
+        u_psi = (-st * sps, st * cps)
+        grad_th = (th_r * (sphi * cps) + th_phi * (cphi * cps),
+                   th_r * (sphi * sps) + th_phi * (cphi * sps),
+                   th_r * cphi - th_phi * sphi)
         # u_psi already carries sin(theta); divide by the metric factor
-        safe_sphi = np.maximum(sphi, 1e-300)
-        grad_psi = e_psi / (r * safe_sphi)[:, None]
-        return u_th[:, :, None] * grad_th[:, None, :] \
-            + u_psi[:, :, None] * grad_psi[:, None, :]
+        metric = r * np.maximum(sphi, 1e-300)
+        grad_psi = (-sps / metric, cps / metric)
+        J = np.empty((X.shape[0], 3, 3))
+        for i in range(3):
+            for j in range(3):
+                J[:, i, j] = u_th[i] * grad_th[j]
+                if i < 2 and j < 2:
+                    J[:, i, j] += u_psi[i] * grad_psi[j]
+        return J
 
     return VectorField(3, 3, ev, jac, chart_breaks={"r": (rk,), "phi": (alpha,)},
                        name=f"counterexample_cylinder(k={k})")

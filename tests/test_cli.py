@@ -287,6 +287,37 @@ class TestRejectedSchedules:
                               f"{construction}")
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv, flag, choice", [
+        (("area", "--field", "planar_vortex", "--domain", "ball3", "--d", "5",
+          "--tol", "1e-3"), "--d", "--field planar_vortex"),
+        (("energy", "--field", "vortex", "--m", "4"), "--m", "--field vortex"),
+        (("jacobian", "--field", "vortex_chain", "--grid", "16", "--d", "2"),
+         "--d", "--field vortex_chain"),
+        (("relax", "--study", "cyl2d", "--eps", "0.5,0.4,0.3"), "--eps",
+         "--study cyl2d"),
+        (("relax", "--study", "cyl2d", "--m", "9"), "--m", "--study cyl2d"),
+        (("relax", "--study", "cyl2d", "--disk", "4"), "--disk",
+         "--study cyl2d"),
+        (("relax", "--study", "chain", "--k", "4,8,16"), "--k",
+         "--study chain"),
+        (("sweep", "--family", "ball", "--domain", "ball3", "--d", "2"),
+         "--d", "--family ball"),
+    ], ids=["area-d", "energy-m", "jacobian-d", "relax-eps", "relax-m",
+            "relax-disk", "relax-k", "sweep-d"])
+    @pytest.mark.parametrize("source", ["line", "config"])
+    def test_flag_the_choice_does_not_read_exits_2(self, capsys, tmp_path,
+                                                  argv, flag, choice, source):
+        argv, path = list(argv), tmp_path / "out.csv"
+        if source == "config":  # the unread flag and its value move to a file
+            at = argv.index(flag)
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: argv[at + 1]}))
+            argv = ["--config", str(cfg)] + argv[:at] + argv[at + 2:]
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag} has no effect on {choice}")
+        assert not path.exists()
+
     @pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "0"])
     def test_non_finite_radius_exits_2(self, capsys, radius):
         for domain in ("ball2", "cube2"):
@@ -380,6 +411,26 @@ class TestErrorPaths:
             main(argv)
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, argv, message", [
+        ({"tol": None}, ["area"], "'tol' must be a string or a number, got null"),
+        ({"radius": [1]}, ["area"], "'radius' must be a string or a number"),
+        # a number reaches --eps as its text: a one-value schedule
+        ({"study": "smoothing", "eps": 0.2}, ["relax"], "at least 3 distinct"),
+        ({"eps": True}, ["recover", "--construction", "smoothing"],
+         "'eps' must be a string or a number, got true"),
+    ], ids=["null", "array", "number", "bool"])
+    def test_config_value_of_the_wrong_json_type_exits_2(self, capsys, tmp_path,
+                                                         config, argv, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        try:
+            code = main(["--config", str(cfg), *argv])
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert message in out.err
 
     @pytest.mark.parametrize("argv, config", [
         (["relax"], {"study": "smoothing", "eps": "0.2,0.1,0.05"}),

@@ -136,6 +136,21 @@ class TestConeDipole:
         w.jacobian_many(ring)
         assert calls["jacobian"] >= 1
 
+    @pytest.mark.parametrize("eps, z", [(0.2, 0.3), (0.05, -0.7), (0.3, -0.2)])
+    def test_cross_section_is_the_smoothing(self, rng, eps, z):
+        # at height z the dipole is the 2d smoothing of radius R(z): values
+        # and the in-plane Jacobian block, inside the cone and outside it
+        w = cone_dipole(make_example_field("planar_vortex"), (-1.0, 1.0), 1,
+                        eps)
+        r = float(Cone(3, (-1.0, 1.0), eps).profile(np.array([z]))[0])
+        ve = vortex_smoothing_2d(make_example_field("vortex", d=1), (0.0, 0.0),
+                                 1, r)
+        X2 = sample_ring(rng, 2, 1e-3, 1.0, 2000) * 1.2 * r
+        X3 = np.column_stack([X2, np.full(len(X2), z)])
+        for got, want in ((w.evaluate_many(X3), ve.evaluate_many(X2)),
+                          (w.jacobian_many(X3)[:, :, :2], ve.jacobian_many(X2))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_values_in_unit_disk(self, rng):
         pv = make_example_field("planar_vortex")
         w = cone_dipole(pv, (-1.0, 1.0), 1, 0.2)
