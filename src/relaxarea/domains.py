@@ -3,9 +3,12 @@
 Every domain provides a membership test, a volume, and a list of charts:
 smooth maps from a parameter box onto the region whose weight absorbs the
 coordinate Jacobian.  Charts are chosen so that the package's singular
-integrands become bounded in parameter space (polar and spherical charts
-for balls and annuli, the adapted cylindrical chart for cones), which is
-what makes tight tolerances reachable.
+integrands become bounded in parameter space, which is what makes tight
+tolerances reachable.  There is one spherical chart (polar in 2d,
+spherical in 3d, hyperspherical in 4d), ``_spherical_chart``: an annulus
+is that chart on [r_in, r_out], a ball is the annulus with r_in = 0, and
+each half of a cone is that chart in the normal plane with the radius
+t * profile(z), times the axis.
 """
 
 from __future__ import annotations
@@ -31,10 +34,12 @@ class Chart:
 
 
 def _centre(n, center):
-    """The centre as an (n,) array, the origin by default; finite or refused."""
+    """The centre as an (n,) array, the origin by default; n finite values
+    or refused."""
     c = np.zeros(n) if center is None else np.asarray(center, float)
-    if not np.all(np.isfinite(c)):
-        raise InvalidGeometry(f"domain centre must be finite, got {center!r}")
+    if c.shape != (n,) or not np.all(np.isfinite(c)):
+        raise InvalidGeometry(f"domain centre must be {n} finite values, "
+                              f"got {center!r}")
     return c
 
 
@@ -76,30 +81,6 @@ class Domain:
         return bool(self.membership(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
 
-class Ball(Domain):
-    kind = "ball"
-
-    def __init__(self, n: int, radius: float, center=None):
-        if not 0 < radius < math.inf:
-            raise InvalidGeometry(f"ball radius must be positive and finite, "
-                                  f"got {radius!r}")
-        if not 2 <= n <= 4:
-            raise InvalidGeometry("balls supported for n in 2..4")
-        self.n = n
-        self.radius = float(radius)
-        self.center = _centre(n, center)
-
-    def membership(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return row_norms(X - self.center) <= self.radius
-
-    def volume(self):
-        return _unit_ball_volume(self.n) * self.radius**self.n
-
-    def charts(self):
-        return _radial_charts(self.n, 0.0, self.radius, self.center)
-
-
 class Annulus(Domain):
     kind = "annulus"
 
@@ -124,52 +105,56 @@ class Annulus(Domain):
         return c * (self.r_out**self.n - self.r_in**self.n)
 
     def charts(self):
-        return _radial_charts(self.n, self.r_in, self.r_out, self.center)
+        return [_spherical_chart(self.n, (self.r_in, self.r_out), self.center)]
 
 
-def _radial_charts(n, r_in, r_out, center):
-    c = center
+class Ball(Annulus):
+    """The annulus with r_in = 0."""
 
-    if n == 2:
-        def to_phys(P):
-            r, t = P[:, 0], P[:, 1]
-            return c + np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+    kind = "ball"
 
-        def weight(P):
-            return P[:, 0]
+    def __init__(self, n: int, radius: float, center=None):
+        if not 0 < radius < math.inf:
+            raise InvalidGeometry(f"ball radius must be positive and finite, "
+                                  f"got {radius!r}")
+        if not 2 <= n <= 4:
+            raise InvalidGeometry("balls supported for n in 2..4")
+        super().__init__(n, 0.0, radius, center)
+        self.radius = self.r_out
 
-        return [Chart(("r", "theta"), ((r_in, r_out), (-math.pi, math.pi)),
-                      to_phys, weight)]
 
-    if n == 3:
-        def to_phys(P):
-            r, ph, ps = P[:, 0], P[:, 1], P[:, 2]
-            sp = np.sin(ph)
-            return c + np.stack(
-                [r * sp * np.cos(ps), r * sp * np.sin(ps), r * np.cos(ph)], axis=1
-            )
+def _spherical_chart(k, span, center=None, profile=None, z=None):
+    """Spherical coordinates on R^k: the radius on ``span`` (``r``, or for a
+    cone ``t`` with radius ``t * profile(z)``), the polar angles on [0, pi]
+    (``phi``, or ``phi1`` and ``phi2``), the azimuth on [-pi, pi] (``theta``
+    in 2d, ``psi`` otherwise), then a cone's ``z`` on ``z``.  The weight is
+    r^(k-1) * prod_j sin(phi_j)^(k-1-j), times profile(z)^k for a cone."""
+    polar = ("phi",) if k == 3 else tuple(f"phi{j}" for j in range(1, k - 1))
+    axes = ("r" if profile is None else "t",) + polar + (
+        "theta" if k == 2 else "psi",)
+    box = (span,) + ((0.0, math.pi),) * (k - 2) + ((-math.pi, math.pi),)
+    if profile is not None:
+        axes, box = axes + ("z",), box + (z,)
 
-        def weight(P):
-            return P[:, 0] ** 2 * np.sin(P[:, 1])
-
-        return [Chart(("r", "phi", "psi"),
-                      ((r_in, r_out), (0.0, math.pi), (-math.pi, math.pi)),
-                      to_phys, weight)]
-
-    def to_phys(P):  # n == 4, hyperspherical
-        r, p1, p2, ps = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
-        s1, s2 = np.sin(p1), np.sin(p2)
-        return c + np.stack(
-            [r * s1 * s2 * np.cos(ps), r * s1 * s2 * np.sin(ps),
-             r * s1 * np.cos(p2), r * np.cos(p1)], axis=1
-        )
+    def to_phys(P):
+        s = P[:, 0] if profile is None else P[:, 0] * profile(P[:, k])
+        cols = [] if profile is None else [P[:, k]]  # last column first
+        for j in range(1, k - 1):
+            cols.append(s * np.cos(P[:, j]))
+            s = s * np.sin(P[:, j])
+        cols += [s * np.sin(P[:, k - 1]), s * np.cos(P[:, k - 1])]
+        X = np.stack(cols[::-1], axis=1)
+        return X if center is None else center + X
 
     def weight(P):
-        return P[:, 0] ** 3 * np.sin(P[:, 1]) ** 2 * np.sin(P[:, 2])
+        w = P[:, 0] ** (k - 1)
+        if profile is not None:
+            w = w * profile(P[:, k]) ** k
+        for j in range(1, k - 1):
+            w = w * np.sin(P[:, j]) ** (k - 1 - j)
+        return w
 
-    return [Chart(("r", "phi1", "phi2", "psi"),
-                  ((r_in, r_out), (0.0, math.pi), (0.0, math.pi),
-                   (-math.pi, math.pi)), to_phys, weight)]
+    return Chart(axes, box, to_phys, weight)
 
 
 class Cube(Domain):
@@ -179,6 +164,8 @@ class Cube(Domain):
         if not 0 < half_side < math.inf:
             raise InvalidGeometry(f"cube half_side must be positive and "
                                   f"finite, got {half_side!r}")
+        if not 2 <= n <= 4:
+            raise InvalidGeometry("cubes supported for n in 2..4")
         self.n = n
         self.half_side = float(half_side)
         self.center = _centre(n, center)
@@ -256,41 +243,10 @@ class Cone(Domain):
         return full * (1.0 - self.t_min**self.codim)
 
     def charts(self):
-        prof = self.profile
         mid = 0.5 * (self.a + self.b)
-
-        if self.codim == 2:
-            def to_phys(P):
-                t, th, z = P[:, 0], P[:, 1], P[:, 2]
-                rho = t * prof(z)
-                return np.stack([rho * np.cos(th), rho * np.sin(th), z], axis=1)
-
-            def weight(P):
-                return P[:, 0] * prof(P[:, 2]) ** 2
-
-            axes = ("t", "theta", "z")
-            boxes = [((self.t_min, 1.0), (-math.pi, math.pi), (self.a, mid)),
-                     ((self.t_min, 1.0), (-math.pi, math.pi), (mid, self.b))]
-            return [Chart(axes, b, to_phys, weight) for b in boxes]
-
-        def to_phys(P):  # codim == 3
-            t, ph, ps, z = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
-            rho = t * prof(z)
-            sp = np.sin(ph)
-            return np.stack(
-                [rho * sp * np.cos(ps), rho * sp * np.sin(ps), rho * np.cos(ph), z],
-                axis=1,
-            )
-
-        def weight(P):
-            return P[:, 0] ** 2 * prof(P[:, 3]) ** 3 * np.sin(P[:, 1])
-
-        axes = ("t", "phi", "psi", "z")
-        boxes = [((self.t_min, 1.0), (0.0, math.pi), (-math.pi, math.pi),
-                  (self.a, mid)),
-                 ((self.t_min, 1.0), (0.0, math.pi), (-math.pi, math.pi),
-                  (mid, self.b))]
-        return [Chart(axes, b, to_phys, weight) for b in boxes]
+        return [_spherical_chart(self.codim, (self.t_min, 1.0),
+                                 profile=self.profile, z=z)
+                for z in ((self.a, mid), (mid, self.b))]
 
 
 class Difference(Domain):
@@ -308,12 +264,10 @@ class Difference(Domain):
         self.outer = outer
         self.inner = inner
         self._shell = self._boxes = None  # (r_in, r_out) or the peel's boxes
-        if (isinstance(outer, (Ball, Annulus)) and isinstance(inner, Ball)
+        if (isinstance(outer, Annulus) and isinstance(inner, Ball)
                 and np.array_equal(outer.center, inner.center)):
-            r_in, r_out = ((0.0, outer.radius) if isinstance(outer, Ball)
-                           else (outer.r_in, outer.r_out))
-            if r_in <= inner.radius <= r_out:
-                self._shell = (inner.radius, r_out)
+            if outer.r_in <= inner.radius <= outer.r_out:
+                self._shell = (inner.radius, outer.r_out)
         elif isinstance(outer, Cube) and isinstance(inner, Cube):
             self._boxes = _cube_difference_boxes(outer, inner) or None
         if self._shell is None and self._boxes is None:
@@ -333,7 +287,7 @@ class Difference(Domain):
 
     def charts(self):
         if self._shell is not None:
-            return _radial_charts(self.n, *self._shell, self.inner.center)
+            return [_spherical_chart(self.n, self._shell, self.inner.center)]
         return [_box_chart(lo, hi) for lo, hi in self._boxes]
 
 

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import SingularChain, distance_to_chain
-from .errors import InvalidParams, NoConvergence, NonFinite
+from .errors import InvalidGeometry, InvalidParams, NoConvergence, NonFinite
 from .domains import Domain
 from .fields import VectorField, minors2
 
@@ -426,6 +426,9 @@ def graph_functionals(field: VectorField, domain: Domain, tol: float, which,
     if not which or not set(which) <= set(_GRAPH_FUNCTIONALS):
         raise InvalidParams(f"graph functionals {which}: choose from "
                             f"{_GRAPH_FUNCTIONALS}")
+    if field.n != domain.n:
+        raise InvalidGeometry(f"field {field.name!r} lives in R^{field.n}, "
+                              f"the {domain.kind} domain in R^{domain.n}")
     with_minors = not {"area", "minor"}.isdisjoint(which)
 
     def f(X):

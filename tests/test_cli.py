@@ -318,6 +318,23 @@ class TestRejectedSchedules:
         assert err.startswith(f"error: {flag} has no effect on {choice}")
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv, field, n, m", [
+        (("area", "--field", "planar_vortex", "--domain", "ball2"),
+         "planar_vortex", 3, 2),
+        (("area", "--field", "vortex", "--domain", "ball3"), "vortex(d=1)", 2, 3),
+        (("sweep", "--family", "ball"), "counterexample_ball(k=5)", 3, 2),
+        (("sweep", "--family", "cylinder"), "counterexample_cylinder(k=5)", 3, 2),
+        (("sweep", "--family", "smoothing", "--domain", "ball3"),
+         "vortex(d=1)+smooth(eps=0.2)", 2, 3),
+    ])
+    def test_field_and_domain_of_unequal_dimension_exit_2(self, capsys, argv,
+                                                          field, n, m):
+        # each used to exit 1 with a numpy traceback
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: field {field!r} lives in R^{n}, "
+                              f"the ball domain in R^{m}")
+
     @pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "0"])
     def test_non_finite_radius_exits_2(self, capsys, radius):
         for domain in ("ball2", "cube2"):

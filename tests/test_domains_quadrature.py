@@ -134,6 +134,14 @@ class TestDomains:
         (lambda: make_domain("ball", radius=0.5), "ball domains need 'n'"),
         (lambda: make_domain("annulus", n=2, r_out=1.0),
          "annulus domains need 'r_in'"),
+        # a centre of another length used to build (a cube of volume 4
+        # integrated to 8) or fail later in numpy
+        (lambda: Cube(2, 1.0, center=(0, 0, 0)), "centre must be 2 finite"),
+        (lambda: Ball(2, 1.0, (0.1, 0.2, 0.3)), "centre must be 2 finite"),
+        (lambda: Annulus(3, 0.5, 1.0, (0.0,)), "centre must be 3 finite"),
+        # cubes, like balls, annuli and fields, have n in 2..4
+        (lambda: Cube(1, 1.0), "cubes supported for n in 2..4"),
+        (lambda: Cube(6, 1.0), "cubes supported for n in 2..4"),
     ])
     def test_invalid_geometry(self, build, match):
         with pytest.raises(InvalidGeometry, match=match):
@@ -184,6 +192,26 @@ class TestChartWeights:
                 w = chart.weight(P)
                 assert w.shape == (len(P),)
                 assert np.all(np.isfinite(w)) and np.all(w > 0), (name, chart.axes)
+
+
+class TestChartGeometry:
+    # each chart maps its interior Gauss nodes into the domain, with weight
+    # |det d(to_physical)|, the differential taken by central differences
+    @pytest.mark.parametrize("name", sorted(CHARTED_DOMAINS))
+    def test_nodes_inside_and_weight_is_the_jacobian(self, name):
+        dom, h = CHARTED_DOMAINS[name], 1e-6
+        for chart in dom.charts():
+            dim = len(chart.box)
+            lo, hi = np.array(chart.box).T
+            Q, _ = quadrature._tensor_rule(quadrature.GAUSS_ORDER, dim)
+            P = lo + Q * (hi - lo)
+            assert np.all(dom.membership(chart.to_physical(P))), chart.axes
+            J = np.stack([(chart.to_physical(P + h * e)
+                           - chart.to_physical(P - h * e)) / (2 * h)
+                          for e in np.eye(dim)], axis=2)
+            np.testing.assert_allclose(chart.weight(P),
+                                       np.abs(np.linalg.det(J)), rtol=1e-6,
+                                       err_msg=f"{name} {chart.axes}")
 
 
 class TestIntegrate:
@@ -587,6 +615,13 @@ class TestGraphFunctionals:
         v = make_example_field("vortex", d=1)
         with pytest.raises(InvalidParams):
             graph_functionals(v, Ball(2, 1.0), 1e-6, ("area", "energy"))
+
+    def test_domain_of_another_dimension_refused(self):
+        # the planar vortex lives in R^3; over a disk it used to fail in numpy
+        v = make_example_field("planar_vortex")
+        with pytest.raises(InvalidGeometry, match=(
+                r"field 'planar_vortex' lives in R\^3, the ball domain in R\^2")):
+            area_functional(v, Ball(2, 1.0), 1e-6)
 
 
 class _Captured(Exception):
