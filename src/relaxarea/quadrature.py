@@ -24,13 +24,13 @@ total_err - tol * max(|total_val|, SCALE_FLOOR) in every component that
 has neither met tol nor been decided; it takes no cell whose weighted
 error is below half of the worst one's, and always at least one.  A taken
 cell is split along an open axis, one below the depth cap along which its
-profile varies, and all the children are evaluated with one integrand
-call; a taken cell with no open axis becomes final.  On every acceptance
-integral the waves grow the same tree as splitting the one worst cell per
-call did, so values, errors and node counts are unchanged; they save
-integrand calls, most of all in a refusal, which reaches the depth cap in
-about one call per level.  A wave splits no more cells than
-``max_cells`` has left.
+profile varies, and all the children are evaluated together, passed to
+the integrand in equal blocks of at most ``BLOCK_POINTS``; a taken cell
+with no open axis becomes final.  On every acceptance integral the waves
+grow the same tree as splitting the one worst cell per call did, so
+values, errors and node counts are unchanged; they save integrand calls,
+most of all in a refusal, which reaches the depth cap in about one wave
+per level.  A wave splits no more cells than ``max_cells`` has left.
 
 A final cell stays in the table, is never split again, as in DCUHRE, and
 keeps its own error estimate in the sum, so a refusal can be decided
@@ -88,11 +88,28 @@ CappedCell = namedtuple("CappedCell", "centre distance")
 
 
 @dataclass(frozen=True)
+class QuadStats:
+    """How a result was obtained, in counts only, so that reruns compare
+    equal: the ``cells`` of the refinement tree, of which ``final_cells``
+    are final (capped); ``max_depth``, the most halvings of a cell along one
+    axis; the refinement ``waves``; and the ``calls`` of the integrand and
+    the ``points`` passed to it, which are the result's ``nodes_used``."""
+
+    cells: int
+    final_cells: int
+    max_depth: int
+    waves: int
+    calls: int
+    points: int
+
+
+@dataclass(frozen=True)
 class QuadratureResult:
     """Value, relative error estimate, node count and convergence flag; (K,)
     arrays for an (N, K) integrand, converged when all components are.
     ``capped_cell`` is the depth-capped cell with the largest relative error,
-    None when no cell was capped."""
+    None when no cell was capped; ``stats`` counts the tree that gave the
+    result."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
@@ -100,6 +117,7 @@ class QuadratureResult:
     converged: bool
     abs_error: float | np.ndarray = 0.0
     capped_cell: CappedCell | None = None
+    stats: QuadStats | None = None
 
 
 @functools.cache
@@ -116,9 +134,18 @@ def _tensor_rule(order: int, dim: int):
 
 
 def _dots(rows, w):
-    """w @ each row of rows (C, K, len(w)), one 1-d product per row: a batched
-    product adds in another order, so values would depend on the batch."""
-    return np.array([[r @ w for r in cell] for cell in rows])
+    """w @ each row of rows (C, K, len(w)), bit for bit the 1-d products
+    ``[[r @ w for r in cell] for cell in rows]``, so that a cell's value does
+    not depend on the cells evaluated with it.  ``np.vecdot`` runs the kernel
+    of a 1-d ``r @ w`` on each row; ``einsum``, a batched ``matmul`` and
+    ``(rows * w).sum(-1)`` add in other orders."""
+    return np.vecdot(rows, w)
+
+
+def _joined(parts):
+    """The one array of ``parts``, or their concatenation: a lone part is
+    not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class _Integrand:
@@ -128,15 +155,19 @@ class _Integrand:
     def __init__(self, f):
         self.f = f
         self.scalar = True
+        self.calls = self.points = 0  # of f
 
     def __call__(self, X):
         blocks = -(-len(X) // BLOCK_POINTS)
         step = -(-len(X) // blocks)  # equal blocks
-        out = np.concatenate([np.asarray(self.f(X[i:i + step]), dtype=float)
-                              for i in range(0, len(X), step)])
+        parts = [np.asarray(self.f(X[i:i + step]), dtype=float)
+                 for i in range(0, len(X), step)]
+        self.calls += len(parts)
+        self.points += len(X)
+        out = _joined(parts)
         self.scalar = out.ndim == 1
         out = out.reshape(len(X), -1)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NonFinite("integrand returned NaN/Inf off the singular set")
         return out
 
@@ -183,7 +214,8 @@ def _split_box_at_breaks(box, axes, breaks):
 
 class _Tree:
     """One integral's refinement tree: the cells of all its charts, open and
-    final, in one table, with their totals."""
+    final, in one table, with their totals; ``f`` is an _Integrand, which
+    counts the nodes evaluated."""
 
     def __init__(self, f, charts, singular_set, breaks):
         self.f = f
@@ -194,12 +226,19 @@ class _Tree:
         P8, self.W8 = _tensor_rule(GAUSS_ORDER, self.dim)
         P4, self.W4 = _tensor_rule(ERROR_ORDER, self.dim)
         self.Q = np.concatenate([P8, P4])  # each cell's nodes, Gauss-8 first
-        self.nodes_used = 0
+        # per axis, the indices of a Gauss-8 grid (C, 8, ..., 8) without its
+        # first and without its last entry along that axis
+        self.trim = [[(slice(None),) * (1 + a) + (part,)
+                      for part in (slice(1, None), slice(None, -1))]
+                     for a in range(self.dim)]
+        self.waves = 0
         boxes = [_split_box_at_breaks(ch.box, ch.axes, breaks) for ch in charts]
         lo, hi = (np.concatenate(b) for b in zip(*boxes))
         chart = np.repeat(np.arange(len(charts)), [len(b) for b, _ in boxes])
         self.cells = self.eval_cells(lo, hi, np.zeros(lo.shape), chart)
         self._total()
+
+    nodes_used = property(lambda t: t.f.points)
 
     def _total(self):
         self.total_val = self.cells.value.sum(axis=0)
@@ -207,23 +246,23 @@ class _Tree:
 
     def eval_cells(self, lo, hi, splits, chart):
         """Evaluate the cells [lo, hi] (C, dim) of the charts ``chart`` (C,),
-        grouped by chart, with one integrand call."""
+        grouped by chart, together in one wave."""
         C, n = lo.shape[0], len(self.Q)
         P = (lo[:, None, :] + self.Q * (hi - lo)[:, None, :]).reshape(-1, self.dim)
         # each chart's points are one slice of P, mapped without a copy
-        ends = (chart.searchsorted(np.arange(len(self.charts) + 1)) * n).tolist()
+        ends = ([0, len(P)] if len(self.charts) == 1 else
+                (chart.searchsorted(np.arange(len(self.charts) + 1)) * n).tolist())
         X, w = [], []
         for ch, a, b in zip(self.charts, ends, ends[1:]):
             if a < b:
                 X.append(ch.to_physical(P[a:b]))
                 w.append(ch.weight(P[a:b]))
-        F = self.f(np.concatenate(X)) * np.concatenate(w)[:, None]
-        self.nodes_used += P.shape[0]
+        F = self.f(_joined(X)) * _joined(w)[:, None]
         # (C, K, nodes), each row contiguous, so that it sums in the order it
         # would for a lone cell
         F = np.ascontiguousarray(F.reshape(C, n, -1).transpose(0, 2, 1))
         n8 = len(self.W8)
-        vol = np.prod(hi - lo, axis=1)[:, None]
+        vol = (hi - lo).prod(axis=1)[:, None]
         value = _dots(F[:, :, :n8], self.W8) * vol
         err = np.abs(value - _dots(F[:, :, n8:], self.W4) * vol)
         if self.weight is None:  # 1 / max(|total|, floor), the largest being 1
@@ -232,8 +271,12 @@ class _Tree:
         weighted = err * self.weight
         top = weighted.argmax(axis=1)
         grid = F[np.arange(C), top, :n8].reshape((C,) + (GAUSS_ORDER,) * self.dim)
-        rough = np.array([np.abs(np.diff(grid, n=2, axis=1 + a)).reshape(
-            C, -1).sum(axis=1) for a in range(self.dim)]).T
+        # summed |second differences| along each axis, as np.diff(n=2) takes them
+        rough = np.empty((C, self.dim))
+        for a, (head, tail) in enumerate(self.trim):
+            d = grid[head] - grid[tail]
+            d = d[head] - d[tail]
+            np.abs(d, out=d).reshape(C, -1).sum(axis=1, out=rough[:, a])
         return _Cells(np.concatenate([splits, lo, hi, chart[:, None], value, err,
                                       -weighted.max(axis=1)[:, None], rough],
                                      axis=1), self.dim)
@@ -266,29 +309,30 @@ class _Tree:
             short = cells.err.take(order[:n_open], axis=0).cumsum(axis=0) < excess
             need = 1 + int(short.sum(axis=0)[todo].max())
             n = max(1, min(need, int(rank.searchsorted(0.5 * rank[0], "right"))))
-            sel = order[:n]
+            taken = cells.take(order[:n])
             # an axis is open below the depth cap where the profile varies
-            splittable = ((cells.splits.take(sel, axis=0) < MAX_DEPTH)
-                          & (cells.rough.take(sel, axis=0) > 0)).any(axis=1)
+            splittable = ((taken.splits < MAX_DEPTH) & (taken.rough > 0)).any(axis=1)
             if n > budget:  # each split adds a cell, finalizing none
                 n = int(splittable.cumsum().searchsorted(budget, "right"))
-                sel, splittable = sel[:n], splittable[:n]
+                taken, splittable = _Cells(taken.rows[:n], self.dim), splittable[:n]
             parts = [cells.rows.take(np.sort(order[n:]), axis=0)]
-            if np.count_nonzero(splittable) < n:
-                final = cells.take(sel[~splittable])
+            n_split = np.count_nonzero(splittable)
+            if n_split < n:
+                final = _Cells(taken.rows[~splittable], self.dim)
                 final.rank[:] = math.inf
                 parts.append(final.rows)
-            split = sel[splittable]
-            if len(split):  # the children are evaluated grouped by chart
-                split = split[cells.chart.take(split).argsort(kind="stable")]
-                parts.append(self._split(cells.rows.take(split, axis=0)).rows)
+            if n_split:  # the children are evaluated grouped by chart
+                split = _Cells(taken.rows[splittable], self.dim)
+                if len(self.charts) > 1:
+                    split = split.take(split.chart.argsort(kind="stable"))
+                parts.append(self._split(split.rows).rows)
             self.cells = _Cells(np.concatenate(parts), self.dim)
+            self.waves += 1
             self._total()
 
     def _split(self, rows):
         """The children of halving each cell of ``rows`` (of a _Cells table,
-        grouped by chart) along its roughest open axis, evaluated with one
-        integrand call."""
+        grouped by chart) along its roughest open axis, evaluated together."""
         kids = _Cells(rows.repeat(2, axis=0), self.dim)
         lo, hi, splits = kids.lo, kids.hi, kids.splits
         rough = np.where(splits < MAX_DEPTH, kids.rough, -np.inf)
@@ -313,7 +357,7 @@ def _components(res: QuadratureResult, tol: float) -> list:
     if np.ndim(res.value) == 0:
         return [res]
     return [QuadratureResult(float(v), float(e), res.nodes_used, bool(e <= tol),
-                             float(a), res.capped_cell)
+                             float(a), res.capped_cell, res.stats)
             for v, e, a in zip(res.value, res.error_estimate, res.abs_error)]
 
 
@@ -356,7 +400,8 @@ def integrate(
     Refinement runs in waves: each splits the integral's worst cells, worst
     first, until their errors would cover the excess over ``tol``, but
     none below half of the worst cell's weighted error, and evaluates all
-    the children with one call of f (see the module docstring).
+    the children together, passing them to f in equal blocks of at most
+    ``BLOCK_POINTS`` points (see the module docstring).
     ``max_cells`` caps the cells of the integral, over all its charts.
 
     Refinement stops early once the capped (final) cells decide that a
@@ -394,8 +439,10 @@ def integrate(
         where = tree.capped_cell(cells.take([worst]))
     if g.scalar:
         value, rel, abs_err = float(value[0]), float(rel[0]), float(abs_err[0])
+    stats = QuadStats(len(cells), len(final), int(cells.splits.max()), tree.waves,
+                      g.calls, g.points)
     res = QuadratureResult(value, rel, tree.nodes_used, bool(np.all(rel <= tol)),
-                           abs_err, where)
+                           abs_err, where, stats)
     if raise_on_failure:
         parts = _components(res, tol)
         _refuse_unconverged(["integral"] if g.scalar else

@@ -32,7 +32,12 @@ from relaxarea.fields import (
     minors2,
 )
 from relaxarea import quadrature
-from relaxarea.quadrature import area_functional, graph_functionals, integrate
+from relaxarea.quadrature import (
+    QuadStats,
+    area_functional,
+    graph_functionals,
+    integrate,
+)
 from relaxarea.recovery import (
     cone_defect_field_4d,
     cone_defect_filler,
@@ -542,6 +547,17 @@ class TestGraphFunctionals:
         estimate = info.value.error_estimate * info.value.value
         assert abs(info.value.value - 8.364443029588742) <= estimate
 
+    def test_scalar_refusal_stats(self):
+        # the benchmark's refusal (its 2000-cell budget is never reached): a
+        # wave per level to the depth cap, one integrand call for the first
+        # cell and one per wave
+        v = make_example_field("vortex", d=1)
+        res = area_functional(v, Cube(2, 1.0), 1e-8, max_cells=2000,
+                              raise_on_failure=False)
+        assert res.nodes_used == 19120
+        assert res.stats == QuadStats(cells=120, final_cells=4, max_depth=14,
+                                      waves=29, calls=30, points=19120)
+
     def test_capped_3d_tree_value(self):
         # 1 + 1/r^2 converges with depth-capped cells at the origin
         res = area_functional(make_example_field("sphere_vortex"), Cube(3, 1.0),
@@ -622,6 +638,98 @@ class TestGraphFunctionals:
         with pytest.raises(InvalidGeometry, match=(
                 r"field 'planar_vortex' lives in R\^3, the ball domain in R\^2")):
             area_functional(v, Ball(2, 1.0), 1e-6)
+
+
+class TestQuadStats:
+    @pytest.mark.parametrize("case", ["vortex-ball2", "planar-vortex-ball3",
+                                      "cone-dipole-base", "chain-disk"])
+    def test_counts_match_the_integrand_calls(self, case):
+        field, dom = ACCEPTANCE_INTEGRALS[case]()
+        seen = []
+
+        def f(X):
+            seen.append(len(X))
+            return area_integrand(field.jacobian_many(X))
+
+        res = integrate(f, dom, 1e-6, singular_set=field.singular_set,
+                        breaks=field.chart_breaks)
+        stats = res.stats
+        assert stats.calls == len(seen)
+        assert stats.points == sum(seen) == res.nodes_used
+        initial = sum(len(quadrature._split_box_at_breaks(
+            ch.box, ch.axes, field.chart_breaks)[0]) for ch in dom.charts())
+        # each split evaluates two cells and adds one to the table
+        per_cell = 8**dom.n + 4**dom.n
+        assert 2 * stats.cells - initial == res.nodes_used // per_cell
+        assert stats.final_cells == 0 and res.capped_cell is None
+        assert stats.max_depth <= quadrature.MAX_DEPTH
+
+    def test_wide_waves_call_in_blocks(self):
+        # a 3d sphere-vortex wave holds more than BLOCK_POINTS points
+        seen = []
+        field = make_example_field("sphere_vortex")
+
+        def f(X):
+            seen.append(len(X))
+            return area_integrand(field.jacobian_many(X))
+
+        res = integrate(f, Cube(3, 1.0), 1e-4, singular_set=field.singular_set)
+        assert max(seen) <= quadrature.BLOCK_POINTS < res.nodes_used
+        assert res.stats.calls == len(seen) > res.stats.waves
+        assert res.stats.points == sum(seen) == res.nodes_used
+
+    def test_reruns_compare_equal_and_components_share_the_stats(self):
+        v = make_example_field("vortex", d=1)
+        first = graph_functionals(v, Ball(2, 1.0), 1e-6, ("area", "tv"))
+        assert first == graph_functionals(v, Ball(2, 1.0), 1e-6, ("area", "tv"))
+        assert first[0].stats is first[1].stats is not None
+
+
+class TestCellReduction:
+    """A cell's value and error are 1-d products of its rows with the rule's
+    weights, so they do not depend on the cells evaluated with it."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])  # 64, 512 and 4096 nodes
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_rows_reduce_as_one_dimensional_products(self, dim, K, rng):
+        _, w8 = quadrature._tensor_rule(quadrature.GAUSS_ORDER, dim)
+        _, w4 = quadrature._tensor_rule(quadrature.ERROR_ORDER, dim)
+        n8 = len(w8)
+        assert n8 == 8**dim
+        C = 9
+        F = (rng.normal(size=(C, K, n8 + len(w4)))
+             * 10.0 ** rng.uniform(-3, 3, (C, K, 1)))
+        # both slices of a cell's nodes, as the engine reduces them
+        for rows, w in ((F[:, :, :n8], w8), (F[:, :, n8:], w4)):
+            got = quadrature._dots(rows, w)
+            want = np.array([[r @ w for r in cell] for cell in rows])
+            assert got.shape == (C, K)
+            assert got.tobytes() == want.tobytes()
+            for i in range(C):
+                alone = quadrature._dots(rows[i:i + 1], w)
+                assert alone.tobytes() == got[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_cell_alone_equals_its_row_in_a_wave(self, dim, K):
+        def f(X):
+            r2 = np.sum(X * X, axis=1)
+            cols = [np.exp(X[:, 0]), 1.0 / (1e-3 + r2), np.sin(7.0 * X[:, -1]),
+                    np.sqrt(r2)]
+            return cols[0] if K == 1 else np.stack(cols[:K], axis=1)
+
+        tree = quadrature._Tree(quadrature._Integrand(f), Cube(dim, 1.0).charts(),
+                                None, {})
+        C = 5
+        lo = np.linspace(-1.0, 0.5, C)[:, None] * np.linspace(1.0, 0.3, dim)
+        hi = lo + np.linspace(0.7, 0.1, dim)
+        splits = np.zeros((C, dim))
+        wave = tree.eval_cells(lo, hi, splits, np.zeros(C))
+        assert wave.rows.shape[0] == C and wave.K == K
+        for i in range(C):
+            alone = tree.eval_cells(lo[i:i + 1], hi[i:i + 1], splits[i:i + 1],
+                                    np.zeros(1))
+            assert alone.rows.tobytes() == wave.rows[i:i + 1].tobytes()
 
 
 class _Captured(Exception):
