@@ -26,13 +26,16 @@ class NoConvergence(RelaxAreaError):
 
     ``capped_cell`` is where: the worst depth-capped cell's centre and its
     distance to the singular set, or None when no cell was capped.
+    ``stats`` counts the refused tree, as ``QuadratureResult.stats`` does.
     """
 
-    def __init__(self, msg, value=None, error_estimate=None, capped_cell=None):
+    def __init__(self, msg, value=None, error_estimate=None, capped_cell=None,
+                 stats=None):
         super().__init__(msg)
         self.value = value
         self.error_estimate = error_estimate
         self.capped_cell = capped_cell
+        self.stats = stats
 
 
 class AmbiguousWinding(RelaxAreaError):

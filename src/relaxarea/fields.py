@@ -2,15 +2,17 @@
 
 A :class:`VectorField` is an immutable bundle of a vectorized evaluator
 ``(N, n) -> (N, m)``, an optional vectorized closed-form Jacobian
-``(N, n) -> (N, m, n)``, for m = 2 an optional vectorized principal-angle
-evaluator ``(N, n) -> (N,)``, and a declared singular set.  Every example
-map has its Jacobian in closed form; a field built without one serves
-evaluation and extraction, and :meth:`VectorField.jacobian_many` refuses
-it.  Winding numbers and lattice extraction read only the angle of the
-value (:meth:`VectorField.angles_many`); a field that knows it in closed
-form saves building the value first.  Jacobians and minor vectors are
-plain ``numpy`` arrays; :func:`minors2` and :func:`area_integrand`
-operate on single matrices or stacks.
+``(N, n) -> (N, m, n)``, for m = 2 an optional vectorized angle evaluator
+``(N, n) -> (N,)``, and a declared singular set.  Every example map has
+its Jacobian in closed form; a field built without one serves evaluation
+and extraction, and :meth:`VectorField.jacobian_many` refuses it.  Each
+circle-valued example map (cos T, sin T), its Jacobian and its angle, T
+modulo 2 pi, come from one lift T (``_circle_map``).  Winding numbers and
+lattice extraction read only the angle of the value
+(:meth:`VectorField.angles_many`), so a field with an angle evaluator
+saves building the value first.  Jacobians and minor vectors are plain
+``numpy`` arrays; :func:`minors2` and :func:`area_integrand` operate on
+single matrices or stacks.
 
 All fields here are nondimensional, with lengths in units of the unit
 ball/cube of the source space.
@@ -102,10 +104,11 @@ def area_integrand(J: np.ndarray) -> float | np.ndarray:
 class VectorField:
     """A map from (a subset of) R^n to R^m with declared singularities.
 
-    ``angle``, allowed only for m = 2, returns the principal angle in
-    [-pi, pi] of the value at each point, the ``arctan2`` of ``evaluator``'s
-    rows up to the last bit; :meth:`angles_many` reads it instead of the
-    values.  Immutable after construction; evaluation is pure.
+    ``angle``, allowed only for m = 2, returns an angle in [-pi, pi] of the
+    value at each point: equal to the ``arctan2`` of ``evaluator``'s rows
+    modulo 2 pi, up to rounding (so pi and -pi are the same angle);
+    :meth:`angles_many` reads it instead of the values.  Immutable after
+    construction; evaluation is pure.
     """
 
     def __init__(
@@ -163,12 +166,12 @@ class VectorField:
 
     def angles_many(self, X: np.ndarray, dist: np.ndarray | None = None
                     ) -> np.ndarray:
-        """Principal angles (N,) of the values of an m=2 field at the points
-        X (N, n), NaN where the value vanishes (norm below 1e-12).
+        """Angles (N,) in [-pi, pi] of the values of an m=2 field at the
+        points X (N, n), NaN where the value vanishes (norm below 1e-12).
 
         Guarded as :meth:`evaluate_many` (``dist`` as there).  With an
         ``angle`` evaluator it is read directly, otherwise the angle is the
-        ``arctan2`` of the values.
+        ``arctan2`` of the values; the two agree modulo 2 pi.
         """
         if self.m != 2:
             raise InvalidParams(f"angles need an m=2 field, got m={self.m}")
@@ -217,6 +220,37 @@ class VectorField:
 # ---------------------------------------------------------------------------
 
 
+def _wrap(d):
+    """``d`` wrapped into [-pi, pi) by one remainder, for any finite ``d``."""
+    return (d + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _circle_frame(ang):
+    """The unit vectors (cos, sin) and (-sin, cos) of each angle."""
+    c, s = np.cos(ang), np.sin(ang)
+    return np.stack([c, s], axis=1), np.stack([-s, c], axis=1)
+
+
+def _circle_map(lift):
+    """``(ev, jac, angle)`` of the circle-valued map u = (cos T, sin T).
+
+    ``lift(X)`` gives the lift T (N,) at the points X (N, n), after the
+    field's singular-set guard, and ``lift(X, grad=True)`` gives ``(T, G)``
+    with G = grad T (N, n).  The Jacobian is (-sin T, cos T) outer G, rank
+    one by construction, and the angle is ``_wrap(T)``: the ``arctan2`` of
+    the values modulo 2 pi, up to rounding.
+    """
+
+    def ev(X):
+        return _circle_frame(lift(X))[0]
+
+    def jac(X):
+        T, G = lift(X, grad=True)
+        return _circle_frame(T)[1][:, :, None] * G[:, None, :]
+
+    return ev, jac, lambda X: _wrap(lift(X))
+
+
 def _vortex(d: int, center, phase: float) -> VectorField:
     c = np.asarray(center, dtype=float)
     if d == 0:  # a constant map: no singular point to declare or to guard
@@ -224,40 +258,37 @@ def _vortex(d: int, center, phase: float) -> VectorField:
         return VectorField(2, 2, const._eval, const._jac,
                            singular_set=SingularChain.empty(2), name="vortex(d=0)")
 
-    def ev(X):
-        W = X - c
-        r = np.hypot(W[:, 0], W[:, 1])
-        if np.any(r <= SINGULAR_GUARD):
-            raise SingularPoint("vortex evaluated at its center")
-        t = d * np.arctan2(W[:, 1], W[:, 0]) + phase
-        return np.stack([np.cos(t), np.sin(t)], axis=1)
-
-    def jac(X):
+    def lift(X, grad=False):
         W = X - c
         r2 = W[:, 0] ** 2 + W[:, 1] ** 2
         if np.any(r2 <= SINGULAR_GUARD**2):
-            raise SingularPoint("vortex Jacobian at its center")
-        t = d * np.arctan2(W[:, 1], W[:, 0]) + phase
-        uperp = np.stack([-np.sin(t), np.cos(t)], axis=1)
-        gt = np.stack([-W[:, 1] / r2, W[:, 0] / r2], axis=1)
-        return d * uperp[:, :, None] * gt[:, None, :]
+            raise SingularPoint("vortex evaluated at its center")
+        T = d * np.arctan2(W[:, 1], W[:, 0]) + phase
+        if not grad:
+            return T
+        return T, d * np.stack([-W[:, 1] / r2, W[:, 0] / r2], axis=1)
 
+    ev, jac, angle = _circle_map(lift)
     return VectorField(
         2, 2, ev, jac,
         singular_set=SingularChain.points(2, [(tuple(c), d)]),
-        name=f"vortex(d={d})",
+        name=f"vortex(d={d})", angle=angle,
     )
 
 
 def _planar_vortex() -> VectorField:
-    def angle(X):
+    def lift(X, grad=False):
         # the guard of ev, tested by hypot only where it can fail:
         # hypot(x1, x2) >= |x1|
         x1, x2 = X[:, 0], X[:, 1]
         near = np.flatnonzero(np.abs(x1) <= SINGULAR_GUARD)
         if np.any(np.hypot(x1[near], x2[near]) <= SINGULAR_GUARD):
             raise SingularPoint("planar vortex evaluated on its axis")
-        return np.arctan2(x2, x1)
+        T = np.arctan2(x2, x1)
+        if not grad:
+            return T
+        r2 = x1**2 + x2**2
+        return T, np.stack([-x2 / r2, x1 / r2, np.zeros_like(r2)], axis=1)
 
     def ev(X):
         r = np.hypot(X[:, 0], X[:, 1])
@@ -265,21 +296,12 @@ def _planar_vortex() -> VectorField:
             raise SingularPoint("planar vortex evaluated on its axis")
         return X[:, :2] / r[:, None]
 
-    def jac(X):
-        r2 = X[:, 0] ** 2 + X[:, 1] ** 2
-        if np.any(r2 <= SINGULAR_GUARD**2):
-            raise SingularPoint("planar vortex Jacobian on its axis")
-        r = np.sqrt(r2)
-        t = np.arctan2(X[:, 1], X[:, 0])
-        uperp = np.stack([-np.sin(t), np.cos(t)], axis=1)
-        gt = np.stack([-X[:, 1] / r2, X[:, 0] / r2, np.zeros_like(r)], axis=1)
-        return uperp[:, :, None] * gt[:, None, :]
-
+    # the values X / r cost less than (cos T, sin T), and T is principal
     seg = ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))
     return VectorField(
-        3, 2, ev, jac,
+        3, 2, ev, _circle_map(lift)[1],
         singular_set=SingularChain.segments(3, [(seg, 1)]),
-        name="planar_vortex", angle=angle,
+        name="planar_vortex", angle=lift,
     )
 
 
@@ -322,19 +344,13 @@ def _constant(value) -> VectorField:
 
 
 def _smooth_lift(f, grad_f, n) -> VectorField:
-    def ev(X):
-        t = np.asarray(f(X), dtype=float)
-        return np.stack([np.cos(t), np.sin(t)], axis=1)
+    def lift(X, grad=False):
+        T = np.asarray(f(X), dtype=float)
+        return (T, np.asarray(grad_f(X), dtype=float)) if grad else T
 
-    jc = None
-    if grad_f is not None:
-        def jc(X):
-            t = np.asarray(f(X), dtype=float)
-            g = np.asarray(grad_f(X), dtype=float)
-            uperp = np.stack([-np.sin(t), np.cos(t)], axis=1)
-            return uperp[:, :, None] * g[:, None, :]
-
-    return VectorField(n, 2, ev, jc, name="smooth_lift")
+    ev, jac, angle = _circle_map(lift)
+    return VectorField(n, 2, ev, None if grad_f is None else jac,
+                       name="smooth_lift", angle=angle)
 
 
 def chain_centers_radii(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -448,7 +464,7 @@ def _vortex_chain(m: int) -> VectorField:
     centers, radii = chain_centers_radii(m)
     keys = _chain_keys(centers, radii)
 
-    def ev(X):
+    def lift(X, grad=False):
         # only a point's own square can hold a centre within the guard
         region = np.searchsorted(keys, X[:, 0], "right")
         idx = np.flatnonzero(region % 2)
@@ -456,22 +472,14 @@ def _vortex_chain(m: int) -> VectorField:
         dy = X[idx, 1]
         if np.any(np.sqrt(dx * dx + dy * dy) <= SINGULAR_GUARD):
             raise SingularPoint("vortex chain evaluated at a disk center")
-        T = _chain_angle(X, centers, radii, region)
-        return np.stack([np.cos(T), np.sin(T)], axis=1)
+        return _chain_angle(X, centers, radii, region, grad)
 
-    def jac(X):
-        # (-sin T, cos T) outer grad T: rank one by construction
-        T, G = _chain_angle(X, centers, radii, grad=True)
-        J = np.empty((len(T), 2, 2))
-        J[:, 0] = -np.sin(T)[:, None] * G
-        J[:, 1] = np.cos(T)[:, None] * G
-        return J
-
+    ev, jac, angle = _circle_map(lift)
     cells = [(tuple(centers[j]), 1 if j % 2 == 0 else -1) for j in range(m)]
     return VectorField(
         2, 2, ev, jac,
         singular_set=SingularChain.points(2, cells),
-        name=f"vortex_chain(m={m})",
+        name=f"vortex_chain(m={m})", angle=angle,
     )
 
 

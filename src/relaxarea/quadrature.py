@@ -363,7 +363,8 @@ def _components(res: QuadratureResult, tol: float) -> list:
 
 def _refuse_unconverged(names, results, tol):
     """NoConvergence naming each result that missed tol, with the worst one's
-    value and estimate and the tree's worst depth-capped cell, if any did."""
+    value and estimate, the tree's worst depth-capped cell and its counts,
+    if any did."""
     missed = [(name, r) for name, r in zip(names, results) if not r.converged]
     if missed:
         worst = max((r for _, r in missed), key=lambda r: r.error_estimate)
@@ -375,7 +376,8 @@ def _refuse_unconverged(names, results, tol):
             msg += (f"; worst depth-capped cell at ({centre}), "
                     f"{where.distance:.3g} from the singular set")
         raise NoConvergence(msg, value=worst.value,
-                            error_estimate=worst.error_estimate, capped_cell=where)
+                            error_estimate=worst.error_estimate, capped_cell=where,
+                            stats=worst.stats)
 
 
 def integrate(

@@ -26,7 +26,7 @@ import numpy as np
 from .chains import SingularChain
 from .domains import Annulus, Ball, Cone, Domain, row_norms
 from .errors import DegreeMismatch, InvalidGeometry, InvalidParams
-from .fields import VectorField
+from .fields import VectorField, _circle_frame, _circle_map, _wrap
 from .quadrature import QuadratureResult, graph_functionals
 from .topology import Circle, winding_number
 
@@ -34,19 +34,9 @@ from .topology import Circle, winding_number
 LIFT_PINCH = math.pi - 0.1
 
 
-def _wrap(d):
-    return (d + math.pi) % (2.0 * math.pi) - math.pi
-
-
 def _target_angle_grad(U, dU):
     """d/ds of atan2(U2, U1) given dU/ds, vectorized."""
     return (U[:, 0] * dU[:, 1] - U[:, 1] * dU[:, 0]) / (U[:, 0] ** 2 + U[:, 1] ** 2)
-
-
-def _circle_frame(ang):
-    """The unit vectors (cos, sin) and (-sin, cos) of each angle."""
-    c, s = np.cos(ang), np.sin(ang)
-    return np.stack([c, s], axis=1), np.stack([-s, c], axis=1)
 
 
 def _piecewise(n, m, classify, pieces):
@@ -166,24 +156,22 @@ def _vortex_tube(field, centre, d, radius, slope, probe, **kwargs):
         tube = rho < R
         return np.add(tube, tube & (rho < R / 2), dtype=np.int8)
 
-    def ring_ev(X):
+    def ring_lift(X, grad=False):
+        # T = d theta + t g, with t = 2 rho / R - 1 running from -1 to 1
         rho, theta, z, R = polar(X)
-        g = offset(theta, z)[0]
-        return _circle_frame(d * theta + (2.0 * rho / R - 1.0) * g)[0]
-
-    def ring_jac(X):
-        rho, theta, z, R = polar(X)
+        t = 2.0 * rho / R - 1.0
+        if not grad:
+            return d * theta + t * offset(theta, z)[0]
         g, g_th, g_z = trace(theta, z)
         e_rho, e_th = _circle_frame(theta)
-        t = 2.0 * rho / R - 1.0
-        grad_ang = (((d + t * g_th) / rho)[:, None] * e_th
+        G = np.empty((len(rho), n))
+        G[:, :2] = (((d + t * g_th) / rho)[:, None] * e_th
                     + (2.0 * g / R)[:, None] * e_rho)
-        uperp = _circle_frame(d * theta + t * g)[1]
-        J = uperp[:, :, None] * grad_ang[:, None, :]
-        if z is None:
-            return J
-        ang_z = t * g_z - g * (2.0 * rho * slope(z) / R**2)
-        return np.concatenate((J, (uperp * ang_z[:, None])[:, :, None]), axis=2)
+        if z is not None:
+            G[:, 2] = t * g_z - g * (2.0 * rho * slope(z) / R**2)
+        return d * theta + t * g, G
+
+    ring_ev, ring_jac, _ = _circle_map(ring_lift)
 
     def core_ev(X):
         rho, theta, _, R = polar(X)
@@ -541,35 +529,25 @@ def cylinder_analogue_2d(k: int) -> VectorField:
     def t_bd_prime(theta):
         return np.where(np.abs(theta) <= alpha, 1.0 - math.pi / alpha, 1.0)
 
-    def _polar(X):
+    def lift(X, grad=False):
         r = np.hypot(X[:, 0], X[:, 1])
         theta = np.arctan2(X[:, 1], X[:, 0])
-        return r, theta
-
-    def ev(X):
-        r, theta = _polar(X)
         tb = t_bd(theta)
-        T = np.where(r >= rk, tb, T0 + r * k * (tb - T0))
-        return np.stack([np.cos(T), np.sin(T)], axis=1)
-
-    def jac(X):
-        r, theta = _polar(X)
-        r = np.maximum(r, 1e-300)
-        tb = t_bd(theta)
-        tbp = t_bd_prime(theta)
         fill = r < rk
         T = np.where(fill, T0 + r * k * (tb - T0), tb)
+        if not grad:
+            return T
+        r = np.maximum(r, 1e-300)
+        tbp = t_bd_prime(theta)
         T_r = np.where(fill, k * (tb - T0), 0.0)
         T_th = np.where(fill, r * k * tbp, tbp)
-        e_r = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        e_th = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-        grad_T = T_r[:, None] * e_r + (T_th / r)[:, None] * e_th
-        uperp = np.stack([-np.sin(T), np.cos(T)], axis=1)
-        return uperp[:, :, None] * grad_T[:, None, :]
+        e_r, e_th = _circle_frame(theta)
+        return T, T_r[:, None] * e_r + (T_th / r)[:, None] * e_th
 
+    ev, jac, angle = _circle_map(lift)
     return VectorField(2, 2, ev, jac,
                        chart_breaks={"r": (rk,), "theta": (-alpha, alpha)},
-                       name=f"cylinder_analogue_2d(k={k})")
+                       name=f"cylinder_analogue_2d(k={k})", angle=angle)
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def _wrap(d):
     One conditional shift by 2pi replaces ``(d + pi) % 2pi - pi``; on that
     range the two agree bit for bit (NaN stays NaN), because each shift is
     either exact or the same rounded addition that ``np.remainder`` makes.
-    Outside it they differ: ``recovery`` wraps unbounded phases with the
+    Outside it they differ: ``fields._wrap`` wraps unbounded lifts with the
     modulo form.
     """
     y = d + math.pi
@@ -184,12 +184,15 @@ def _angles(field: VectorField, X: np.ndarray, dist: np.ndarray | None = None
 
     This one call serves lattice nodes, lift midpoints and loop samples,
     whether the field gives its angle directly or from its values.  The two
-    can differ in the last bit (``arctan2(y, x)`` against ``arctan2(y / r,
-    x / r)``), and no turn count can tell: an edge whose difference
-    ``delta`` has ``||delta| - pi| < pi/2`` is flagged, and its count comes
-    from a lift that is refused unless within a quarter turn of a whole
-    number of turns; every other edge has ``|delta| <= pi/2`` or ``|delta|
-    >= 3 pi/2``, so a last-bit change cannot move its count.
+    agree modulo 2 pi up to rounding: in the last bit (``arctan2(y, x)``
+    against ``arctan2(y / r, x / r)``, or a lift's ``_wrap(T)`` against
+    ``arctan2(sin T, cos T)``), and pi against -pi.  Neither moves a turn
+    count: an edge whose difference ``delta`` has ``||delta| - pi| < pi/2``
+    is flagged, and its count comes from a lift that is refused unless
+    within a quarter turn of a whole number of turns; every other edge has
+    ``|delta| <= pi/2`` or ``|delta| >= 3 pi/2``, where the wrap absorbs
+    both changes.  Only at ``|delta|`` = pi/2 can the flag move, and the
+    lift agrees with the wrap there if the lattice resolves the field.
     """
     ok = None if dist is None else dist > SINGULAR_GUARD
     if ok is None or np.all(ok):  # every point clears the guard: no copies

@@ -105,10 +105,12 @@ def random_phase_field(rng, n_vortices):
 
 
 def angle_free_twin(field):
-    """``field`` with the same evaluator, Jacobian and singular set but no
-    angle evaluator, so that its angles are taken from its values."""
+    """``field`` with the same evaluator, Jacobian, singular set and chart
+    breaks but no angle evaluator, so that its angles are taken from its
+    values."""
     return VectorField(field.n, field.m, field._eval, field._jac,
-                       singular_set=field.singular_set, name=field.name)
+                       singular_set=field.singular_set,
+                       chart_breaks=field.chart_breaks, name=field.name)
 
 
 def line_field(axis, offset, phase_coeffs):

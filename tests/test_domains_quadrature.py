@@ -391,6 +391,14 @@ class TestFailFast:
         assert info.value.capped_cell == res.capped_cell
         assert area_functional(v, Ball(2, 1.0), 1e-6).capped_cell is None
 
+    def test_refusal_carries_the_counts_of_its_tree(self):
+        v = make_example_field("vortex", d=1)
+        res = area_functional(v, Cube(2, 1.0), 1e-8, raise_on_failure=False)
+        with pytest.raises(NoConvergence) as info:
+            area_functional(v, Cube(2, 1.0), 1e-8)
+        assert info.value.stats == res.stats
+        assert (res.stats.waves, res.stats.calls) == (29, 30)
+
     def test_chart_that_misses_tol_alone_does_not_refuse_the_whole(self):
         v = make_example_field("vortex", d=1)
         # the second of the two charts is this box, which holds the vortex

@@ -123,6 +123,30 @@ class TestAngles:
         want = angle_free_twin(pv).angles_many(X)
         assert np.max(np.abs(got - want)) <= 1e-15
 
+    @pytest.mark.parametrize("kind, params, lift", [
+        ("vortex", {"d": -3, "center": (0.1, -0.2), "phase": 2.5},
+         lambda X: -3.0 * np.arctan2(X[:, 1] + 0.2, X[:, 0] - 0.1) + 2.5),
+        ("planar_vortex", {}, lambda X: np.arctan2(X[:, 1], X[:, 0])),
+        ("vortex_chain", {"m": 6}, lambda X: fields._chain_angle(
+            X, *chain_centers_radii(6))),
+        ("smooth_lift", {"f": lambda X: 9.0 * np.sin(3.0 * X[:, 0]) - X[:, 1]},
+         lambda X: 9.0 * np.sin(3.0 * X[:, 0]) - X[:, 1]),
+    ])
+    def test_angle_is_the_value_angle_modulo_2pi(self, kind, params, lift):
+        f = make_example_field(kind, **params)
+        X = np.random.default_rng(26).uniform(-1.0, 1.0, (4000, f.n))
+        U = f.evaluate_many(X)
+        gap = f.angles_many(X) - np.arctan2(U[:, 1], U[:, 0])
+        gap = np.abs(gap - 2.0 * math.pi * np.rint(gap / (2.0 * math.pi)))
+        assert np.all(gap <= 1e-15 * (1.0 + np.abs(lift(X))))
+
+    def test_every_circle_valued_kind_has_an_angle(self):
+        kinds = [k for k in fields._KINDS if k != "constant"]
+        for kind in kinds:
+            params = {"f": np.sin} if kind == "smooth_lift" else {}
+            f = make_example_field(kind, **params)
+            assert (f._angle is not None) == (f.m == 2), kind
+
     def test_vanishing_values_have_no_angle(self):
         c = make_example_field("constant", value=(0.0, 0.0))
         assert np.all(np.isnan(c.angles_many(np.ones((3, 2)))))

@@ -25,6 +25,7 @@ from relaxarea.errors import (
     SingularPoint,
 )
 from relaxarea import topology
+from relaxarea.recovery import cylinder_analogue_2d
 from relaxarea.fields import (
     SINGULAR_GUARD,
     VectorField,
@@ -440,15 +441,32 @@ class TestLatticeOrderSweep:
 
 def chain_or_refusal(field, grid):
     """The extracted chain's CSV text, or the refusal's type and message."""
+    extract = extract_vortices_2d if field.n == 2 else extract_lines_3d
     try:
-        return chain_csv_text(extract_lines_3d(field, grid))
+        return chain_csv_text(extract(field, grid))
     except (AmbiguousWinding, SingularPoint) as exc:
         return type(exc), str(exc)
 
 
+def assert_same_as_value_path(field, grid):
+    """``field``'s own angles give the chain or refusal of its values'."""
+    got = chain_or_refusal(field, grid)
+    assert got == chain_or_refusal(angle_free_twin(field), grid)
+    return got
+
+
+#: (k, resolution, offset) of test_cylinder_analogue where ``sweep_tie``
+SWEEP_TIES = [(8, 8, 0.5), (16, 8, 0.5), (16, 16, 0.5), (16, 17, 0.0),
+              (32, 8, 0.5), (32, 16, 0.5), (32, 17, 0.0), (32, 32, 0.5),
+              (32, 33, 0.0)]
+PLANE_LOOPS = [Circle((0.0, 0.0), 0.5), Circle((0.1, -0.2), 0.05),
+               Circle((0.6, 0.2), 0.3), Circle((0.4, 0.0), 0.6),
+               [(0.9, 0.9), (-0.9, 0.9), (-0.9, -0.9), (0.9, -0.9)]]
+
+
 class TestAngleEvaluator:
-    """The planar vortex's own angles give the chains and refusals of the
-    angles taken from its values."""
+    """Every field's own angles give the chains, refusals and winding
+    numbers of the angles taken from its values."""
 
     OFF_AXIS = (0.013, -0.02, 0.1)
 
@@ -481,6 +499,85 @@ class TestAngleEvaluator:
     def test_winding_numbers_match(self, loop):
         pv = make_example_field("planar_vortex")
         assert winding_number(pv, loop) == winding_number(angle_free_twin(pv), loop)
+
+    @pytest.mark.parametrize("d, center, phase", [
+        (1, (0.0, 0.0), 0.0), (2, (0.1, -0.2), 0.7), (-3, (0.013, 0.02), -1.3)])
+    @pytest.mark.parametrize("resolution", [8, 9, 16, 33, 100])
+    def test_vortex(self, d, center, phase, resolution):
+        v = make_example_field("vortex", d=d, center=center, phase=phase)
+        for offset in (0.0, 0.37, 0.5):
+            got = assert_same_as_value_path(
+                v, GridSpec(2, resolution, offset=offset))
+            if (d, resolution, offset) == (1, 9, 0.5):  # a node on the centre
+                assert got[0] is AmbiguousWinding
+        assert_same_windings(v)
+
+    @pytest.mark.parametrize("m", [3, 6])
+    @pytest.mark.parametrize("resolution", [32, 64, 128, 129, 256])
+    def test_vortex_chain(self, m, resolution):
+        f = make_example_field("vortex_chain", m=m)
+        got = assert_same_as_value_path(f, GridSpec(2, resolution))
+        refused = resolution == 129 or (m, resolution) == (6, 32)
+        assert (got[0] is AmbiguousWinding) == refused
+        assert_same_windings(f)
+
+    @pytest.mark.parametrize("k", [4, 8, 16, 32])
+    @pytest.mark.parametrize("resolution", [8, 16, 17, 32, 33, 64, 129])
+    def test_cylinder_analogue(self, k, resolution):
+        f = cylinder_analogue_2d(k)
+        for offset in (0.0, 0.37, 0.5):
+            grid = GridSpec(2, resolution, offset=offset)
+            if sweep_tie(k, grid):
+                assert (k, resolution, offset) in SWEEP_TIES
+            else:
+                assert_same_as_value_path(f, grid)
+        assert_same_windings(f)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the tied edge is lifted on the value path, which finds the sweep's "
+        "extra turn, and wrapped on the angle path"))
+    @pytest.mark.parametrize("k, resolution, offset", SWEEP_TIES)
+    def test_cylinder_analogue_tie(self, k, resolution, offset):
+        assert_same_as_value_path(cylinder_analogue_2d(k),
+                                  GridSpec(2, resolution, offset=offset))
+
+    @pytest.mark.parametrize("resolution", [8, 16, 33, 64])
+    def test_smooth_lift(self, resolution):
+        # two unit vortices and a phase of a few turns, not declared singular
+        f = lift_field(lambda X: (5.0 * np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2
+                                  + np.arctan2(X[:, 1] - 0.31, X[:, 0] + 0.27)
+                                  - np.arctan2(X[:, 1] + 0.4, X[:, 0] - 0.45)))
+        for offset in (0.0, 0.37, 0.5):
+            assert_same_as_value_path(f, GridSpec(2, resolution, offset=offset))
+        assert_same_windings(f)
+
+
+def assert_same_windings(field):
+    """``field``'s own angles give the winding numbers, or the refusals, of
+    its values' on each of PLANE_LOOPS."""
+    twin = angle_free_twin(field)
+    for loop in PLANE_LOOPS:
+        try:
+            want = winding_number(twin, loop)
+        except SingularOnLoop as exc:  # the loop meets the singular set
+            with pytest.raises(SingularOnLoop, match=f"^{exc}$"):
+                winding_number(field, loop)
+        else:
+            assert winding_number(field, loop) == want
+
+
+def sweep_tie(k, grid):
+    """Whether the lattice edge across the +x axis nearest the origin has
+    its ends at +-45 degrees, outside the filled disk of radius 1/k of
+    ``cylinder_analogue_2d(k)``.
+
+    Its angle difference is then pi/2, the lift threshold, up to rounding,
+    while inside the edge the sweep turns once more across its sector of
+    half-angle 1/k: a lattice that does not resolve the field.
+    """
+    y = grid.axis_nodes(1)
+    i = np.searchsorted(y, 0.0)
+    return -y[i - 1] == y[i] and math.sqrt(2.0) * y[i] >= 1.0 / k
 
 
 def slab_monkeypatch(monkeypatch, grid, layers, tile):
