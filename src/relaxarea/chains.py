@@ -9,6 +9,7 @@ sum |multiplicity| * H^k(cell).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field, replace
 
@@ -69,6 +70,21 @@ class SingularChain:
 
     def mass(self) -> float:
         return chain_mass(self)
+
+    @functools.cached_property
+    def _distance_cells(self) -> list:
+        """``(a, ab, ab @ ab)`` per cell for :func:`distance_to_chain`, built
+        on first use; ``ab`` is None for a point or a zero-length segment."""
+        table = []
+        for simplex, _ in self.cells:
+            if self.k == 0:
+                table.append((np.asarray(simplex, dtype=float), None, 0.0))
+                continue
+            a, b = simplex[0], simplex[1]
+            ab = b - a
+            denom = float(ab @ ab)
+            table.append((a, ab, denom) if denom != 0.0 else (a, None, 0.0))
+        return table
 
     def filtered(self, predicate) -> "SingularChain":
         """Sub-chain of cells whose midpoint satisfies ``predicate``."""
@@ -292,20 +308,23 @@ DISTANCE_BLOCK = 2**14
 def distance_to_chain(X: np.ndarray, chain: SingularChain) -> np.ndarray:
     """Euclidean distance from each point of X (N, n) to the chain support.
 
-    The points are taken in blocks of ``DISTANCE_BLOCK`` rows, and each
-    block visits every cell with a few preallocated (block, n) scratch
-    arrays, so a call allocates the (N,) output and no (N, n) temporary.
-    Per point and cell the float recipe is fixed: a point or a zero-length
-    segment ``a`` gives ``W = X - a``; a segment ``a -> b`` with
-    ``ab = b - a`` gives ``t = clip((X - a) @ ab / (ab @ ab), 0, 1)`` and
-    ``W = X - (a + t * ab)``.  The squared distance is ``W[:, 0]**2 +
-    W[:, 1]**2 + ...`` summed column by column in axis order, which is the
-    order ``np.linalg.norm(W, axis=1)`` and ``domains.row_norms`` sum in
-    (kept inline here because the minimum is taken before the ``sqrt``, in
-    preallocated scratch arrays).  The minimum over cells
-    is taken on squared distances and one ``sqrt`` is applied at the end;
-    ``sqrt`` is correctly rounded and monotone, so this equals the minimum
-    of the per-cell norms bit for bit (NaN propagates through both).
+    The chain's cell table (``a``, ``ab`` and ``ab @ ab`` per cell) is
+    built on the chain's first call and kept with it.  The points are taken
+    in blocks of ``DISTANCE_BLOCK`` rows (one block for a call of at most
+    that many), and each block visits every cell with a few preallocated
+    (block, n) scratch arrays, so a call allocates the (N,) output and no
+    (N, n) temporary.  Per point and cell the float recipe is fixed: a
+    point or a zero-length segment ``a`` gives ``W = X - a``; a segment
+    ``a -> b`` with ``ab = b - a`` gives ``t = clip((X - a) @ ab / (ab @ ab),
+    0, 1)`` and ``W = X - (a + t * ab)``.  The squared distance is
+    ``W[:, 0]**2 + W[:, 1]**2 + ...`` summed column by column in axis order,
+    which is the order ``np.linalg.norm(W, axis=1)`` and
+    ``domains.row_norms`` sum in (kept inline here because the minimum is
+    taken before the ``sqrt``, in preallocated scratch arrays).  The
+    minimum over cells is taken on squared distances and one ``sqrt`` is
+    applied at the end; ``sqrt`` is correctly rounded and monotone, so this
+    equals the minimum of the per-cell norms bit for bit (NaN propagates
+    through both).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     N, n = X.shape
@@ -313,22 +332,17 @@ def distance_to_chain(X: np.ndarray, chain: SingularChain) -> np.ndarray:
     if len(chain.cells) == 0:
         out.fill(np.inf)
         return out
-    segs = []  # (a, ab, ab @ ab) per cell; ab is None for points
-    for simplex, _ in chain.cells:
-        if chain.k == 0:
-            segs.append((np.asarray(simplex, dtype=float), None, 0.0))
-            continue
-        a, b = simplex[0], simplex[1]
-        ab = b - a
-        denom = float(ab @ ab)
-        segs.append((a, ab, denom) if denom != 0.0 else (a, None, 0.0))
-    # a lone last row joins the block before it: numpy takes ``@`` of a
-    # one-row matrix as a dot product, which can round otherwise than the
-    # matrix-vector product that gives the same row in a longer call
-    bounds = list(range(0, N, DISTANCE_BLOCK)) + [N]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    W = np.empty((max(np.diff(bounds), default=0), n))
+    segs = chain._distance_cells
+    if N <= DISTANCE_BLOCK:
+        bounds = (0, N)
+    else:
+        # a lone last row joins the block before it: numpy takes ``@`` of a
+        # one-row matrix as a dot product, which can round otherwise than
+        # the matrix-vector product that gives the same row in a longer call
+        bounds = list(range(0, N, DISTANCE_BLOCK)) + [N]
+        if bounds[-1] - bounds[-2] == 1:
+            del bounds[-2]
+    W = np.empty((min(N, DISTANCE_BLOCK + 1), n))
     t = np.empty(W.shape[0])
     sq = np.empty(W.shape[0])
     for start, stop in zip(bounds, bounds[1:]):

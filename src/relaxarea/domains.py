@@ -137,14 +137,20 @@ def _spherical_chart(k, span, center=None, profile=None, z=None):
         axes, box = axes + ("z",), box + (z,)
 
     def to_phys(P):
+        # the columns of X, written in place: s cos(az), s sin(az), then
+        # s cos(phi_j) for the polar angles from the last to the first, then z
+        X = np.empty((P.shape[0], len(box)))
         s = P[:, 0] if profile is None else P[:, 0] * profile(P[:, k])
-        cols = [] if profile is None else [P[:, k]]  # last column first
+        if profile is not None:
+            X[:, k] = P[:, k]
         for j in range(1, k - 1):
-            cols.append(s * np.cos(P[:, j]))
+            np.multiply(s, np.cos(P[:, j]), out=X[:, k - j])
             s = s * np.sin(P[:, j])
-        cols += [s * np.sin(P[:, k - 1]), s * np.cos(P[:, k - 1])]
-        X = np.stack(cols[::-1], axis=1)
-        return X if center is None else center + X
+        np.multiply(s, np.sin(P[:, k - 1]), out=X[:, 1])
+        np.multiply(s, np.cos(P[:, k - 1]), out=X[:, 0])
+        if center is not None:
+            X += center
+        return X
 
     def weight(P):
         w = P[:, 0] ** (k - 1)

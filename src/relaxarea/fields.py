@@ -20,6 +20,7 @@ ball/cube of the source space.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable
 
@@ -60,26 +61,21 @@ def minors2(J: np.ndarray) -> np.ndarray:
     single = J.ndim == 2
     if single:
         J = J[None]
-    _, m, n = J.shape
+    N, m, n = J.shape
     cols = minor_pairs(n)
     if m == 2:
-        out = np.stack(
-            [J[:, 0, i] * J[:, 1, j] - J[:, 0, j] * J[:, 1, i] for i, j in cols],
-            axis=1,
-        )
+        out = np.empty((N, len(cols)))
+        for k, (i, j) in enumerate(cols):
+            out[:, k] = J[:, 0, i] * J[:, 1, j] - J[:, 0, j] * J[:, 1, i]
     elif m == 3 and n == 3:
-        rows = minor_pairs(3)
-        mins = [
-            J[:, r1, c1] * J[:, r2, c2] - J[:, r1, c2] * J[:, r2, c1]
-            for r1, r2 in rows
-            for c1, c2 in cols
-        ]
-        det = (
+        out = np.empty((N, 10))
+        for k, ((r1, r2), (c1, c2)) in enumerate(itertools.product(cols, cols)):
+            out[:, k] = J[:, r1, c1] * J[:, r2, c2] - J[:, r1, c2] * J[:, r2, c1]
+        out[:, 9] = (
             J[:, 0, 0] * (J[:, 1, 1] * J[:, 2, 2] - J[:, 1, 2] * J[:, 2, 1])
             - J[:, 0, 1] * (J[:, 1, 0] * J[:, 2, 2] - J[:, 1, 2] * J[:, 2, 0])
             + J[:, 0, 2] * (J[:, 1, 0] * J[:, 2, 1] - J[:, 1, 1] * J[:, 2, 0])
         )
-        out = np.stack(mins + [det], axis=1)
     else:
         raise InvalidParams(f"minors2 supports m=2 (any n) or m=n=3, got ({m},{n})")
     return out[0] if single else out
@@ -147,7 +143,7 @@ class VectorField:
             raise NonFinite(f"{self.name}: non-finite point")
         if self.singular_set is not None and len(self.singular_set.cells) > 0:
             d = distance_to_chain(X, self.singular_set) if dist is None else dist
-            if np.any(d <= SINGULAR_GUARD):
+            if (d <= SINGULAR_GUARD).any():
                 raise SingularPoint("evaluation on declared singular set")
 
     def evaluate_many(self, X: np.ndarray, dist: np.ndarray | None = None
@@ -160,7 +156,7 @@ class VectorField:
         X = np.asarray(X, dtype=float)
         self._check_points(X, dist)
         U = self._eval(X)
-        if not np.all(np.isfinite(U)):
+        if not np.isfinite(U).all():
             raise NonFinite(f"{self.name}: non-finite value off the singular set")
         return U
 
@@ -183,7 +179,7 @@ class VectorField:
         X = np.asarray(X, dtype=float)
         self._check_points(X, dist)
         a = self._angle(X)
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise NonFinite(f"{self.name}: non-finite angle off the singular set")
         return a
 
@@ -205,7 +201,7 @@ class VectorField:
         X = np.asarray(X, dtype=float)
         self._check_points(X)
         J = self._jac(X)
-        if not np.all(np.isfinite(J)):
+        if not np.isfinite(J).all():
             raise NonFinite(f"{self.name}: non-finite Jacobian")
         return J
 
@@ -225,10 +221,12 @@ def _wrap(d):
     return (d + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _circle_frame(ang):
-    """The unit vectors (cos, sin) and (-sin, cos) of each angle."""
-    c, s = np.cos(ang), np.sin(ang)
-    return np.stack([c, s], axis=1), np.stack([-s, c], axis=1)
+def _on_circle(T):
+    """The points (cos T, sin T) (N, 2) of the angles T (N,)."""
+    U = np.empty((len(T), 2))
+    U[:, 0] = np.cos(T)
+    U[:, 1] = np.sin(T)
+    return U
 
 
 def _circle_map(lift):
@@ -237,18 +235,19 @@ def _circle_map(lift):
     ``lift(X)`` gives the lift T (N,) at the points X (N, n), after the
     field's singular-set guard, and ``lift(X, grad=True)`` gives ``(T, G)``
     with G = grad T (N, n).  The Jacobian is (-sin T, cos T) outer G, rank
-    one by construction, and the angle is ``_wrap(T)``: the ``arctan2`` of
-    the values modulo 2 pi, up to rounding.
+    one by construction: its rows (-sin T) G and (cos T) G are written into
+    one (N, 2, n) array.  The angle is ``_wrap(T)``: the ``arctan2`` of the
+    values modulo 2 pi, up to rounding.
     """
-
-    def ev(X):
-        return _circle_frame(lift(X))[0]
 
     def jac(X):
         T, G = lift(X, grad=True)
-        return _circle_frame(T)[1][:, :, None] * G[:, None, :]
+        J = np.empty((len(T), 2, G.shape[1]))
+        np.multiply(-np.sin(T)[:, None], G, out=J[:, 0])
+        np.multiply(np.cos(T)[:, None], G, out=J[:, 1])
+        return J
 
-    return ev, jac, lambda X: _wrap(lift(X))
+    return lambda X: _on_circle(lift(X)), jac, lambda X: _wrap(lift(X))
 
 
 def _vortex(d: int, center, phase: float) -> VectorField:
@@ -261,12 +260,16 @@ def _vortex(d: int, center, phase: float) -> VectorField:
     def lift(X, grad=False):
         W = X - c
         r2 = W[:, 0] ** 2 + W[:, 1] ** 2
-        if np.any(r2 <= SINGULAR_GUARD**2):
+        if (r2 <= SINGULAR_GUARD**2).any():
             raise SingularPoint("vortex evaluated at its center")
         T = d * np.arctan2(W[:, 1], W[:, 0]) + phase
         if not grad:
             return T
-        return T, d * np.stack([-W[:, 1] / r2, W[:, 0] / r2], axis=1)
+        G = np.empty_like(W)
+        np.divide(-W[:, 1], r2, out=G[:, 0])
+        np.divide(W[:, 0], r2, out=G[:, 1])
+        G *= d
+        return T, G
 
     ev, jac, angle = _circle_map(lift)
     return VectorField(
@@ -282,17 +285,21 @@ def _planar_vortex() -> VectorField:
         # hypot(x1, x2) >= |x1|
         x1, x2 = X[:, 0], X[:, 1]
         near = np.flatnonzero(np.abs(x1) <= SINGULAR_GUARD)
-        if np.any(np.hypot(x1[near], x2[near]) <= SINGULAR_GUARD):
+        if (np.hypot(x1[near], x2[near]) <= SINGULAR_GUARD).any():
             raise SingularPoint("planar vortex evaluated on its axis")
         T = np.arctan2(x2, x1)
         if not grad:
             return T
         r2 = x1**2 + x2**2
-        return T, np.stack([-x2 / r2, x1 / r2, np.zeros_like(r2)], axis=1)
+        G = np.empty((len(T), 3))
+        np.divide(-x2, r2, out=G[:, 0])
+        np.divide(x1, r2, out=G[:, 1])
+        G[:, 2] = 0.0
+        return T, G
 
     def ev(X):
         r = np.hypot(X[:, 0], X[:, 1])
-        if np.any(r <= SINGULAR_GUARD):
+        if (r <= SINGULAR_GUARD).any():
             raise SingularPoint("planar vortex evaluated on its axis")
         return X[:, :2] / r[:, None]
 
@@ -308,13 +315,13 @@ def _planar_vortex() -> VectorField:
 def _sphere_vortex() -> VectorField:
     def ev(X):
         r = row_norms(X)
-        if np.any(r <= SINGULAR_GUARD):
+        if (r <= SINGULAR_GUARD).any():
             raise SingularPoint("sphere vortex evaluated at the origin")
         return X / r[:, None]
 
     def jac(X):
         r = row_norms(X)
-        if np.any(r <= SINGULAR_GUARD):
+        if (r <= SINGULAR_GUARD).any():
             raise SingularPoint("sphere vortex Jacobian at the origin")
         xh = X / r[:, None]
         eye = np.eye(3)[None]
@@ -470,7 +477,7 @@ def _vortex_chain(m: int) -> VectorField:
         idx = np.flatnonzero(region % 2)
         dx = X[idx, 0] - centers[region[idx] // 2, 0]
         dy = X[idx, 1]
-        if np.any(np.sqrt(dx * dx + dy * dy) <= SINGULAR_GUARD):
+        if (np.sqrt(dx * dx + dy * dy) <= SINGULAR_GUARD).any():
             raise SingularPoint("vortex chain evaluated at a disk center")
         return _chain_angle(X, centers, radii, region, grad)
 

@@ -26,7 +26,7 @@ import numpy as np
 from .chains import SingularChain
 from .domains import Annulus, Ball, Cone, Domain, row_norms
 from .errors import DegreeMismatch, InvalidGeometry, InvalidParams
-from .fields import VectorField, _circle_frame, _circle_map, _wrap
+from .fields import VectorField, _circle_map, _on_circle, _wrap
 from .quadrature import QuadratureResult, graph_functionals
 from .topology import Circle, winding_number
 
@@ -124,8 +124,11 @@ def _vortex_tube(field, centre, d, radius, slope, probe, **kwargs):
         Returns ``(g, U, pts)``; only values of the input are read.
         """
         R, cos, sin = radius(z), np.cos(theta), np.sin(theta)
-        rim = [c[0] + R * cos, c[1] + R * sin]
-        pts = np.stack(rim if z is None else rim + [z], axis=1)
+        pts = np.empty((len(theta), n))
+        pts[:, 0] = c[0] + R * cos
+        pts[:, 1] = c[1] + R * sin
+        if z is not None:
+            pts[:, 2] = z
         U = field.evaluate_many(pts)
         return _wrap(np.arctan2(U[:, 1], U[:, 0]) - d * theta), U, pts
 
@@ -135,13 +138,17 @@ def _vortex_tube(field, centre, d, radius, slope, probe, **kwargs):
         J = field.jacobian_many(pts)
         R, cos, sin = radius(z), np.cos(theta), np.sin(theta)
         J2 = J[:, :, :2]
-        dth = np.stack([-R * sin, R * cos], axis=1)
-        g_th = _target_angle_grad(U, np.einsum("nij,nj->ni", J2, dth)) - d
+        # the rim's derivatives along theta and z, as the columns of one array
+        dx = np.empty((len(theta), 2))
+        dx[:, 0] = -R * sin
+        dx[:, 1] = R * cos
+        g_th = _target_angle_grad(U, np.einsum("nij,nj->ni", J2, dx)) - d
         if z is None:
             return g, g_th, None
-        dz = np.stack([slope(z) * cos, slope(z) * sin], axis=1)
+        dx[:, 0] = slope(z) * cos
+        dx[:, 1] = slope(z) * sin
         return g, g_th, _target_angle_grad(
-            U, np.einsum("nij,nj->ni", J2, dz) + J[:, :, 2])
+            U, np.einsum("nij,nj->ni", J2, dx) + J[:, :, 2])
 
     gmax = float(np.max(np.abs(offset(*probe)[0])))
     if gmax > LIFT_PINCH:
@@ -163,10 +170,12 @@ def _vortex_tube(field, centre, d, radius, slope, probe, **kwargs):
         if not grad:
             return d * theta + t * offset(theta, z)[0]
         g, g_th, g_z = trace(theta, z)
-        e_rho, e_th = _circle_frame(theta)
+        # ((d + t g_th) / rho) e_theta + (2 g / R) e_rho, column by column
+        cos, sin = np.cos(theta), np.sin(theta)
+        a, b = (d + t * g_th) / rho, 2.0 * g / R
         G = np.empty((len(rho), n))
-        G[:, :2] = (((d + t * g_th) / rho)[:, None] * e_th
-                    + (2.0 * g / R)[:, None] * e_rho)
+        G[:, 0] = a * -sin + b * cos
+        G[:, 1] = a * cos + b * sin
         if z is not None:
             G[:, 2] = t * g_z - g * (2.0 * rho * slope(z) / R**2)
         return d * theta + t * g, G
@@ -175,18 +184,30 @@ def _vortex_tube(field, centre, d, radius, slope, probe, **kwargs):
 
     def core_ev(X):
         rho, theta, _, R = polar(X)
-        return (2.0 * rho / R)[:, None] * _circle_frame(d * theta)[0]
+        U = _on_circle(d * theta)
+        U *= (2.0 * rho / R)[:, None]
+        return U
 
     def core_jac(X):
+        # (2 / R)(e (x) e_rho + d e_perp (x) e_theta), with e = (cos, sin) of
+        # d theta and e_perp = (-sin, cos) of it, entry by entry; in 3d the
+        # z column e s_z
         rho, theta, z, R = polar(X)
-        e_rho, e_th = _circle_frame(theta)
-        e, eperp = _circle_frame(d * theta)
-        J = np.reshape(2.0 / R, (-1, 1, 1)) * (  # one R in 2d, one per row in 3d
-            e[:, :, None] * e_rho[:, None, :] + d * eperp[:, :, None] * e_th[:, None, :])
-        if z is None:
-            return J
-        s_z = -(2.0 * rho * slope(z) / R**2)
-        return np.concatenate((J, (e * s_z[:, None])[:, :, None]), axis=2)
+        e_rho = (np.cos(theta), np.sin(theta))
+        e_th = (-e_rho[1], e_rho[0])
+        e = (np.cos(d * theta), np.sin(d * theta))
+        eperp = (-e[1], e[0])
+        q = 2.0 / R  # one R in 2d, one per row in 3d
+        J = np.empty((len(rho), 2, n))
+        for i in range(2):
+            de = d * eperp[i]
+            for j in range(2):
+                J[:, i, j] = q * (e[i] * e_rho[j] + de * e_th[j])
+        if z is not None:
+            s_z = -(2.0 * rho * slope(z) / R**2)
+            J[:, 0, 2] = e[0] * s_z
+            J[:, 1, 2] = e[1] * s_z
+        return J
 
     ev, jac = _piecewise(n, 2, classify, [
         (field.evaluate_many, field.jacobian_many), (ring_ev, ring_jac),
@@ -466,7 +487,11 @@ def _cylinder_variant(k: int) -> VectorField:
         r, phi, psi = _spherical(X)
         th = _theta(r, phi)
         st = np.sin(th)
-        return np.stack([st * np.cos(psi), st * np.sin(psi), np.cos(th)], axis=1)
+        U = np.empty((len(th), 3))
+        U[:, 0] = st * np.cos(psi)
+        U[:, 1] = st * np.sin(psi)
+        U[:, 2] = np.cos(th)
+        return U
 
     def jac(X):
         r, phi, psi = _spherical(X)
@@ -541,8 +566,12 @@ def cylinder_analogue_2d(k: int) -> VectorField:
         tbp = t_bd_prime(theta)
         T_r = np.where(fill, k * (tb - T0), 0.0)
         T_th = np.where(fill, r * k * tbp, tbp)
-        e_r, e_th = _circle_frame(theta)
-        return T, T_r[:, None] * e_r + (T_th / r)[:, None] * e_th
+        # T_r e_r + (T_th / r) e_theta, column by column
+        cos, sin, q = np.cos(theta), np.sin(theta), T_th / r
+        G = np.empty((len(T), 2))
+        G[:, 0] = T_r * cos + q * -sin
+        G[:, 1] = T_r * sin + q * cos
+        return T, G
 
     ev, jac, angle = _circle_map(lift)
     return VectorField(2, 2, ev, jac,

@@ -105,6 +105,27 @@ class TestBlockedDistance:
         got = distance_to_chain(X, chain)
         assert np.isnan(got[0]) and got[1] == 1.0
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_cell_table_is_built_once_per_chain(self, k):
+        # repeated calls on one chain, whose cell table is kept, and calls on
+        # an equal chain built afresh give the same bits, for one block, a
+        # block and a lone row, and several blocks
+        def build():
+            return random_chain(np.random.default_rng(11), 3, k, 4, 1)
+
+        chain = build()
+        rng = np.random.default_rng(12)
+        for size in (1, 7, DISTANCE_BLOCK, DISTANCE_BLOCK + 1,
+                     2 * DISTANCE_BLOCK + 3):
+            X = rng.uniform(-2, 2, (size, 3))
+            first = distance_to_chain(X, chain)
+            table = chain._distance_cells
+            again = distance_to_chain(X, chain)
+            assert chain._distance_cells is table
+            fresh = distance_to_chain(X, build())
+            assert first.tobytes() == again.tobytes() == fresh.tobytes()
+            assert np.array_equal(first, reference_distance(X, chain))
+
     def test_empty_chain_is_infinite(self):
         X = np.zeros((5, 3))
         assert np.all(distance_to_chain(X, SingularChain.empty(3, 1)) == np.inf)

@@ -219,6 +219,43 @@ class TestChartGeometry:
                                        err_msg=f"{name} {chart.axes}")
 
 
+def stacked_spherical_map(P, k, center=None, profile=None):
+    """The spherical chart's map as ``np.stack`` of its columns."""
+    s = P[:, 0] if profile is None else P[:, 0] * profile(P[:, k])
+    cols = [] if profile is None else [P[:, k]]  # last column first
+    for j in range(1, k - 1):
+        cols.append(s * np.cos(P[:, j]))
+        s = s * np.sin(P[:, j])
+    cols += [s * np.sin(P[:, k - 1]), s * np.cos(P[:, k - 1])]
+    X = np.stack(cols[::-1], axis=1)
+    return X if center is None else center + X
+
+
+class TestSphericalChartColumns:
+    # the chart writes its columns into one array, each entry as the stacked
+    # columns gave it: balls and annuli in 2d, 3d and 4d, both cones, and
+    # the shells of differences
+    @pytest.mark.parametrize("name", [name for name in sorted(CHARTED_DOMAINS)
+                                      if not name.startswith("cube")])
+    def test_map_matches_the_stacked_columns_bit_for_bit(self, name):
+        dom = CHARTED_DOMAINS[name]
+        if isinstance(dom, Cone):
+            k, center, profile = dom.codim, None, dom.profile
+        else:
+            k, profile = dom.n, None
+            center = (dom.inner if isinstance(dom, Difference) else dom).center
+        rng = np.random.default_rng(len(name))
+        for chart in dom.charts():
+            lo, hi = np.array(chart.box).T
+            corners = np.array(list(itertools.product(*chart.box)))
+            P = np.concatenate([lo + (hi - lo) * rng.random((5000, len(lo))),
+                                corners])
+            X = chart.to_physical(P)
+            assert X.shape == (len(P), dom.n)
+            assert X.tobytes() == stacked_spherical_map(
+                P, k, center, profile).tobytes(), chart.axes
+
+
 class TestIntegrate:
     def test_unit_over_disk(self):
         res = integrate(ones, Ball(2, 1.0), 1e-8)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import angle_free_twin, fd_jacobian
 
-from relaxarea import fields
+from relaxarea import fields, recovery
 from relaxarea.chains import SingularChain, distance_to_chain
 from relaxarea.errors import InvalidParams, NonFinite, SingularPoint
 from relaxarea.fields import (
@@ -184,6 +184,72 @@ class TestJacobian:
             v.jacobian_at((1e-7, 0.0))
 
 
+def _circle_frame(T):
+    """The unit vectors (cos T, sin T) and (-sin T, cos T), each stacked."""
+    c, s = np.cos(T), np.sin(T)
+    return np.stack([c, s], axis=1), np.stack([-s, c], axis=1)
+
+
+#: every circle-valued example field, and a box of points to probe it in
+CIRCLE_VALUED = {
+    "vortex": (lambda: make_example_field("vortex", d=1), [(-1, 1)] * 2),
+    "vortex-d2-off-centre": (lambda: make_example_field(
+        "vortex", d=2, center=(0.1, -0.2), phase=0.3), [(-1, 1)] * 2),
+    "vortex-d-3": (lambda: make_example_field("vortex", d=-3), [(-1, 1)] * 2),
+    "planar_vortex": (lambda: make_example_field("planar_vortex"),
+                      [(-1, 1)] * 3),
+    "vortex_chain-3": (lambda: make_example_field("vortex_chain", m=3),
+                       [(-1, 1), (-0.3, 0.3)]),
+    "vortex_chain-6": (lambda: make_example_field("vortex_chain", m=6),
+                       [(-1, 1), (-0.3, 0.3)]),
+    "smooth_lift": (lambda: make_example_field(
+        "smooth_lift", n=3, f=lambda X: X[:, 0] * X[:, 1] - 3.0 * X[:, 2],
+        grad_f=lambda X: np.stack([X[:, 1], X[:, 0], np.full(len(X), -3.0)],
+                                  axis=1)), [(-1, 1)] * 3),
+    "cylinder_analogue_2d-4": (lambda: recovery.cylinder_analogue_2d(4),
+                               [(-1, 1)] * 2),
+    "cylinder_analogue_2d-16": (lambda: recovery.cylinder_analogue_2d(16),
+                                [(-0.2, 0.2)] * 2),
+    # the homotopy rings of the two vortex tubes (after their input field)
+    "smoothing-ring": (lambda: recovery.vortex_smoothing_2d(
+        make_example_field("vortex_chain", m=3), (0.5, 0.0), -1, 0.1),
+        [(0.4, 0.6), (-0.1, 0.1)]),
+    "dipole-ring": (lambda: recovery.cone_dipole(
+        make_example_field("planar_vortex"), (-0.5, 0.5), 1, 0.2),
+        [(-0.1, 0.1), (-0.1, 0.1), (-0.5, 0.5)]),
+}
+
+
+class TestCircleMap:
+    """Each circle-valued map writes its values and its Jacobian into one
+    array, entry by entry as the stacked unit frames gave them."""
+
+    @pytest.mark.parametrize("name", list(CIRCLE_VALUED))
+    def test_values_and_jacobian_match_the_stacked_frame(self, name,
+                                                         monkeypatch):
+        build, box = CIRCLE_VALUED[name]
+        seen = []
+        original = fields._circle_map
+
+        def spy(lift):
+            ev, jac, angle = original(lift)
+            seen.append((lift, ev, jac))
+            return ev, jac, angle
+
+        monkeypatch.setattr(fields, "_circle_map", spy)
+        monkeypatch.setattr(recovery, "_circle_map", spy)
+        build()
+        assert seen
+        lo, hi = np.array(box, dtype=float).T
+        X = lo + (hi - lo) * np.random.default_rng(len(name)).random((999, len(box)))
+        for lift, ev, jac in seen:
+            T, G = lift(X, grad=True)
+            assert G.shape == X.shape
+            values, frame = _circle_frame(T)
+            assert ev(X).tobytes() == values.tobytes()
+            assert jac(X).tobytes() == (frame[:, :, None] * G[:, None, :]).tobytes()
+
+
 class TestMinors:
     def test_identity_has_unit_determinant(self):
         assert np.allclose(minors2(np.eye(2)), [1.0])
@@ -213,6 +279,24 @@ class TestMinors:
     def test_m3_minor_vector_length(self):
         M = minors2(np.arange(9.0).reshape(3, 3))
         assert M.shape == (10,)  # nine 2x2 minors plus the determinant
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (2, 4), (3, 3)])
+    def test_columns_match_the_stacked_formula_bit_for_bit(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        J = rng.normal(size=(777, m, n)) * 10.0 ** rng.uniform(-8, 4, (777, 1, 1))
+        J[:3] = 0.0
+        mins = [J[:, r1, c1] * J[:, r2, c2] - J[:, r1, c2] * J[:, r2, c1]
+                for r1, r2 in minor_pairs(m) for c1, c2 in minor_pairs(n)]
+        if m == 3:
+            mins.append(
+                J[:, 0, 0] * (J[:, 1, 1] * J[:, 2, 2] - J[:, 1, 2] * J[:, 2, 1])
+                - J[:, 0, 1] * (J[:, 1, 0] * J[:, 2, 2] - J[:, 1, 2] * J[:, 2, 0])
+                + J[:, 0, 2] * (J[:, 1, 0] * J[:, 2, 1] - J[:, 1, 1] * J[:, 2, 0]))
+        stacked = np.stack(mins, axis=1)
+        got = minors2(J)
+        assert got.shape == stacked.shape
+        assert got.tobytes() == stacked.tobytes()
+        assert minors2(J[5]).tobytes() == stacked[5].tobytes()
 
 
 class TestAreaIntegrand:

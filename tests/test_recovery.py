@@ -75,12 +75,20 @@ class TestVortexSmoothing:
                          + math.pi * eps**2 / 4)
             assert a == pytest.approx(predicted, abs=2e-3)
 
-    def test_smoothing_on_chain_disk(self, rng):
+    def test_smoothing_on_chain_disk(self):
+        # the ring 0.4 < |x| < 0.9 holds the smoothing disk, so only its
+        # points outside the closed disk are compared, and they are equal
         chain = make_example_field("vortex_chain", m=3)
-        c, h = (0.5, 0.0), 0.125
-        ve = vortex_smoothing_2d(chain, c, -1, 0.05)
-        X = sample_ring(rng, 2, 0.4, 0.9, 40)
+        c, eps = np.array([0.5, 0.0]), 0.05
+        ve = vortex_smoothing_2d(chain, tuple(c), -1, eps)
+        X = sample_ring(np.random.default_rng(78), 2, 0.4, 0.9, 400)
+        X = X[np.hypot(*(X - c).T) > eps][:40]
+        assert len(X) == 40
         assert np.array_equal(ve.evaluate_many(X), chain.evaluate_many(X))
+        # inside it, in the ring and in the core, each value differs
+        inside = c + np.array([[0.03, 0.0], [0.0, -0.04], [0.01, 0.005]])
+        assert (ve.evaluate_many(inside) != chain.evaluate_many(inside)).any(
+            axis=1).all()
 
     def test_ring_values_read_no_jacobian(self, counting_field):
         # the pinch probe and the ring's values read trace values only
