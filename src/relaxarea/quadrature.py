@@ -1,11 +1,38 @@
 """Singularity-aware adaptive integration over the package's domains.
 
 The engine runs a tensor Gauss rule of order 8 per axis on each cell of a
-chart's parameter box, estimates the cell error against the embedded
-order-4 rule, and refines in waves until the summed estimate meets the
-requested relative tolerance.  A cell is split dyadically, along the axis
-with the roughest value profile, up to the depth cap of 14 halvings per
-axis.
+chart's parameter box, estimates the cell error from the same 8^d values,
+and refines in waves until the summed estimate meets the requested
+relative tolerance.  A cell is split dyadically, along the axis with the
+largest error, up to the depth cap of 14 halvings per axis.
+
+The error estimate uses null rules of the Gauss-8 nodes (J. Berntsen &
+T. O. Espelid, ACM TOMS 17, 1991, the estimator of DCUHRE).  Along each
+axis a, the cell's values integrated over the other axes with the Gauss
+weights form an 8-value profile, and its orthonormal Legendre coefficients
+c2..c7 are null rules: each gives 0 on polynomials of lower degree along
+a.  Gauss-8 integrates degree 15 exactly, so the first coefficient it
+misses is c16.  A sequence of these coefficients, of top value e1 and
+decay ratio q = min(1, max(e1 / e2, e2 / e3)) over its three entries, is
+carried on to degree 16 by the algebraic decay through its top two
+entries, e1 q^DECAY; for q <= 1 this is never below the geometric
+extrapolation.  The sequences read per axis are the norms of the pairs
+(c2, c3), (c4, c5), (c6, c7), as in DCUHRE, and the parity (even or odd
+coefficients) that is the smaller in the top pair or in the middle one,
+because a smooth part of the other parity can dominate the pair norms
+while that parity decays slowly; where the two pairs disagree, both
+parities are read.  An axis's error is |G8(P~16)| = 1.226 times the
+largest extrapolation, and the cell's error is twice its largest axis
+error, times its volume.  Where the coefficients decay as a smooth
+integrand's do, the estimate is sharp; where they decay slowly, next to a
+singular set or at the depth cap, q is large and the estimate stays
+within a small factor of e1.  Each cell's error is floored at QUADPACK's
+roundoff level 50 eps sum |w f| vol (R. Piessens et al., Springer 1983),
+so that no estimate is exactly 0.  The estimate reads only what the
+Gauss-8 nodes sample: a crease that the nodes straddle but that the
+profiles do not show goes unseen.  The value is the Gauss-8 value, and
+the value and every null rule of a cell come from one product, each row
+reduced alone (``_dots``).
 
 An integral has one refinement tree, as in DCUHRE (Berntsen, Espelid &
 Genz, ACM TOMS 17, 1991): one table holds the cells of every chart of the
@@ -13,8 +40,8 @@ domain, and one weight vector, one stop rule and one ``max_cells`` budget
 serve them all.  An integrand returns (N,) or (N, K) values; the K
 components share the tree, and each must meet the tolerance on its own.
 Weighted by 1 / max(|initial total|, SCALE_FLOOR), a cell's largest
-component error ranks it, and that component's value profile picks the
-split axis.
+component error ranks it, and the split axis is the one whose weighted
+error most exceeds the roundoff floor, over all components.
 
 Waves follow the parallel globally adaptive rule of Bull & Freeman (the
 vectorized mode of S. G. Johnson's ``cubature`` works alike).  Each wave
@@ -23,32 +50,36 @@ cells whose summed error reaches the excess
 total_err - tol * max(|total_val|, SCALE_FLOOR) in every component that
 has neither met tol nor been decided; it takes no cell whose weighted
 error is below half of the worst one's, and always at least one.  A taken
-cell is split along an open axis, one below the depth cap along which its
-profile varies, and all the children are evaluated together, passed to
-the integrand in equal blocks of at most ``BLOCK_POINTS``; a taken cell
-with no open axis becomes final.  On every acceptance integral the waves
-grow the same tree as splitting the one worst cell per call did, so
-values, errors and node counts are unchanged; they save integrand calls,
-most of all in a refusal, which reaches the depth cap in about one wave
-per level.  A wave splits no more cells than ``max_cells`` has left.
+cell is split along an open axis, one below the depth cap whose error
+exceeds the roundoff floor, and all the children are evaluated together,
+passed to the integrand in equal blocks of at most ``BLOCK_POINTS``; a
+taken cell with no open axis becomes final.  On every acceptance integral
+the waves grow the same tree as splitting the one worst cell per call
+did, so values, errors and node counts are unchanged; they save integrand
+calls, most of all in a refusal, which reaches the depth cap in about one
+wave per level.  A wave splits no more cells than ``max_cells`` has left.
 
 A final cell stays in the table, is never split again, as in DCUHRE, and
 keeps its own error estimate in the sum, so a refusal can be decided
 before the cell budget runs out.  "Capped" (``CappedCell`` and the
 "depth-capped" of a refusal) names a final cell, which also covers a cell
-whose profile is flat along every axis below the cap.  With C_k the
-capped error of component k, V_k = |value_k| and U_k the error of the
-open cells, component k is *decided* once
+whose error is at the roundoff floor along every axis below the cap, such
+as one that is flat along them.  With C_k the capped error of component
+k, V_k = |value_k| and U_k the error of the open cells, component k is
+*decided* once
 
     C_k > tol * max(V_k + U_k, SCALE_FLOOR).
 
 This refusal is safe: the final absolute error is at least C_k, because
 refinement only replaces open cells, and it moves the value by at most
 U_k, so the final |value_k| is at most V_k + U_k.  (This trusts the cell
-error estimates, as the convergence test itself does.)  Neither argument
-depends on how many cells a wave splits.  The test runs after every wave;
-refinement stops once each component has met tol or been decided, and a
-component that can still converge refines on.
+error estimates, as the convergence test itself does.  Next to a singular
+set the null-rule coefficients decay slowly, so a capped cell's estimate
+is extrapolated only a little below its top null-rule values; the
+calibration table checks the estimates of refused results against exact
+values.)  Neither argument depends on how many cells a wave splits.  The
+test runs after every wave; refinement stops once each component has met
+tol or been decided, and a component that can still converge refines on.
 """
 
 from __future__ import annotations
@@ -68,7 +99,6 @@ from .domains import Domain
 from .fields import VectorField, minors2
 
 GAUSS_ORDER = 8
-ERROR_ORDER = 4
 MAX_DEPTH = 14
 
 #: most points per call of the integrand: a wave's children are passed in
@@ -139,6 +169,62 @@ def _tensor_rule(order: int, dim: int):
     return pts, wts
 
 
+def _g8_error_of_p16():
+    """|G8 - integral| of the orthonormal Legendre polynomial of degree 16 on
+    [0, 1], the lowest degree that the Gauss-8 rule does not integrate."""
+    x, w = _tensor_rule(GAUSS_ORDER, 1)
+    c = np.zeros(2 * GAUSS_ORDER + 1)
+    c[-1] = math.sqrt(4 * GAUSS_ORDER + 1)
+    return abs(float(w @ np.polynomial.legendre.legval(2.0 * x[:, 0] - 1.0, c)))
+
+
+#: the exponent of the algebraic decay through the pairs (c4, c5) and
+#: (c6, c7), centred at degrees 4.5 and 6.5, carried on to degree 16
+DECAY = math.log(16 / 6.5) / math.log(6.5 / 4.5)
+#: an axis's error per unit of its extrapolated degree-16 coefficient,
+#: 2 |G8(P~16)|
+ERROR_FACTOR = 2.0 * _g8_error_of_p16()
+#: QUADPACK's roundoff floor per cell, in units of sum |w f| vol
+ROUNDOFF = 50.0 * np.finfo(float).eps
+#: keeps 0 / 0 out of the decay ratios
+TINY = np.finfo(float).tiny
+
+
+@functools.cache
+def _cell_rules(dim: int):
+    """The (1 + 6 dim, 8^dim) rules of a cell's one product: the Gauss-8
+    weights W8, then per axis a the null rules c2..c7 times ERROR_FACTOR.
+    c_j = sum W8 P~_j(x_a) f is the orthonormal Legendre coefficient of
+    degree j of the cell's profile along a (its values integrated over the
+    other axes with the Gauss weights); it vanishes on polynomials of degree
+    below j along a."""
+    x, w = _tensor_rule(GAUSS_ORDER, dim)
+    j = np.arange(2, GAUSS_ORDER)
+    # (nodes, dim, 6): sqrt(2 j + 1) P_j(2 x_a - 1)
+    P = (np.polynomial.legendre.legvander(2.0 * x - 1.0, GAUSS_ORDER - 1)[:, :, 2:]
+         * np.sqrt(2.0 * j + 1.0))
+    null = ERROR_FACTOR * (P * w[:, None, None]).reshape(len(w), -1).T
+    return np.concatenate([w[None], null])
+
+
+def _axis_errors(c):
+    """Each axis's error from its c2..c7 as (..., pair, member), the pairs
+    (c2, c3), (c4, c5), (c6, c7).  A sequence of top value e1 and decay
+    ratio q = min(1, max(e1 / e2, e2 / e3)) is carried on to degree 16 as
+    e1 q^DECAY.  The sequences read are the pair norms, as DCUHRE does, and
+    the parity (even or odd coefficients) that is the smaller in the top
+    pair or in the middle one: a smooth part of the other parity can
+    dominate the pair norms while that parity decays slowly."""
+    z = np.empty(c.shape[:-1] + (3,))  # |even|, |odd|, pair norm
+    a = np.abs(c, out=z[..., :2])
+    np.hypot(a[..., 0], a[..., 1], out=z[..., 2])
+    r = z[..., 1:, :] / (np.maximum(z[..., 1:, :], z[..., :-1, :]) + TINY)
+    t = z[..., 2, :] * np.maximum(r[..., 0, :], r[..., 1, :]) ** DECAY
+    hidden = np.where(a[..., 1:, 1] < a[..., 1:, 0],
+                      t[..., None, 1], t[..., None, 0])
+    return np.maximum(t[..., 2], np.maximum(hidden[..., 0], hidden[..., 1]))
+
+
 def _dots(rows, w):
     """w @ each row of rows (C, K, len(w)), bit for bit the 1-d products
     ``[[r @ w for r in cell] for cell in rows]``, so that a cell's value does
@@ -187,7 +273,8 @@ class _Cells:
     ``lo``, ``hi`` (dim each) and the ``chart`` index, so that the leading
     columns order cells as the reduction does; ``value`` and ``err`` (K
     each); ``rank``, minus the largest weighted error, +inf once the cell is
-    final; and ``rough``, the value profile of that component (dim)."""
+    final; and ``above_floor`` (dim), per axis the most by which a
+    component's weighted axis error exceeds its roundoff floor."""
 
     def __init__(self, rows, dim):
         self.rows, self.dim = rows, dim
@@ -200,7 +287,7 @@ class _Cells:
     value = property(lambda c: c.rows[:, 3 * c.dim + 1:3 * c.dim + 1 + c.K])
     err = property(lambda c: c.rows[:, 3 * c.dim + 1 + c.K:3 * c.dim + 1 + 2 * c.K])
     rank = property(lambda c: c.rows[:, 3 * c.dim + 1 + 2 * c.K])
-    rough = property(lambda c: c.rows[:, 3 * c.dim + 2 + 2 * c.K:])
+    above_floor = property(lambda c: c.rows[:, 3 * c.dim + 2 + 2 * c.K:])
 
     def __len__(self):
         return self.rows.shape[0]
@@ -232,14 +319,9 @@ class _Tree:
         self.singular_set = singular_set
         self.weight = None  # per component, set by the first batch
         self.dim = len(charts[0].box)
-        P8, self.W8 = _tensor_rule(GAUSS_ORDER, self.dim)
-        P4, self.W4 = _tensor_rule(ERROR_ORDER, self.dim)
-        self.Q = np.concatenate([P8, P4])  # each cell's nodes, Gauss-8 first
-        # per axis, the indices of a Gauss-8 grid (C, 8, ..., 8) without its
-        # first and without its last entry along that axis
-        self.trim = [[(slice(None),) * (1 + a) + (part,)
-                      for part in (slice(1, None), slice(None, -1))]
-                     for a in range(self.dim)]
+        self.Q, W8 = _tensor_rule(GAUSS_ORDER, self.dim)
+        self.rules = _cell_rules(self.dim)
+        self.roundoff_w = ROUNDOFF * W8
         self.waves = 0
         boxes = [_split_box_at_breaks(ch.box, ch.axes, breaks) for ch in charts]
         lo, hi = (np.concatenate(b) for b in zip(*boxes))
@@ -270,24 +352,22 @@ class _Tree:
         # (C, K, nodes), each row contiguous, so that it sums in the order it
         # would for a lone cell
         F = np.ascontiguousarray(F.reshape(C, n, -1).transpose(0, 2, 1))
-        n8 = len(self.W8)
         vol = (hi - lo).prod(axis=1)[:, None]
-        value = _dots(F[:, :, :n8], self.W8) * vol
-        err = np.abs(value - _dots(F[:, :, n8:], self.W4) * vol)
+        # the value and every null rule from one product, each row reduced
+        # alone, so that a cell's value and error do not depend on its wave
+        c = _dots(F[:, :, None, :], self.rules)
+        value = c[..., 0] * vol
+        axis_err = _axis_errors(c[..., 1:].reshape(C, -1, self.dim, 3, 2))
+        roundoff = _dots(np.abs(F), self.roundoff_w)
+        err = np.maximum(axis_err.max(axis=2), roundoff) * vol
         if self.weight is None:  # 1 / max(|total|, floor), the largest being 1
             scale = np.maximum(np.abs(value.sum(axis=0)), SCALE_FLOOR)
             self.weight = scale.min() / scale
         weighted = err * self.weight
-        top = weighted.argmax(axis=1)
-        grid = F[np.arange(C), top, :n8].reshape((C,) + (GAUSS_ORDER,) * self.dim)
-        # summed |second differences| along each axis, as np.diff(n=2) takes them
-        rough = np.empty((C, self.dim))
-        for a, (head, tail) in enumerate(self.trim):
-            d = grid[head] - grid[tail]
-            d = d[head] - d[tail]
-            np.abs(d, out=d).reshape(C, -1).sum(axis=1, out=rough[:, a])
+        above_floor = ((axis_err - roundoff[..., None])
+                       * self.weight[:, None]).max(axis=1)
         return _Cells(np.concatenate([splits, lo, hi, chart[:, None], value, err,
-                                      -weighted.max(axis=1)[:, None], rough],
+                                      -weighted.max(axis=1)[:, None], above_floor],
                                      axis=1), self.dim)
 
     def refine(self, tol, max_cells):
@@ -319,8 +399,10 @@ class _Tree:
             need = 1 + int(short.sum(axis=0)[todo].max())
             n = max(1, min(need, int(rank.searchsorted(0.5 * rank[0], "right"))))
             taken = cells.take(order[:n])
-            # an axis is open below the depth cap where the profile varies
-            splittable = ((taken.splits < MAX_DEPTH) & (taken.rough > 0)).any(axis=1)
+            # an axis is open below the depth cap where its error exceeds
+            # the roundoff floor
+            splittable = ((taken.splits < MAX_DEPTH)
+                          & (taken.above_floor > 0)).any(axis=1)
             if n > budget:  # each split adds a cell, finalizing none
                 n = int(splittable.cumsum().searchsorted(budget, "right"))
                 taken, splittable = _Cells(taken.rows[:n], self.dim), splittable[:n]
@@ -341,11 +423,12 @@ class _Tree:
 
     def _split(self, rows):
         """The children of halving each cell of ``rows`` (of a _Cells table,
-        grouped by chart) along its roughest open axis, evaluated together."""
+        grouped by chart) along its open axis of largest error above the
+        floor, evaluated together."""
         kids = _Cells(rows.repeat(2, axis=0), self.dim)
         lo, hi, splits = kids.lo, kids.hi, kids.splits
-        rough = np.where(splits < MAX_DEPTH, kids.rough, -np.inf)
-        cut = rough.argmax(axis=1)[:, None] == np.arange(self.dim)
+        above = np.where(splits < MAX_DEPTH, kids.above_floor, -np.inf)
+        cut = above.argmax(axis=1)[:, None] == np.arange(self.dim)
         mid = 0.5 * (lo + hi)
         np.copyto(hi[0::2], mid[0::2], where=cut[0::2])
         np.copyto(lo[1::2], mid[1::2], where=cut[1::2])
@@ -408,6 +491,13 @@ def integrate(
     each meets ``tol`` relative to its own value; the result then holds
     (K,) arrays and is converged when all components are.
 
+    A cell's value is its tensor Gauss-8 value.  Its error is estimated from
+    the same 8^d values: per axis, the null rules c2..c7 of the Gauss-8
+    nodes are extrapolated to the degree-16 coefficient that the rule
+    misses, sharply where they decay fast and near their top values where
+    they decay slowly, and the cell's error is twice the largest axis
+    error, floored at 50 eps sum |w f| vol (see the module docstring).
+
     Refinement runs in waves: each splits the integral's worst cells, worst
     first, until their errors would cover the excess over ``tol``, but
     none below half of the worst cell's weighted error, and evaluates all
@@ -418,7 +508,10 @@ def integrate(
     Refinement stops early once the capped (final) cells decide that a
     component cannot meet ``tol``: their summed error exceeds ``tol`` times
     the largest |value| that refinement can still reach (|value| plus the
-    error of the open cells; see the module docstring).
+    error of the open cells; see the module docstring).  The argument holds
+    as far as the cell estimates do: refinement never lowers the error of a
+    final cell, and the null-rule estimate of a capped cell, whose
+    coefficients decay slowly, stays close to its top coefficients.
     Components that can still converge refine on.  With
     ``raise_on_failure=False`` an unconverged result is returned as the
     tree stood when it stopped: the value of all its cells, their summed

@@ -36,18 +36,17 @@ def planar_tv_area_b3_oracle():
     return 2.0 * math.pi * gauss_1d(f, -math.pi / 2, math.pi / 2)
 
 
-def vortex_cube2_area_oracle():
-    """Area of the degree-1 vortex over [-1, 1]^2: 8 * int over the triangle
-    {0 < theta < pi/4} of sqrt(1 + r^2) dr dtheta, by a polar Gauss rule."""
+def vortex_cube2_area_oracle(d=1):
+    """Area of the degree-d vortex over [-1, 1]^2, sqrt(1 + d^2 / r^2)
+    integrated: in polar coordinates the radial integral
+    int_0^R sqrt(r^2 + d^2) dr = (R sqrt(R^2 + d^2) + d^2 asinh(R / d)) / 2
+    is closed-form, and the eight triangles {0 < theta < pi/4, r < sec
+    theta} leave a smooth integral over theta, by a Gauss rule."""
     x, w = np.polynomial.legendre.leggauss(200)
     th = (x + 1) * math.pi / 8
-    wth = w * math.pi / 8
-    oracle = 0.0
-    for t, wt in zip(th, wth):
-        R = 1.0 / math.cos(t)
-        rr = (x + 1) * R / 2
-        oracle += wt * float(np.sum(w * R / 2 * np.sqrt(rr**2 + 1)))
-    return 8 * oracle
+    R = 1.0 / np.cos(th)
+    radial = 0.5 * (R * np.sqrt(R * R + d * d) + d * d * np.arcsinh(R / d))
+    return math.pi * float(w @ radial)  # 8 triangles, weights times pi/8
 
 
 @pytest.fixture(scope="session")

@@ -10,12 +10,14 @@ the exact value.  Refusals are read with ``raise_on_failure=False``.
 import math
 
 import numpy as np
+import pytest
 
 from conftest import vortex_cube2_area_oracle
 
 from relaxarea.domains import Annulus, Ball, Cone, Cube
 from relaxarea.fields import make_example_field
 from relaxarea.quadrature import area_functional, graph_functionals, integrate
+from relaxarea.recovery import counterexample_sequence
 
 TOLS = (1e-4, 1e-6, 1e-8)
 
@@ -46,8 +48,20 @@ def sphere_vortex_cube_area():
     return 8.0 + 6.0 * float(w @ (1.0 / (1.0 + U * U + V * V)) @ w)
 
 
+def ball_fill_area(k):
+    """Area of the ball fill over Ball(3, 1): 1 + 1/r^2 on the shell
+    1/k < r < 1, where the field is x/|x|, and (1 + k^2)^(3/2) on the inner
+    ball, where it is k x."""
+    return (4.0 * math.pi / 3.0 * (1.0 - k**-3) + 4.0 * math.pi * (1.0 - 1.0 / k)
+            + 4.0 * math.pi / 3.0 * (1.0 + k * k) ** 1.5 * k**-3)
+
+
 def area(kind, dom, **params):
     field = make_example_field(kind, **params)
+    return area_of(field, dom)
+
+
+def area_of(field, dom):
     return lambda tol: [area_functional(field, dom, tol, raise_on_failure=False)]
 
 
@@ -74,10 +88,12 @@ def table():
                           (vortex_cube2_area_oracle(),), TOLS),
         "sphere_vortex-cube3": (area("sphere_vortex", Cube(3, 1.0)),
                                 (sphere_vortex_cube_area(),), TOLS),
-        # the singular line runs along x3, the whole height of the cube; at
-        # 1e-6 it is refused only after some 2e7 nodes
+        # the singular line runs along x3, the whole height of the cube
         "planar_vortex-cube3": (area("planar_vortex", Cube(3, 1.0)),
-                                (2.0 * vortex_cube2_area_oracle(),), (1e-4,)),
+                                (2.0 * vortex_cube2_area_oracle(),), TOLS),
+        **{f"ball_fill{k}-ball3": (area_of(counterexample_sequence("ball", k),
+                                           Ball(3, 1.0)), (ball_fill_area(k),), TOLS)
+           for k in (2, 16)},
         "ball3-volume": (plain(ones, Ball(3, 1.0)), (4.0 * math.pi / 3.0,), TOLS),
         # pi eps^2 int (1 - |z|)^2 dz and (4 pi / 3) eps^3 int (1 - |z|)^3 dz
         "cone3-volume": (plain(ones, Cone(3, (-1.0, 1.0), 0.3)),
@@ -108,3 +124,28 @@ def test_error_estimate_covers_the_actual_error():
     print(f"\n{len(rows)} results, {sum(not r[2] for r in rows)} refused; "
           f"actual / estimated error: min {min(ratios):.3g}, "
           f"median {np.median(ratios):.3g}, max {max(ratios):.3g}")
+
+
+@pytest.mark.parametrize("kind, params, n, tol, exact", [
+    ("vortex", {"d": 1}, 2, 3e-6, lambda: vortex_cube2_area_oracle(1)),
+    ("vortex", {"d": 2}, 2, 3e-6, lambda: vortex_cube2_area_oracle(2)),
+    ("sphere_vortex", {}, 3, 1e-6, sphere_vortex_cube_area),
+    ("planar_vortex", {}, 3, 3e-6, lambda: 2.0 * vortex_cube2_area_oracle(1)),
+])
+def test_singular_cube_converges_within_tol(kind, params, n, tol, exact):
+    # graded refinement to a point or line singularity inside a cube, with
+    # depth-capped cells at it: converged and within tol of the exact area
+    res = area_functional(make_example_field(kind, **params), Cube(n, 1.0), tol)
+    assert res.converged
+    assert abs(res.value - exact()) <= tol * exact()
+
+
+@pytest.mark.parametrize("dom", [Ball(2, 1.0), Annulus(2, 0.5, 1.0)])
+@pytest.mark.parametrize("tol", TOLS)
+def test_estimate_keeps_the_roundoff_floor(dom, tol):
+    # the vortex's TV integrand times the polar weight is 1 at every node, so
+    # every null rule reads rounding alone; a cell's estimate is then the
+    # floor 50 eps sum |w f| vol, never 0, however exact the value looks
+    tv = graph_functionals(make_example_field("vortex", d=1), dom, tol, ("tv",))[0]
+    assert tv.abs_error > 0.0
+    assert tv.abs_error >= 50.0 * np.finfo(float).eps * abs(tv.value)

@@ -50,81 +50,81 @@ COMMANDS = {
 #: SHA-256 of each output, per command (numpy ``NUMPY_VERSION``)
 DIGESTS = {
     "c1-area": {
-        "stdout": "ba60a3ef9f43f22c404bc3fc1c9b3aaaeec1d77abcacc57b8a121c18cd2cae89",
-        "csv": "d0753089dfdd15c921e0d35c4eb17890b8e285296aaa1f06c7de05d5746929c9",
+        "stdout": "bfda6c7ad37479b1ef4319f01802a1375ebe845f34e96ce133afd7f4fce5a767",
+        "csv": "2fcf568d6102fa0e49c8104c04e5e010df3339b78949c4d6b37cd57f3193d068",
     },
     "c1-energy": {
         "stdout": "a9f0b2085c91fb320aad79eb099ab182b98e6c3f33810940a5b1e6c8469d1a60",
-        "csv": "edd9e4597784a1bb089fb342167eab14d346f13eb7f9a12a638ec9a12357a5d3",
+        "csv": "4a9eaf615ae9393819e8910b03fe9721f23108be893f9fbe3fde120b5a2c2521",
     },
     "c2-smoothing": {
         "stdout": "60172ddef4d71a140e26247e01d2400a91d4dbe196d21dfdd3018d2b1dc7d1c4",
-        "csv": "239750111c47db6f2eb22376fb6df06c1df0c9a4ca8b3879970e95ccafab7f18",
-        "json": "9b784c05a99c0f82079ed90ab00c15310cd851da9af22a6ac9d8552229737ad7",
+        "csv": "8c6a996ca25379dc58e6e7483bc50318ef2af42307877f247eb414287601241f",
+        "json": "dee48ee59f81f7ef4a43c840fa4b46708e3fcaf9c0ca6d00bba9286fad33b805",
     },
     "c3-planar": {
-        "stdout": "1b3403640864add7bfef14f604e740cf170eb7f007ddd2cbaedfa63e72ded071",
-        "csv": "68439f353c0aa3b3ed7096b9917138fa483937675f089ed10f2cf4aa2c4c1c58",
+        "stdout": "fc146a1a862b1737e20b79e1472cb4c134cc67c6be82d9f99903e85223328eca",
+        "csv": "26807149b0d640b8438dd0972bf271c04d41906e72666fc7728678c2533c6480",
     },
     "c3-dipole": {
-        "stdout": "37be324ad7ef9592ffe13158c539da5cdd3ee3ff4806c5c805a3bb82a9101fa9",
-        "csv": "a25f11d9645307ee49bb571dc661f52c017b56d8baec8c5dce2b1d39b46f296a",
-        "json": "75fc5c281a4076a7da7d1159f362dfdd82708a9a3fd30f01c95d6cbd88eb888c",
+        "stdout": "d6a5a5110d343606f7321a8a752f6dd95de127f0624134b838372c843b6ad126",
+        "csv": "6a38938394e0ae9a610e218e975424994fea6c7e22214cb116e8ba203a9621ce",
+        "json": "2b5999ebb24c6c608523ec43c0706c1d9cc3490193eff4c12f2d94958b531e08",
     },
     "c3-scan": {
         "stdout": "96d2d4369a6639b8c147d38b6a41161466cbb9b4f3fe1ad4174004cebc4acb14",
-        "csv": "8107dcafc2bde7ce1517752db472f2cb9d9a47a5da566670f3b156051c13e942",
-        "json": "b85f0e311ff386fc3af5a9bed4271a6b9200fd51492f16f8b75096bdc28bbdbc",
+        "csv": "3d5086554623a68dc3c4474d887e1f7fdff4afb565349ed3c1ba69bd74a79ae5",
+        "json": "1719f823b7211225b008830bf3ae58fd8f58a3c8347c35a13c664aac83b7c68e",
     },
     "c6-disk1": {
         "stdout": "d3f6cdfd16566c6741ae1102424b85edc993bceef54b7ab83f4d9acb501906fc",
-        "csv": "31051abeb769f8cf7ddc7347e8acb82168f687672c7728e0b5435b8b6c58868e",
-        "json": "77dac0c1b2e7dc6cfead8eff95fa66fdd27ce7cbeff539c78d33a7ad25fc7218",
+        "csv": "1215d0eb074e619da2bec9c413427e974e2966ac19294d77759be72a02b3741d",
+        "json": "1f502ab83edc3290b0e554497542843901cca83c41c8d241458627f70166ebd2",
     },
     "c6-disk2": {
         "stdout": "9030b965cceed4e742772551cfdcf5bff0133f0024122bb23756c1cfeec3844b",
-        "csv": "ecb293eb825ab98e801c90dfce15cecaadab53d1ed42fa1d9862dcd5f7427034",
-        "json": "9d1df2b291b6b3f381178d9b6cb5a4fa49672757b14b9f92d7024a2796fca1b7",
+        "csv": "54b41e2c1a3071a7391b015252b8dd3e955a779ad2241bc1387868fd901e82cd",
+        "json": "976b1cf26130f0489295352ce56a00322753b25bdc31a2eec5b2e578e6c8a42c",
     },
     "c6-disk3": {
         "stdout": "4b8dddb6adb33635129abcadfd1acb2edf292d3aa22a94551ba172abe6a9928b",
-        "csv": "a96bc643b1693e51378cdd971c984314b55730f3889a0364043301f3c6ec4b36",
-        "json": "7a82ac2bf9f051185165716f5680cfb581da2190e82a3558c7cb86866c943590",
+        "csv": "a15e445b3d2321f01bc849d0c9969c0523bc39670d20a7d5ace280ca4dc02e42",
+        "json": "552c6082ae62fb4727c24cb31ea211297fea161560c4db5d77411cfa12860fdd",
     },
     "c6-disk4": {
         "stdout": "b988bc45c87c8441adff159db2e2eeab953a046abb12350957eea69d9f695eec",
-        "csv": "c1025f1056c33ec66e4a8c01b4c04742a7ff908df0a9a7ed51a0123d79586fe5",
-        "json": "c8749522c2fd92f6826ff62659daeee16416645fffc32df62be4ed11cf4825d2",
+        "csv": "8e854a5c34000ffb56e73eb156ee06b243694c7e4c05e04dd705af89e24cef58",
+        "json": "f0b7e9d23e2bed3de2053228e129157372b672af34b3d1b15a784d77dc32116f",
     },
     "c6-disk5": {
         "stdout": "889f871466a13ce595c1352bf63b0b1f763a606e832b00f844aab8e3cbf12866",
-        "csv": "00b27c2501bfff76bbbecdbf132d1759a6f2419442a9c290488a00beb40555de",
-        "json": "5410ee9b5a7d312b0748d03aa8fbcb15553936b1664e098e65ec9804e414ee06",
+        "csv": "9f6239783f9e593d2a36b5dc24e5a53d80363cc22deba3eac74ec43b38e203c2",
+        "json": "2a79dc309f7dc95c4649c4a891f1c20be508c8566ae813584f513fa7ebbf8894",
     },
     "c6-disk6": {
         "stdout": "0f248ce4fbaf76300a0bacdf1ad0ce270601de6afae0cc7daacdd1e8a9b26d96",
-        "csv": "78c8509752a919d0bffd81b9a38649e4478005e8bdbf14fad3aef8ab7a6e9b3c",
-        "json": "61bdfaec532e724dcb7bd4861619b0f81e4d271c4abdee6412b5b131d2c75049",
+        "csv": "eeb3ef2c422b5bafd468d0a96a6e064e5a9fe56d183d6f61dbf7bce45abda4b2",
+        "json": "20781c0f8ac2de58e9c7b0bcbfa50413a8b6cd353aec2294410d35b23e803026",
     },
     "c7-ball": {
-        "stdout": "777a23dcb8af71da47546b9993e9fee3b309ebcbee266bd47831eba65ba06e2c",
-        "csv": "32d590219822bd17bb1a2b8291de7e35af66fc881f3b68e1f53cfb05a4672c1e",
-        "json": "99c9d76d58d89e469e592319a7798cf1060e3f2bdfe52a0bdb31c4b278f37ae1",
+        "stdout": "5c94872b53359609db74321b18b0be35dbb463186a6d4492efdb1805d10f75e8",
+        "csv": "e23e2af5770fdd4614c47b9a2889158389c7b865565a368bc3ac6b4dc9e11257",
+        "json": "d561d428a007508e225f7346cec82c842b46f78de2715a27847abc15ceef1f37",
     },
     "c7-cylinder": {
-        "stdout": "158842dd5b5baaafc6ad79864a7cf436c6400c734df0d0b5e26a7377a1867200",
-        "csv": "eff522a11c8616ea6c050319550f1f94b019df5ee3efba7d85d94e84d1175be0",
-        "json": "4aa0cc6813eb9f45919f8646bf729e1768def6422cd381e70a071d6d518ddc48",
+        "stdout": "18f6237e40611f984d24f58b07208ab8686b62600a3a26eb2b8ea2e17b55ab89",
+        "csv": "978b7d76bae96ea0635a03e655e341d968805f2a9c85d32ce5326ad1f2968186",
+        "json": "52754e39e8f584773671c96f22eac2d19aabff88130346a8e8ba604d6d90c390",
     },
     "c7-subadd": {
-        "stdout": "8b125c4bb0c884ffe60f6781b993882a446e12f536ad0841cb120c62ae97360c",
-        "csv": "2b83841a39b984173f827bc567c2f4483006ecd45ade7ba0042c8f058acdef7a",
-        "json": "e5d3172760b96b83690a5fe1dc1724299b68ef474150e85379091a8be00372a6",
+        "stdout": "639f06a5ca185f3a2a31f92cead7e100c77a02f9aa14ffdff84235691d18fda9",
+        "csv": "c633b15e10e6f625bb23559cf607a36cf46941befe557f0a3497ad5b50dc56fe",
+        "json": "cac21616a4a0b0ad11a52bf651d4da76047d7cf49c7162b189082ba3ef50cc06",
     },
     "c8-cyl2d": {
-        "stdout": "1a1cacce41d9ff21e1b56139c3eb4564a2363898a9b17a3c92256db1f9ddfd2d",
-        "csv": "97d24d6ba6e90db468af1c7a261f2c9c48bb88e8fccf6198d68758469b486724",
-        "json": "0dd2fa88495dae13929016a9e9a2d2dc08d11914438c35b0dc8e207f5ff87390",
+        "stdout": "98f68b62a30563bb6aefa29ae74193d05eb948968b7760e8a7ca53263f43b356",
+        "csv": "77330a108e99bd5b38d11fbd7fc9d991444e9d818c7c68a1d9a5da86892ecde3",
+        "json": "7706d7264a962cf1955cb6bcb7b65438c752a558ee6e1f62af6a860b5fd8502d",
     },
 }
 
