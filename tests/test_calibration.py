@@ -15,7 +15,7 @@ import pytest
 from conftest import vortex_cube2_area_oracle
 
 from relaxarea.domains import Annulus, Ball, Cone, Cube
-from relaxarea.fields import make_example_field
+from relaxarea.fields import chain_centers_radii, make_example_field
 from relaxarea.quadrature import area_functional, graph_functionals, integrate
 from relaxarea.recovery import counterexample_sequence
 
@@ -77,6 +77,50 @@ def radial4(X):
     return np.sqrt(1.0 + np.sum(X * X, axis=1))
 
 
+def vortex_chain_tv():
+    """TV of the vortex chain m=3 over [-1, 1]^2, region by region: pi per
+    unit length of each end strip (the x2-integral of 1 / sqrt(H^2 - x2^2)),
+    4 pi h - 4 h per square of half-side h (2 pi h in its disk, 2 pi h - 4 h
+    around it), and per unit length of a gap whose half-height has slope k,
+    int sqrt(1 + k^2 sin^2 phi) over (-pi/2, pi/2)."""
+    centers, radii = chain_centers_radii(3)
+    left, right = centers[:, 0] - radii, centers[:, 0] + radii
+    tv = math.pi * (left[0] + 1.0 + 1.0 - right[-1]) + float(
+        np.sum(4.0 * math.pi * radii - 4.0 * radii))
+    phi, w = np.polynomial.legendre.leggauss(64)
+    phi = 0.5 * math.pi * phi
+    for j in range(1, len(radii)):
+        width = left[j] - right[j - 1]
+        k = (radii[j] - radii[j - 1]) / width
+        tv += width * 0.5 * math.pi * float(w @ np.sqrt(1.0 + (k * np.sin(phi)) ** 2))
+    return tv
+
+
+def chain_tv(tol):
+    return graph_functionals(make_example_field("vortex_chain", m=3), Cube(2, 1.0),
+                             tol, ("tv",), raise_on_failure=False)
+
+
+def kink(x0, b):
+    """|x - x0|^b + y^2 and its integral over [-1, 1]^2: a crease across
+    the cells at x = x0, off every chart break, under a smooth part."""
+    return (lambda X: np.abs(X[:, 0] - x0) ** b + X[:, 1] ** 2,
+            2.0 * ((1.0 + x0) ** (b + 1) + (1.0 - x0) ** (b + 1)) / (b + 1) + 4.0 / 3.0)
+
+
+def diagonal_crease(c, s):
+    """|x + s y - c| and its integral over [-1, 1]^2: a crease along a line
+    that no cell side follows.  Over x, |x - a| integrates to g(a) = 1 + a^2
+    for |a| <= 1 and 2 |a| otherwise, so the integral is
+    (G(c + s) - G(c - s)) / s with G' = g."""
+    def G(a):
+        return -a * a - 1.0 / 3.0 if a <= -1.0 else (
+            a + a**3 / 3.0 if a <= 1.0 else a * a + 1.0 / 3.0)
+
+    return (lambda X: np.abs(X[:, 0] + s * X[:, 1] - c),
+            (G(c + s) - G(c - s)) / s)
+
+
 def table():
     """name -> (run(tol) -> results, exact values, tolerances)."""
     return {
@@ -103,6 +147,18 @@ def table():
         "poly-cube2": (plain(poly, Cube(2, 1.0)), ((2.0 / 9) * (2.0 / 7) + 4.0,),
                        TOLS),
         "ball4-volume": (plain(ones, Ball(4, 1.0)), (math.pi**2 / 2.0,), TOLS),
+        # creases off the chart breaks; the extrapolation floor keeps the kink
+        # (at the bare algebraic extrapolation its estimate missed 25-fold
+        # at 1e-6 and 1e-8)
+        "kink-cube2": (plain(kink(0.244, 2.97)[0], Cube(2, 1.0)),
+                       (kink(0.244, 2.97)[1],), TOLS),
+        "diagonal_crease-cube2": (
+            plain(diagonal_crease(0.479, 1.85)[0], Cube(2, 1.0)),
+            (diagonal_crease(0.479, 1.85)[1],), TOLS),
+        # the chain's angle has infinite slope on the edges |x2| = H of its
+        # strips, squares and gaps, which no singular set or break declares;
+        # at 1e-3 and below the refinement is refused (see the xfail below)
+        "vortex_chain3-cube2-tv": (chain_tv, (vortex_chain_tv(),), (1e-2,)),
         # 2 pi^2 int_0^1 r^3 sqrt(1 + r^2) dr
         "ball4-radial": (plain(radial4, Ball(4, 1.0)),
                          (4.0 * math.pi**2 * (1.0 + math.sqrt(2.0)) / 15.0,), TOLS),
@@ -124,6 +180,28 @@ def test_error_estimate_covers_the_actual_error():
     print(f"\n{len(rows)} results, {sum(not r[2] for r in rows)} refused; "
           f"actual / estimated error: min {min(ratios):.3g}, "
           f"median {np.median(ratios):.3g}, max {max(ratios):.3g}")
+
+
+@pytest.mark.xfail(strict=True, reason="known misses of the null-rule estimate "
+                   "on creases off the chart breaks (see ROADMAP)")
+@pytest.mark.parametrize("crease, tol", [
+    (kink(-0.394, 1.2), 1e-4),  # the profile shows the smooth part alone
+    (diagonal_crease(-0.177, 0.62), 1e-8),  # the profiles smooth the crease
+])
+def test_crease_off_the_breaks_within_estimate(crease, tol):
+    f, exact = crease
+    res = integrate(f, Cube(2, 1.0), tol, raise_on_failure=False)
+    assert abs(res.value - exact) <= res.abs_error
+
+
+@pytest.mark.xfail(strict=True, reason="known miss: the chain's undeclared "
+                   "edge singularities (see ROADMAP)")
+def test_vortex_chain_refusal_within_estimate():
+    # refused at 1e-3 with a value of about 70 against 7.41: cells whose
+    # nodes fall next to an edge |x2| = H, where 1 / sqrt(H^2 - x2^2) is
+    # unbounded, read values far off, and their estimates miss it
+    res = chain_tv(1e-3)[0]
+    assert abs(res.value - vortex_chain_tv()) <= res.abs_error
 
 
 @pytest.mark.parametrize("kind, params, n, tol, exact", [

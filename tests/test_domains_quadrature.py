@@ -438,7 +438,7 @@ class TestFailFast:
     def test_chart_that_misses_tol_alone_does_not_refuse_the_whole(self):
         v = make_example_field("vortex", d=1)
         # the second of the two charts is this box, which holds the vortex
-        # point; its capped error exceeds 5e-7 of its own value, but not of
+        # point; its capped error exceeds 7e-7 of its own value, but not of
         # the whole's
         small = Cube(2, 0.5, center=(0.25, 0.0))
         dom = Difference(Cube(2, 1.0, center=(-0.25, 0.5)),
@@ -447,8 +447,8 @@ class TestFailFast:
         assert len(boxes) == 2
         assert np.array_equal(np.array(boxes[1]).T, small.bounding_box())
         with pytest.raises(NoConvergence):
-            area_functional(v, small, 5e-7, max_cells=200)
-        assert area_functional(v, dom, 5e-7, max_cells=200).converged
+            area_functional(v, small, 7e-7, max_cells=200)
+        assert area_functional(v, dom, 7e-7, max_cells=200).converged
 
     def test_max_cells_is_a_budget_per_integral(self):
         # neither chart converges at 1e-8; together they hold max_cells cells,
@@ -632,11 +632,24 @@ class TestGraphFunctionals:
         for got, ref in zip(fused, alone):
             assert abs(got.value - ref.value) <= got.abs_error + ref.abs_error
 
+    def test_cone_shell_minor_mass_within_its_estimate(self):
+        # a smooth even part dominates the pair norms of this integrand's
+        # profiles while its odd part decays slowly; read from the pair norms
+        # alone, the minor mass converged at 1.0462153 with an estimate of
+        # 1.2e-6, so the estimate also reads the parity that is the smaller
+        # (1.0462536364: the Gauss-4 engine at 1e-7, estimate 1.0e-7)
+        segment = (-1.0, 1.0)
+        ext = homogeneous_cone_extension(cone_defect_field_4d(), segment, 0.2,
+                                         0.04, cone_defect_filler(segment, 0.2))
+        shell = Cone(4, segment, 0.2, codim=3, t_min=0.2)
+        minor = graph_functionals(ext, shell, 1e-5, ("minor",))[0]
+        assert abs(minor.value - 1.0462536364) <= minor.abs_error
+
     # node counts of the one-integrand engine these trees must keep
     @pytest.mark.parametrize("kind, params, dom, tol, nodes", [
         ("vortex", {"d": 1}, Ball(2, 1.0), 1e-6, 64),
         ("vortex", {"d": 2}, Cube(2, 1.0), 3e-6, 16576),
-        ("planar_vortex", {}, Ball(3, 1.0), 1e-6, 1536),
+        ("planar_vortex", {}, Ball(3, 1.0), 1e-6, 3584),
     ])
     def test_scalar_tree_unchanged(self, kind, params, dom, tol, nodes):
         res = area_functional(make_example_field(kind, **params), dom, tol)
@@ -649,11 +662,11 @@ class TestGraphFunctionals:
         assert info.value.value == 8.364443029613083  # bit for bit
         res = area_functional(v, Cube(2, 1.0), 1e-8, raise_on_failure=False)
         assert (res.value, res.abs_error, res.nodes_used) == (
-            8.364443029613083, 1.3194983491221997e-05, 17344)
+            8.364443029613083, 1.3266810982166541e-05, 17344)
         assert res.capped_cell.centre == (-2.0**-14, 2.0**-14)
         # the value of the same refusal run on to its 2000-cell cap
         estimate = info.value.error_estimate * info.value.value
-        assert abs(info.value.value - 8.36444302958879) <= estimate
+        assert abs(info.value.value - 8.364443029588793) <= estimate
 
     def test_scalar_refusal_stats(self):
         # the benchmark's refusal (its 2000-cell budget is never reached): a
@@ -671,7 +684,7 @@ class TestGraphFunctionals:
         res = area_functional(make_example_field("sphere_vortex"), Cube(3, 1.0),
                               1e-6)
         assert (res.value, res.abs_error, res.nodes_used) == (
-            23.34824537669704, 2.332099527105758e-05, 727552)  # bit for bit
+            23.348245376688855, 2.3344881194047342e-05, 905728)  # bit for bit
         assert res.capped_cell.centre == (-2.0**-14, -2.0**-14, 2.0**-14)
 
     def test_result_types_of_vector_and_scalar_integrands(self):
