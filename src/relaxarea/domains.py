@@ -38,8 +38,8 @@ def _centre(n, center):
     or refused."""
     c = np.zeros(n) if center is None else np.asarray(center, float)
     if c.shape != (n,) or not np.all(np.isfinite(c)):
-        raise InvalidGeometry(f"domain centre must be {n} finite values, "
-                              f"got {center!r}")
+        raise InvalidGeometry(f"centre must be {n} finite values, "
+                              f"got center={center!r}")
     return c
 
 

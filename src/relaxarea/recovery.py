@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import SingularChain
-from .domains import Annulus, Ball, Cone, Domain, row_norms
+from .domains import Annulus, Ball, Cone, Domain, _centre, row_norms
 from .errors import DegreeMismatch, InvalidGeometry, InvalidParams
 from .fields import VectorField, _circle_map, _on_circle, _wrap
 from .quadrature import QuadratureResult, graph_functionals
@@ -68,22 +68,6 @@ def _check_filler(field, filler):
     if (filler.n, filler.m) != (field.n, field.m):
         raise InvalidParams(f"filler has (n, m) = {(filler.n, filler.m)} but "
                             f"the field has {(field.n, field.m)}")
-
-
-def _pullback(v, phi):
-    """``(ev, jac)`` of ``v o phi``, where ``phi(X)`` gives ``(Y, Dphi)``.
-
-    ``Dphi`` is an (N, n, n) stack, or the (n,) diagonal of one linear map
-    shared by every row (a rescaled core), which scales the columns of
-    ``Jv`` without a matrix product.
-    """
-
-    def jac(X):
-        Y, D = phi(X)
-        Jv = v.jacobian_many(Y)
-        return Jv * D if D.ndim == 1 else np.einsum("nij,njk->nik", Jv, D)
-
-    return lambda X: v.evaluate_many(phi(X)[0]), jac
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +212,7 @@ def vortex_smoothing_2d(field: VectorField, center, d: int, eps: float) -> Vecto
         raise InvalidParams("vortex_smoothing_2d expects an n=2, m=2 field")
     if not 0 < eps < math.inf:
         raise InvalidParams(f"eps must be positive and finite, got {eps!r}")
-    c = np.asarray(center, dtype=float)
-    if not np.all(np.isfinite(c)):
-        raise InvalidGeometry(f"center must be finite, got {center!r}")
+    c = _centre(2, center)
     wd = winding_number(field, Circle(tuple(c), eps), samples=256)
     if wd != d:
         raise DegreeMismatch(f"winding on the eps-circle is {wd}, expected {d}")
@@ -289,8 +271,84 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# removal of point singularities (n >= 3)
+# zero-homogeneous extensions: point removal (k = n) and the 4d cone (k = 3)
 # ---------------------------------------------------------------------------
+
+
+def _pullback(v, phi):
+    """``(ev, jac)`` of ``v o phi``, where ``phi(X)`` gives ``(Y, apply)``
+    and ``apply(Jv)`` is the Jacobian ``Jv`` of v at Y times ``Dphi``, as a
+    new array; the value path never calls it."""
+
+    def jac(X):
+        Y, apply = phi(X)
+        return apply(v.jacobian_many(Y))
+
+    return lambda X: v.evaluate_many(phi(X)[0]), jac
+
+
+def _homogeneous_extension(field, filler, k, centre, radius, slope, frac,
+                           **kwargs):
+    """The field zero-homogeneous on a shell over a rescaled filler.
+
+    rho is the norm of the first k coordinates less ``centre`` and W their
+    direction; z = x_k exists only when k < n.  ``radius(z)`` is R and
+    ``slope(z)`` dR/dz; for k = n, z is None, R one value and ``slope``
+    None.  On frac R < rho < R the field is read at its radial projection
+    centre + R W on the rim; on rho <= frac R the filler is read with the
+    first k coordinates about ``centre`` scaled by 1/frac.  R(z) <= 0 off
+    the segment, so the open shell ends there.  The singular set keeps the
+    input's cells whose midpoint the input still claims.  ``kwargs`` go to
+    the built VectorField.
+    """
+    _check_filler(field, filler)
+    n = field.n
+    c = np.zeros(n)
+    c[:k] = centre
+    D = np.ones(n)
+    D[:k] = 1.0 / frac  # the core's differential, one diagonal for every row
+
+    def normal(X):
+        """x~ - centre, rho, z and R(z), one per row."""
+        V = X[:, :k] - c[:k]
+        z = X[:, k] if k < n else None
+        rho = row_norms(V)
+        return V, rho, z, np.broadcast_to(radius(z), rho.shape)
+
+    def classify(X):
+        _, rho, _, R = normal(X)
+        shell = rho < R
+        return np.add(shell, shell & (rho <= frac * R), dtype=np.int8)
+
+    def radial(X):
+        V, rho, z, R = normal(X)
+        W = V / rho[:, None]
+        Y = X.copy()
+        Y[:, :k] = c[:k] + R[:, None] * W
+
+        def apply(J):
+            # Jv Dphi: (R/rho)(Jv - (Jv W) W^T) on the normal columns and
+            # Jv_z + R' (Jv W) on z
+            JW = np.vecdot(J[:, :, :k], W[:, None, :])
+            out = np.empty_like(J)
+            out[:, :, :k] = J[:, :, :k] - JW[:, :, None] * W[:, None, :]
+            out[:, :, :k] *= (R / rho)[:, None, None]
+            if z is not None:
+                out[:, :, k] = J[:, :, k] + slope(z)[:, None] * JW
+            return out
+
+        return Y, apply
+
+    def rescaled(X):
+        return c + (X - c) * D, lambda J: J * D
+
+    keep = None
+    if field.singular_set is not None:
+        keep = field.singular_set.filtered(lambda p: classify(p[None])[0] == 0)
+    ev, jac = _piecewise(n, field.m, classify, [
+        (field.evaluate_many, field.jacobian_many), _pullback(field, radial),
+        _pullback(filler, rescaled)])
+    return VectorField(n, field.m, ev, jac, singular_set=keep, **kwargs)
 
 
 def remove_point_singularity(field: VectorField, center, r: float, delta: float,
@@ -304,45 +362,13 @@ def remove_point_singularity(field: VectorField, center, r: float, delta: float,
     n = field.n
     if n < 3:
         raise InvalidParams("point-singularity removal needs n >= 3")
-    _check_filler(field, filler)
     if not 0.0 < delta < r < math.inf:
         raise InvalidGeometry(f"need 0 < delta < r < inf, got delta={delta!r}, "
                               f"r={r!r}")
-    c = np.asarray(center, dtype=float)
-    if not np.all(np.isfinite(c)):
-        raise InvalidGeometry(f"center must be finite, got {center!r}")
-    scale = r / delta
-
-    def classify(X):
-        rho = row_norms(X - c)
-        return np.add(rho < r, rho <= delta, dtype=np.int8)
-
-    def radial(X):
-        W = X - c
-        rho = row_norms(W)
-        Wr = W / rho[:, None]
-        P = np.eye(n)[None] - Wr[:, :, None] * Wr[:, None, :]
-        return c + r * Wr, (r / rho)[:, None, None] * P
-
-    def rescaled(X):
-        return c + scale * (X - c), np.full(n, scale)
-
-    keep = None
-    if field.singular_set is not None:
-        keep = field.singular_set.filtered(
-            lambda p: float(np.linalg.norm(p - c)) >= r
-        )
-    ev, jac = _piecewise(n, field.m, classify, [
-        (field.evaluate_many, field.jacobian_many), _pullback(field, radial),
-        _pullback(filler, rescaled)])
-    return VectorField(n, field.m, ev, jac, singular_set=keep,
-                       chart_breaks={"r": (float(delta), float(r))},
-                       name=f"{field.name}+point_removal(r={r:g})")
-
-
-# ---------------------------------------------------------------------------
-# homogeneous cone extension (n = 4, codimension 3)
-# ---------------------------------------------------------------------------
+    return _homogeneous_extension(
+        field, filler, n, _centre(n, center), lambda z: r, None, delta / r,
+        chart_breaks={"r": (float(delta), float(r))},
+        name=f"{field.name}+point_removal(r={r:g})")
 
 
 def homogeneous_cone_extension(field: VectorField, base, eps: float,
@@ -363,46 +389,10 @@ def homogeneous_cone_extension(field: VectorField, base, eps: float,
         raise InvalidGeometry("need 0 < delta < eps")
     if filler is None:
         raise InvalidParams("a smooth filler with matching trace is required")
-    _check_filler(field, filler)
     frac = delta / eps
-    scale = eps / delta
-
-    def classify(X):
-        rho = row_norms(X[:, :3])
-        z = X[:, 3]
-        r = cone.profile(z)
-        inside = (z > cone.a) & (z < cone.b) & (rho <= r)
-        return np.add(inside, inside & (rho <= frac * r), dtype=np.int8)
-
-    def homogeneous(X):
-        rho = row_norms(X[:, :3])
-        r = cone.profile(X[:, 3])
-        W = X[:, :3] / rho[:, None]
-        Y = X.copy()
-        Y[:, :3] = r[:, None] * W
-        D = np.zeros((X.shape[0], 4, 4))
-        P = np.eye(3)[None] - W[:, :, None] * W[:, None, :]
-        D[:, :3, :3] = (r / rho)[:, None, None] * P
-        D[:, :3, 3] = cone.slope(X[:, 3])[:, None] * W
-        D[:, 3, 3] = 1.0
-        return Y, D
-
-    def rescaled(X):
-        Y = X.copy()
-        Y[:, :3] *= scale
-        return Y, np.array([scale, scale, scale, 1.0])
-
-    keep = None
-    if field.singular_set is not None:
-        keep = field.singular_set.filtered(
-            lambda p: not bool(cone.membership(p[None, :])[0])
-        )
-    ev, jac = _piecewise(4, field.m, classify, [
-        (field.evaluate_many, field.jacobian_many),
-        _pullback(field, homogeneous), _pullback(filler, rescaled)])
-    return VectorField(4, field.m, ev, jac, singular_set=keep,
-                       chart_breaks={"t": (frac,)},
-                       name=f"{field.name}+cone_ext(eps={eps:g})")
+    return _homogeneous_extension(
+        field, filler, 3, 0.0, cone.profile, cone.slope, frac,
+        chart_breaks={"t": (frac,)}, name=f"{field.name}+cone_ext(eps={eps:g})")
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,14 @@ def test_nan_row_raises_non_finite(name, method):
                                       (0.0, math.inf, 0.0), EPS, 0.04,
                                       linear_disk_filler(EPS)),
      InvalidGeometry, "center"),
+    (lambda: remove_point_singularity(disk_defect_field_3d(), (0.0, 0.0),
+                                      EPS, 0.04, linear_disk_filler(EPS)),
+     InvalidGeometry, "center"),
+    (lambda: vortex_smoothing_2d(make_example_field("vortex", d=1),
+                                 (0.0, 0.0, 0.0), 1, EPS), InvalidGeometry,
+     "center"),
+    (lambda: vortex_smoothing_2d(make_example_field("vortex", d=1), (0.0,), 1,
+                                 EPS), InvalidGeometry, "center"),
     (lambda: homogeneous_cone_extension(
         cone_defect_field_4d(), (-1.0, 1.0), math.inf, 0.04,
         cone_defect_filler((-1.0, 1.0), EPS)), InvalidGeometry, "eps"),
@@ -103,7 +111,8 @@ def test_nan_row_raises_non_finite(name, method):
      InvalidParams, r"\(3, 2\) but the field has \(4, 2\)"),
 ], ids=["smoothing-eps-nan", "smoothing-eps-inf", "smoothing-center-nan",
         "dipole-eps-nan", "dipole-eps-inf", "dipole-base-inf", "point-r-inf",
-        "point-center-inf", "cone4-eps-inf", "point-filler-shape",
+        "point-center-inf", "point-center-short", "smoothing-center-3d",
+        "smoothing-center-1d", "cone4-eps-inf", "point-filler-shape",
         "cone4-filler-shape"])
 def test_bad_parameter_refused_when_built(build, error, match):
     with pytest.raises(error, match=match):
