@@ -20,7 +20,14 @@ import sys
 import numpy as np
 
 from . import relaxation as rx
-from .chains import SINGULAR_GUARD, chain_csv_text, chain_mass, distance_to_chain
+from .chains import (
+    SINGULAR_GUARD,
+    _depth,
+    chain_boundary,
+    chain_csv_text,
+    chain_mass,
+    distance_to_chain,
+)
 from .domains import Ball, Cone, make_domain
 from .errors import (
     AmbiguousWinding,
@@ -127,9 +134,18 @@ def _run_area(args):
 def _run_energy(args):
     field = _build_field(args)
     dom = _build_domain(args)
-    # the singular current inside the domain, refused before any quadrature
+    # the singular current inside the domain, refused before any quadrature;
+    # Ju = d(u x du) / 2, so it has no boundary in the domain
     inside = (None if field.singular_set is None
               else field.singular_set.restricted(dom))
+    ends = [] if inside is None or inside.k == 0 else [
+        p for p, _ in chain_boundary(inside).cells
+        if _depth(dom, p) > SINGULAR_GUARD]
+    if ends:
+        where = " and ".join(f"({', '.join(f'{x:g}' for x in p)})" for p in ends)
+        raise InvalidGeometry(f"the declared singular set of {field.name} ends "
+                              f"at {where} inside the {dom.kind}, but P(u) has "
+                              "no boundary there")
     grad, tva, minor = graph_functionals(field, dom, args.tol,
                                          ("tv", "tv_area", "minor"))
     line = (f"tv={grad.value:.12g} tv_area={tva.value:.12g} "

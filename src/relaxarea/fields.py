@@ -3,7 +3,11 @@
 A :class:`VectorField` is an immutable bundle of a vectorized evaluator
 ``(N, n) -> (N, m)``, an optional vectorized closed-form Jacobian
 ``(N, n) -> (N, m, n)``, for m = 2 an optional vectorized angle evaluator
-``(N, n) -> (N,)``, and a declared singular set.  Every example map has
+``(N, n) -> (N,)``, and a declared singular set, which is the field's
+guard: a batch with a row within the guard distance 1e-12 of it is
+refused before the evaluator runs, so an evaluator may assume that every
+row lies farther than that from it (the planar vortex, singular past its
+declared segment, guards that part itself).  Every example map has
 its Jacobian in closed form; a field built without one serves evaluation
 and extraction, and :meth:`VectorField.jacobian_many` refuses it.  Each
 circle-valued example map (cos T, sin T), its Jacobian and its angle, T
@@ -259,12 +263,10 @@ def _vortex(d: int, center, phase: float) -> VectorField:
 
     def lift(X, grad=False):
         W = X - c
-        r2 = W[:, 0] ** 2 + W[:, 1] ** 2
-        if (r2 <= SINGULAR_GUARD**2).any():
-            raise SingularPoint("vortex evaluated at its center")
         T = d * np.arctan2(W[:, 1], W[:, 0]) + phase
         if not grad:
             return T
+        r2 = W[:, 0] ** 2 + W[:, 1] ** 2
         G = np.empty_like(W)
         np.divide(-W[:, 1], r2, out=G[:, 0])
         np.divide(W[:, 0], r2, out=G[:, 1])
@@ -281,8 +283,9 @@ def _vortex(d: int, center, phase: float) -> VectorField:
 
 def _planar_vortex() -> VectorField:
     def lift(X, grad=False):
-        # the guard of ev, tested by hypot only where it can fail:
-        # hypot(x1, x2) >= |x1|
+        # the axis is singular also past the declared segment z in [-1, 1],
+        # so this field keeps its own guard, ev's, tested by hypot only
+        # where it can fail: hypot(x1, x2) >= |x1|
         x1, x2 = X[:, 0], X[:, 1]
         near = np.flatnonzero(np.abs(x1) <= SINGULAR_GUARD)
         if (np.hypot(x1[near], x2[near]) <= SINGULAR_GUARD).any():
@@ -314,15 +317,10 @@ def _planar_vortex() -> VectorField:
 
 def _sphere_vortex() -> VectorField:
     def ev(X):
-        r = row_norms(X)
-        if (r <= SINGULAR_GUARD).any():
-            raise SingularPoint("sphere vortex evaluated at the origin")
-        return X / r[:, None]
+        return X / row_norms(X)[:, None]
 
     def jac(X):
         r = row_norms(X)
-        if (r <= SINGULAR_GUARD).any():
-            raise SingularPoint("sphere vortex Jacobian at the origin")
         xh = X / r[:, None]
         eye = np.eye(3)[None]
         return (eye - xh[:, :, None] * xh[:, None, :]) / r[:, None, None]
@@ -368,19 +366,7 @@ def chain_centers_radii(m: int) -> tuple[np.ndarray, np.ndarray]:
     return centers, radii
 
 
-def _chain_keys(centers, radii):
-    """Square sides as ``np.searchsorted(keys, x1, "right")`` keys.
-
-    The search gives each point its region code: 0 for the lead strip,
-    2j + 1 for square j, 2j for the gap between squares j - 1 and j, and 2m
-    for the tail strip (and for NaN, which sorts last).  A point on a
-    square's right side gets the gap or strip after it, whose angle there
-    equals the square's.
-    """
-    return np.stack([centers[:, 0] - radii, centers[:, 0] + radii], axis=1).ravel()
-
-
-def _chain_angle(X, centers, radii, region=None, grad=False):
+def _chain_angle(X, centers, radii, grad=False):
     """Target angle T of the vortex-chain map (values are (cos T, sin T)),
     and with ``grad`` also its gradient (N, 2).
 
@@ -390,20 +376,24 @@ def _chain_angle(X, centers, radii, region=None, grad=False):
     traces, end strips extend the outermost arcs, and the two remaining
     components are the constants (1,0) above and (-1,0) below.
 
-    x1 alone names each point's only candidate region (``region``, the
-    codes of :func:`_chain_keys`); each region present is then evaluated
-    on its own points, and its gradient on the same points.  Outside the
-    disks T is a constant plus or minus arcsin(x2 / H), with H the region's
-    half-height (linear in x1 across a gap); each region keeps only its
-    points with |x2| <= H, so x2 / H lies in [-1, 1] (division rounds
-    monotonically).  On the creases |x2| = H the derivative of arcsin is
-    infinite; these points are a null set, and they get the gradient of
-    the constant side, zero, so that no integral fails there.
+    x1 alone names each point's only candidate region, a search among the
+    squares' sides: 0 for the lead strip, 2j + 1 for square j, 2j for the
+    gap between squares j - 1 and j, and 2m for the tail strip (and for
+    NaN, which sorts last); a point on a square's right side gets the gap
+    or strip after it, whose angle there equals the square's.  Each region
+    present is then evaluated on its own points, and its gradient on the
+    same points.  Outside the disks T is a constant plus or minus
+    arcsin(x2 / H), with H the region's half-height (linear in x1 across a
+    gap); each region keeps only its points with |x2| <= H, so x2 / H lies
+    in [-1, 1] (division rounds monotonically).  On the creases |x2| = H
+    the derivative of arcsin is infinite; these points are a null set, and
+    they get the gradient of the constant side, zero, so that no integral
+    fails there.
     """
     m = len(radii)
     x1, x2 = X[:, 0], X[:, 1]
-    if region is None:
-        region = np.searchsorted(_chain_keys(centers, radii), x1, "right")
+    sides = np.stack([centers[:, 0] - radii, centers[:, 0] + radii], axis=1)
+    region = np.searchsorted(sides.ravel(), x1, "right")
     T = np.where(x2 >= 0.0, 0.0, np.pi)  # default: the two constant components
     # no region takes a NaN coordinate, so its gradient stays NaN
     G = np.where(np.isnan(X), np.nan, 0.0) if grad else None
@@ -469,17 +459,9 @@ def _chain_angle(X, centers, radii, region=None, grad=False):
 
 def _vortex_chain(m: int) -> VectorField:
     centers, radii = chain_centers_radii(m)
-    keys = _chain_keys(centers, radii)
 
     def lift(X, grad=False):
-        # only a point's own square can hold a centre within the guard
-        region = np.searchsorted(keys, X[:, 0], "right")
-        idx = np.flatnonzero(region % 2)
-        dx = X[idx, 0] - centers[region[idx] // 2, 0]
-        dy = X[idx, 1]
-        if (np.sqrt(dx * dx + dy * dy) <= SINGULAR_GUARD).any():
-            raise SingularPoint("vortex chain evaluated at a disk center")
-        return _chain_angle(X, centers, radii, region, grad)
+        return _chain_angle(X, centers, radii, grad)
 
     ev, jac, angle = _circle_map(lift)
     cells = [(tuple(centers[j]), 1 if j % 2 == 0 else -1) for j in range(m)]

@@ -578,8 +578,7 @@ def disk_defect_field_3d() -> VectorField:
     """(x1, x2)/|x| on B^3: a D^2-valued point defect at the origin."""
 
     def ev(X):
-        r = row_norms(X)
-        return X[:, :2] / np.maximum(r, 1e-300)[:, None]
+        return X[:, :2] / row_norms(X)[:, None]
 
     def jac(X):
         r = row_norms(X)
@@ -620,12 +619,11 @@ def cone_defect_field_4d(base=(-1.0, 1.0)) -> VectorField:
 
     def ev(X):
         rho = row_norms(X[:, :3])
-        q = 1.0 / np.maximum(rho, 1e-300) + rho
+        q = 1.0 / rho + rho
         return X[:, :2] * q[:, None]
 
     def jac(X):
         rho = row_norms(X[:, :3])
-        rho = np.maximum(rho, 1e-300)
         q = 1.0 / rho + rho
         dq = (1.0 - 1.0 / rho**2)  # dq/drho
         J = np.zeros((X.shape[0], 2, 4))

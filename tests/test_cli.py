@@ -76,12 +76,18 @@ class TestEnergy:
         assert code == 0
         assert float(out.split("m2=")[1].split()[0]) < 1e-12
 
-    def test_point_on_the_domain_boundary_exits_2(self, capsys):
+    @pytest.mark.parametrize("field, domain, radius, where", [
         # vortex_chain m=3 has a vortex at x = 0.5, on this ball's boundary
-        code, _, err = run(capsys, "energy", "--field", "vortex_chain",
-                           "--domain", "ball2", "--radius", "0.5")
-        assert code == 2
-        assert "boundary" in err
+        ("vortex_chain", "ball2", "0.5", "(0.5, 0.0) lies within"),
+        # the axis ends at z = -1 and 1 inside B_2, but P(u) has no boundary
+        ("planar_vortex", "ball3", "2", "(0, 0, -1) and (0, 0, 1) inside"),
+    ], ids=["point-on-boundary", "chain-ends-inside"])
+    def test_point_on_the_domain_boundary_exits_2(self, capsys, field, domain,
+                                                  radius, where):
+        code, out, err = run(capsys, "energy", "--field", field, "--domain",
+                             domain, "--radius", radius, "--tol", "1e-3")
+        assert code == 2 and out == ""
+        assert "boundary" in err and where in err
 
 
 class TestJacobian:

@@ -38,6 +38,36 @@ class TestEvaluate:
         with pytest.raises(SingularPoint):
             v.evaluate((0.0, 0.0))
 
+    @pytest.mark.parametrize("kind, params", [
+        ("vortex", {"d": 1, "center": (0.13, -0.21)}),
+        ("vortex", {"d": 2, "center": (0.13, -0.21)}),
+        ("sphere_vortex", {}),
+    ] + [("vortex_chain", {"m": m}) for m in (1, 2, 3, 6, 9)],
+        ids=["vortex-d1", "vortex-d2", "sphere"]
+        + [f"chain-m{m}" for m in (1, 2, 3, 6, 9)])
+    def test_declared_set_refuses_each_centre(self, kind, params):
+        # the declared set is these fields' only guard: a centre, or a point
+        # within SINGULAR_GUARD of it, at the first, a middle or the last row
+        # of a batch is refused by every read, and 1e-9 away it is not
+        f = make_example_field(kind, **params)
+        reads = ["evaluate_many", "jacobian_many"] + (["angles_many"]
+                                                      if f.m == 2 else [])
+        far = np.zeros((1000, f.n))
+        far[:, 0], far[:, 1] = np.linspace(-1.0, 1.0, 1000), 0.7
+        e0, e1 = np.eye(f.n)[:2]
+        for c, _ in f.singular_set.cells:
+            for row in (0, 500, 999):
+                X = far.copy()
+                for x in (c, c + 0.5e-12 * e0, c - 0.5e-12 * e1):
+                    X[row] = x
+                    for read in reads:
+                        with pytest.raises(SingularPoint,
+                                           match="declared singular set"):
+                            getattr(f, read)(X)
+                X[row] = c + 1e-9 * e0
+                for read in reads:
+                    assert np.isfinite(getattr(f, read)(X)).all()
+
     def test_planar_vortex_unit_second_axis(self):
         pv = make_example_field("planar_vortex")
         assert np.allclose(pv.evaluate((0.0, 0.3, 0.9)), (0.0, 1.0), atol=1e-15)
@@ -593,16 +623,3 @@ class TestChainMap:
         assert np.allclose(f.evaluate((0.2, 0.3)), (math.cos(0.2), math.sin(0.2)))
         with pytest.raises(InvalidParams, match="smooth_lift.*without a Jacobian"):
             f.jacobian_at((0.2, 0.3))
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 6, 9])
-    def test_evaluator_refuses_each_centre(self, m):
-        # the evaluator's own guard, which holds also where a caller passes
-        # its own distances to evaluate_many
-        f = make_example_field("vortex_chain", m=m)
-        centers, _ = chain_centers_radii(m)
-        far = np.array([[-1.1, 0.7]])
-        for c in centers:
-            for x in (c, c + [0.5e-12, 0.0], c - [0.0, 0.5e-12]):
-                with pytest.raises(SingularPoint):
-                    f._eval(np.concatenate([far, [x]]))
-            f._eval(np.array([c + [1e-9, 0.0]]))

@@ -6,7 +6,12 @@ import pytest
 from conftest import VORTEX_AREA_B2
 
 from relaxarea.domains import Ball, Cone
-from relaxarea.errors import DegreeMismatch, InvalidGeometry, InvalidParams
+from relaxarea.errors import (
+    DegreeMismatch,
+    InvalidGeometry,
+    InvalidParams,
+    NonFinite,
+)
 from relaxarea.fields import chain_centers_radii, make_example_field, minors2
 from relaxarea.quadrature import area_functional, graph_functionals, integrate
 from relaxarea.recovery import (
@@ -301,6 +306,15 @@ class TestConeExtension4d:
             masses.append(graph_functionals(w, core, 1e-6, ("area",))[0].value)
         for coarse, fine in zip(masses, masses[1:]):
             assert 3.0 * fine <= coarse <= 5.0 * fine
+
+    def test_axis_past_the_declared_segment_is_non_finite(self):
+        # the segment ends at z = 1.5; past it the field is still singular
+        u = cone_defect_field_4d()
+        X = np.array([[0.3, 0.1, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]])
+        for read in (u.evaluate_many, u.jacobian_many):
+            with pytest.raises(NonFinite), np.errstate(divide="ignore",
+                                                       invalid="ignore"):
+                read(X)
 
     def test_delta_defaults_to_eps_squared(self):
         u = cone_defect_field_4d()

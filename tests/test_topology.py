@@ -836,7 +836,8 @@ class TestBlockLift:
         monkeypatch.setattr(topology, "_bounded_distances", checked)
         rng = np.random.default_rng(18)
         fields = [make_example_field("planar_vortex"),
-                  make_example_field("vortex", d=2, center=(0.13, -0.21))]
+                  make_example_field("vortex", d=2, center=(0.13, -0.21)),
+                  make_example_field("vortex_chain", m=3)]
         fields += [line_field(int(rng.integers(0, 3)),
                               rng.uniform(-0.3, 0.3, 2),
                               rng.uniform(-0.5, 0.5, 3)) for _ in range(4)]
@@ -877,7 +878,8 @@ class TestDistanceCull:
         (line_field(0, (0.1, -0.2), (0.1, -0.2, 0.3)), GridSpec(3, 40), 3),
         (make_example_field("vortex", d=2, center=(0.13, -0.21)),
          GridSpec(2, 64), 4),
-    ], ids=["planar32", "planar24-ragged", "line40", "vortex2d"])
+        (make_example_field("vortex_chain", m=3), GridSpec(2, 64), 4),
+    ], ids=["planar32", "planar24-ragged", "line40", "vortex2d", "chain2d"])
     def test_skipped_nodes_hold_certified_bounds(self, monkeypatch, field,
                                                  grid, tile):
         monkeypatch.setattr(topology, "CULL_TILE", tile)
