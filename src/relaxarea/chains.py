@@ -131,6 +131,24 @@ class SingularChain:
                 kept.append((np.stack([p0, p1]), mult))
         return SingularChain(self.n, self.k, tuple(kept), self.spacing)
 
+    def current_in(self, domain) -> "SingularChain":
+        """The singular current P(u) inside ``domain``: :meth:`restricted`,
+        refused with ``InvalidGeometry`` when a 1-chain ends more than
+        SINGULAR_GUARD inside the domain (``Ju = d(u x du) / 2``, so P(u)
+        has no boundary there, and a chain that ends there is not all of
+        it)."""
+        inside = self.restricted(domain)
+        ends = [] if inside.k == 0 else [
+            p for p, _ in chain_boundary(inside).cells
+            if _depth(domain, p) > SINGULAR_GUARD]
+        if ends:
+            where = " and ".join(f"({', '.join(f'{x:g}' for x in p)})"
+                                 for p in ends)
+            raise InvalidGeometry(f"the singular 1-chain ends at {where} "
+                                  f"inside the {domain.kind}, but P(u) has "
+                                  "no boundary there")
+        return inside
+
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path) -> None:

@@ -22,8 +22,6 @@ import numpy as np
 from . import relaxation as rx
 from .chains import (
     SINGULAR_GUARD,
-    _depth,
-    chain_boundary,
     chain_csv_text,
     chain_mass,
     distance_to_chain,
@@ -134,26 +132,13 @@ def _run_area(args):
 def _run_energy(args):
     field = _build_field(args)
     dom = _build_domain(args)
-    # the singular current inside the domain, refused before any quadrature;
-    # Ju = d(u x du) / 2, so it has no boundary in the domain
-    inside = (None if field.singular_set is None
-              else field.singular_set.restricted(dom))
-    ends = [] if inside is None or inside.k == 0 else [
-        p for p, _ in chain_boundary(inside).cells
-        if _depth(dom, p) > SINGULAR_GUARD]
-    if ends:
-        where = " and ".join(f"({', '.join(f'{x:g}' for x in p)})" for p in ends)
-        raise InvalidGeometry(f"the declared singular set of {field.name} ends "
-                              f"at {where} inside the {dom.kind}, but P(u) has "
-                              "no boundary there")
+    # the singular current inside the domain, refused before any quadrature
+    inside = field.singular_set.current_in(dom)
     grad, tva, minor = graph_functionals(field, dom, args.tol,
                                          ("tv", "tv_area", "minor"))
-    line = (f"tv={grad.value:.12g} tv_area={tva.value:.12g} "
-            f"m2={minor.value:.12g}")
-    if inside is not None:
-        rhs = tva.value + math.pi * chain_mass(inside)
-        line += f" relaxed_rhs={rhs:.12g}"
-    print(line)
+    rhs = tva.value + math.pi * chain_mass(inside)
+    print(f"tv={grad.value:.12g} tv_area={tva.value:.12g} "
+          f"m2={minor.value:.12g} relaxed_rhs={rhs:.12g}")
     if args.out:
         rx.write_text(
             _scalar_csv([("tv", grad), ("tv_area", tva), ("m2", minor)]),
@@ -166,7 +151,7 @@ def _run_jacobian(args):
     field = _build_field(args)
     grid = GridSpec(field.n, args.grid, half_side=args.radius)
     # an odd resolution puts the middle node on the grid centre
-    if (args.grid % 2 and field.singular_set is not None
+    if (args.grid % 2
             and distance_to_chain(np.array([grid.center]), field.singular_set)[0]
             <= SINGULAR_GUARD):
         raise InvalidParams(

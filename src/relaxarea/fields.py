@@ -3,11 +3,12 @@
 A :class:`VectorField` is an immutable bundle of a vectorized evaluator
 ``(N, n) -> (N, m)``, an optional vectorized closed-form Jacobian
 ``(N, n) -> (N, m, n)``, for m = 2 an optional vectorized angle evaluator
-``(N, n) -> (N,)``, and a declared singular set, which is the field's
-guard: a batch with a row within the guard distance 1e-12 of it is
-refused before the evaluator runs, so an evaluator may assume that every
-row lies farther than that from it (the planar vortex, singular past its
-declared segment, guards that part itself).  Every example map has
+``(N, n) -> (N,)``, and a declared singular set, a ``SingularChain``
+(empty for a smooth map) that is the field's guard: a batch with a row
+within the guard distance 1e-12 of it is refused before the evaluator
+runs, so an evaluator may assume that every row lies farther than that
+from it (the planar vortex, singular past its declared segment, guards
+that part itself).  Every example map has
 its Jacobian in closed form; a field built without one serves evaluation
 and extraction, and :meth:`VectorField.jacobian_many` refuses it.  Each
 circle-valued example map (cos T, sin T), its Jacobian and its angle, T
@@ -41,13 +42,10 @@ def minor_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def _as_batch(x, n):
-    X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
+    X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.shape[1] != n:
         raise InvalidParams(f"expected points in R^{n}, got shape {X.shape}")
-    return X, single
+    return X
 
 
 def minors2(J: np.ndarray) -> np.ndarray:
@@ -104,6 +102,10 @@ def area_integrand(J: np.ndarray) -> float | np.ndarray:
 class VectorField:
     """A map from (a subset of) R^n to R^m with declared singularities.
 
+    ``singular_set`` is always a ``SingularChain``: a field built without
+    one, or with an empty one, holds ``SingularChain.empty(n)``, a smooth
+    map.
+
     ``angle``, allowed only for m = 2, returns an angle in [-pi, pi] of the
     value at each point: equal to the ``arctan2`` of ``evaluator``'s rows
     modulo 2 pi, up to rounding (so pi and -pi are the same angle);
@@ -134,7 +136,7 @@ class VectorField:
         self._eval = evaluator
         self._jac = jacobian
         self._angle = angle
-        self.singular_set = singular_set
+        self.singular_set = singular_set or SingularChain.empty(n)
         self.chart_breaks = dict(chart_breaks or {})
         self.name = name
 
@@ -145,7 +147,7 @@ class VectorField:
         # non-finite rows (extraction masks NaN distances)
         if dist is None and not np.isfinite(X).all():
             raise NonFinite(f"{self.name}: non-finite point")
-        if self.singular_set is not None and len(self.singular_set.cells) > 0:
+        if len(self.singular_set.cells) > 0:
             d = distance_to_chain(X, self.singular_set) if dist is None else dist
             if (d <= SINGULAR_GUARD).any():
                 raise SingularPoint("evaluation on declared singular set")
@@ -189,8 +191,7 @@ class VectorField:
 
     def evaluate(self, x) -> np.ndarray:
         """Evaluate at a single point; errors on the singular set."""
-        X, _ = _as_batch(x, self.n)
-        return self.evaluate_many(X)[0]
+        return self.evaluate_many(_as_batch(x, self.n))[0]
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -211,8 +212,7 @@ class VectorField:
 
     def jacobian_at(self, x) -> np.ndarray:
         """Gradient matrix (m, n) at a single point, as :meth:`jacobian_many`."""
-        X, _ = _as_batch(x, self.n)
-        return self.jacobian_many(X)[0]
+        return self.jacobian_many(_as_batch(x, self.n))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +256,9 @@ def _circle_map(lift):
 
 def _vortex(d: int, center, phase: float) -> VectorField:
     c = np.asarray(center, dtype=float)
-    if d == 0:  # a constant map: no singular point to declare or to guard
+    if d == 0:  # a constant map, with the empty singular set
         const = _constant((math.cos(phase), math.sin(phase)))
-        return VectorField(2, 2, const._eval, const._jac,
-                           singular_set=SingularChain.empty(2), name="vortex(d=0)")
+        return VectorField(2, 2, const._eval, const._jac, name="vortex(d=0)")
 
     def lift(X, grad=False):
         W = X - c

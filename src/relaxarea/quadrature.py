@@ -455,8 +455,8 @@ class _Tree:
         """The CappedCell of a one-row _Cells table."""
         centre = self.charts[int(cell.chart[0])].to_physical(
             0.5 * (cell.lo + cell.hi))
-        dist = (math.inf if self.singular_set is None
-                else float(distance_to_chain(centre, self.singular_set)[0]))
+        dist = (float(distance_to_chain(centre, self.singular_set)[0])
+                if self.singular_set else math.inf)
         return CappedCell(tuple(float(x) for x in centre[0]), dist)
 
 
@@ -540,8 +540,6 @@ def integrate(
     start = time.perf_counter()
     if tol < 1e-10:
         raise InvalidParams("tol must be >= 1e-10")
-    if singular_set is not None and len(singular_set.cells) == 0:
-        singular_set = None
     g = _Integrand(f)
     tree = _Tree(g, domain.charts(), singular_set, breaks or {})
     tree.refine(tol, max_cells)

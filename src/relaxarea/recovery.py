@@ -75,7 +75,7 @@ def _check_filler(field, filler):
 # ---------------------------------------------------------------------------
 
 
-def _vortex_tube(field, centre, d, radius, slope, probe, **kwargs):
+def _vortex_tube(field, centre, d, radius, slope, probe, ends=(), **kwargs):
     """The field with its vortex tube rho < R(z) replaced by a degree-d cap.
 
     (rho, theta) are polar coordinates of (x1, x2) about ``centre`` and
@@ -86,8 +86,11 @@ def _vortex_tube(field, centre, d, radius, slope, probe, **kwargs):
     (2 rho / R)(cos d theta, sin d theta).  A trace that comes
     ``LIFT_PINCH`` close to antipodal at the ``probe`` rows (theta, z) is
     refused.  That check and the ring's values read trace values only; the
-    input's Jacobian is read only when the built field's Jacobian is.
-    ``kwargs`` go to the built VectorField.
+    input's Jacobian is read only when the built field's Jacobian is.  The
+    singular set keeps the input's cells whose midpoint the input still
+    claims (region 0), after the point cells ``ends`` when these are given;
+    a kept segment cannot join them and is refused.  ``kwargs`` go to the
+    built VectorField.
     """
     n = field.n
     c = np.asarray(centre, dtype=float)
@@ -193,10 +196,17 @@ def _vortex_tube(field, centre, d, radius, slope, probe, **kwargs):
             J[:, 1, 2] = e[1] * s_z
         return J
 
+    keep = field.singular_set.filtered(lambda p: classify(p[None])[0] == 0)
+    if ends:
+        if keep.k == 1 and len(keep):
+            raise InvalidParams(
+                f"{field.name} declares a segment outside the tube, which "
+                "cannot join the points at the ends of the removed segment")
+        keep = SingularChain.points(n, list(ends) + list(keep.cells))
     ev, jac = _piecewise(n, 2, classify, [
         (field.evaluate_many, field.jacobian_many), (ring_ev, ring_jac),
         (core_ev, core_jac)])
-    return VectorField(n, 2, ev, jac, **kwargs)
+    return VectorField(n, 2, ev, jac, singular_set=keep, **kwargs)
 
 
 def vortex_smoothing_2d(field: VectorField, center, d: int, eps: float) -> VectorField:
@@ -216,15 +226,10 @@ def vortex_smoothing_2d(field: VectorField, center, d: int, eps: float) -> Vecto
     wd = winding_number(field, Circle(tuple(c), eps), samples=256)
     if wd != d:
         raise DegreeMismatch(f"winding on the eps-circle is {wd}, expected {d}")
-    keep = None
-    if field.singular_set is not None:
-        keep = field.singular_set.filtered(
-            lambda p: float(np.linalg.norm(p - c)) >= eps
-        )
     return _vortex_tube(
         field, c, d, lambda z: eps, None,
         (np.linspace(-math.pi, math.pi, 256, endpoint=False), None),
-        singular_set=keep, chart_breaks={"r": (eps / 2, float(eps))},
+        chart_breaks={"r": (eps / 2, float(eps))},
         name=f"{field.name}+smooth(eps={eps:g})")
 
 
@@ -235,7 +240,9 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
     eps * dist(z, {a, b}): inside the cone the map becomes a homotopy shell
     (outer half) over a linear degree-d core (inner half), with traces
     matching the input on the cone boundary, as in
-    :func:`vortex_smoothing_2d`.
+    :func:`vortex_smoothing_2d`.  The declared set is the segment's two
+    ends and the input's points outside the cone; an input segment outside
+    it is refused.
     """
     if field.n != 3 or field.m != 2:
         raise InvalidParams("cone_dipole expects an n=3, m=2 field")
@@ -249,16 +256,6 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
     if wd != d:
         raise DegreeMismatch(f"winding around the segment is {wd}, expected {d}")
 
-    sing = SingularChain.points(3, [((0.0, 0.0, a), d if d else 1),
-                                    ((0.0, 0.0, b), d if d else 1)])
-    if field.singular_set is not None:
-        extra = field.singular_set.filtered(
-            lambda p: not bool(cone.membership(p[None, :])[0])
-        )
-        # cells whose midpoint survived outside the cone stay singular
-        pts = [(np.asarray(s if extra.k == 0 else 0.5 * (s[0] + s[1])), m)
-               for s, m in extra.cells]
-        sing = SingularChain.points(3, list(sing.cells) + pts) if pts else sing
     tt, zz = np.meshgrid(
         np.linspace(-math.pi, math.pi, 64, endpoint=False),
         np.linspace(a + (b - a) / 64, b - (b - a) / 64, 33),
@@ -266,7 +263,8 @@ def cone_dipole(field: VectorField, base, d: int, eps: float) -> VectorField:
     )
     return _vortex_tube(
         field, (0.0, 0.0), d, cone.profile, cone.slope, (tt.ravel(), zz.ravel()),
-        singular_set=sing, chart_breaks={"t": (0.5,)},
+        ends=[((0.0, 0.0, a), d if d else 1), ((0.0, 0.0, b), d if d else 1)],
+        chart_breaks={"t": (0.5,)},
         name=f"{field.name}+dipole(eps={eps:g})")
 
 
@@ -342,9 +340,7 @@ def _homogeneous_extension(field, filler, k, centre, radius, slope, frac,
     def rescaled(X):
         return c + (X - c) * D, lambda J: J * D
 
-    keep = None
-    if field.singular_set is not None:
-        keep = field.singular_set.filtered(lambda p: classify(p[None])[0] == 0)
+    keep = field.singular_set.filtered(lambda p: classify(p[None])[0] == 0)
     ev, jac = _piecewise(n, field.m, classify, [
         (field.evaluate_many, field.jacobian_many), _pullback(field, radial),
         _pullback(filler, rescaled)])

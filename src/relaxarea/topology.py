@@ -169,13 +169,6 @@ def _wrap(d):
     return y
 
 
-def _singular_distance(field: VectorField, X: np.ndarray) -> np.ndarray:
-    """Distance of each point to the declared singular set (inf without one)."""
-    if field.singular_set is None:
-        return np.full(X.shape[0], np.inf)
-    return distance_to_chain(X, field.singular_set)
-
-
 def _angles(field: VectorField, X: np.ndarray, dist: np.ndarray | None = None
             ) -> np.ndarray:
     """Principal target angles at sample points (``field.angles_many``);
@@ -315,7 +308,7 @@ def _bounded_distances(field, mids, lengths, small, bound):
     """
     exact = ~(bound > SINGULAR_GUARD) | (small & ~_safe(lengths, bound))
     if np.any(exact):
-        bound[exact] = _singular_distance(field, mids[exact])
+        bound[exact] = distance_to_chain(mids[exact], field.singular_set)
     return bound
 
 
@@ -363,7 +356,7 @@ def _lift_edges(field, P0, P1, B0, B1, index) -> np.ndarray:
         mids = (Q0 + Q1) / 2
         small = np.abs(inc) < math.pi / 2
         if bound is None:
-            dist = _singular_distance(field, mids)
+            dist = distance_to_chain(mids, field.singular_set)
             slack = _PRUNE_SLACK * float(np.max(lengths))
         else:
             dist = _bounded_distances(field, mids, lengths, small, bound)
@@ -431,7 +424,8 @@ def _near_singular_edges(field, coords, h, close, axis) -> np.ndarray:
     mids = np.stack([(c[:-1] + h / 2 if i == axis else c)[k]
                      for i, (c, k) in enumerate(zip(coords, at))], axis=1)
     near = np.zeros(maybe.shape, dtype=bool)
-    near.reshape(-1)[flat] = _singular_distance(field, mids) < PROXIMITY_LENGTHS * h
+    near.reshape(-1)[flat] = (distance_to_chain(mids, field.singular_set)
+                              < PROXIMITY_LENGTHS * h)
     return near
 
 
@@ -569,8 +563,6 @@ def _node_distances(field, X, coords, h) -> np.ndarray:
     that value (the proximity prune and SINGULAR_GUARD), so a bound decides
     it as the exact distance would.
     """
-    if field.singular_set is None:
-        return np.full(X.shape[0], np.inf)
     *lead, c1, c2 = coords
     tiles = []  # per axis: tile centres and half-extents (the last is ragged)
     for c in (c1, c2):
@@ -717,8 +709,9 @@ def extract_lines_3d(field: VectorField, grid: GridSpec) -> SingularChain:
 
 def relaxed_area_rhs(field: VectorField, domain, chain: SingularChain,
                      tol: float, **kwargs) -> float:
-    """Total-variation graph area plus pi times the mass of the part of
-    ``chain`` inside ``domain`` (``SingularChain.restricted``)."""
-    inside = chain.restricted(domain)
+    """Total-variation graph area plus pi times the mass of the current
+    ``chain`` inside ``domain`` (``SingularChain.current_in``, which
+    refuses a 1-chain that ends inside the domain before any quadrature)."""
+    inside = chain.current_in(domain)
     tv_area, = graph_functionals(field, domain, tol, ("tv_area",), **kwargs)
     return tv_area.value + math.pi * chain_mass(inside)

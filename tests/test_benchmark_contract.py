@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from relaxarea import domains, fields, quadrature
+from relaxarea import domains, fields, quadrature, topology
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -50,3 +50,20 @@ def test_generated_line_field_builds(bench):
     _, bench_workloads = bench
     f = bench_workloads.line_field(2, (0.1, -0.2), (0.3, 0.2, 0.1))
     assert f.n == 3 and f.m == 2
+
+
+def test_tracer_sees_the_distances_of_an_extraction(bench):
+    # extraction calls distance_to_chain by its name in topology, which the
+    # tracer rebinds there; uninstalling restores the original
+    bench_trace, bench_workloads = bench
+    before = topology.distance_to_chain
+    field = bench_workloads.line_field(2, (0.1, -0.2), (0.3, 0.2, 0.1))
+    tracer = bench_trace.Tracer()
+    tracer.install()
+    try:
+        topology.extract_lines_3d(field, topology.GridSpec(3, 16))
+        assert tracer.counts["topology.extract.calls"] == 1
+        assert tracer.counts["chains.distance_to_chain.calls"] > 0
+    finally:
+        tracer.uninstall()
+    assert topology.distance_to_chain is before

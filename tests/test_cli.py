@@ -58,7 +58,8 @@ class TestEnergy:
 
     @pytest.mark.parametrize("domain, area", [("ball2", math.pi), ("cube2", 4.0)])
     def test_degree_0_vortex_has_no_singular_mass(self, capsys, domain, area):
-        # a constant map: the relaxed right-hand side is the graph area alone
+        # a constant map: the relaxed right-hand side is the graph area alone,
+        # and the constant field prints the same line
         code, out, _ = run(capsys, "energy", "--field", "vortex", "--d", "0",
                            "--domain", domain, "--tol", "1e-6")
         assert code == 0
@@ -66,6 +67,8 @@ class TestEnergy:
         rhs = float(out.split("relaxed_rhs=")[1].split()[0])
         assert tv_area == pytest.approx(area, abs=1e-10)
         assert rhs == tv_area
+        assert run(capsys, "energy", "--field", "constant", "--domain", domain,
+                   "--tol", "1e-6")[:2] == (0, out)
 
     def test_vortex_chain_on_the_cube_has_no_minor_mass(self, capsys):
         # the chain map is circle-valued and its Jacobian rank one in every

@@ -99,6 +99,8 @@ class TestEvaluate:
     ])
     def test_non_finite_point_is_refused(self, kind, params):
         f = make_example_field(kind, **params)
+        assert isinstance(f.singular_set, SingularChain)
+        assert f.singular_set.n == f.n
         reads = ["evaluate_many", "jacobian_many"] + (["angles_many"]
                                                       if f.m == 2 else [])
         for bad in (np.nan, np.inf):
@@ -268,7 +270,7 @@ class TestCircleMap:
 
         monkeypatch.setattr(fields, "_circle_map", spy)
         monkeypatch.setattr(recovery, "_circle_map", spy)
-        build()
+        assert isinstance(build().singular_set, SingularChain)
         assert seen
         lo, hi = np.array(box, dtype=float).T
         X = lo + (hi - lo) * np.random.default_rng(len(name)).random((999, len(box)))

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import VORTEX_AREA_B2
 
+from relaxarea.chains import SingularChain, chain_csv_text
 from relaxarea.domains import Ball, Cone
 from relaxarea.errors import (
     DegreeMismatch,
@@ -12,7 +13,12 @@ from relaxarea.errors import (
     InvalidParams,
     NonFinite,
 )
-from relaxarea.fields import chain_centers_radii, make_example_field, minors2
+from relaxarea.fields import (
+    VectorField,
+    chain_centers_radii,
+    make_example_field,
+    minors2,
+)
 from relaxarea.quadrature import area_functional, graph_functionals, integrate
 from relaxarea.recovery import (
     cone_defect_field_4d,
@@ -217,6 +223,22 @@ class TestConeDipole:
         pv = make_example_field("planar_vortex")
         with pytest.raises(InvalidGeometry):
             cone_dipole(pv, (1.0, -1.0), 1, 0.1)
+
+    def test_a_declared_segment_outside_the_cone_is_refused(self):
+        # the axis inside the cone becomes its two ends; a segment that the
+        # input keeps outside the cone is a 1-chain, which cannot join them
+        pv = make_example_field("planar_vortex")
+        ends = SingularChain.points(3, [((0.0, 0.0, -1.0), 1),
+                                        ((0.0, 0.0, 1.0), 1)])
+        w = cone_dipole(pv, (-1.0, 1.0), 1, 0.1)
+        assert chain_csv_text(w.singular_set) == chain_csv_text(ends)
+        off_axis = SingularChain.segments(3, [
+            (((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)), 1),
+            (((0.8, 0.0, -1.0), (0.8, 0.0, 1.0)), 1)])
+        f = VectorField(3, 2, pv._eval, pv._jac, singular_set=off_axis,
+                        angle=pv._angle)
+        with pytest.raises(InvalidParams, match="segment outside"):
+            cone_dipole(f, (-1.0, 1.0), 1, 0.1)
 
 
 class TestPointRemoval:

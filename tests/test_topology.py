@@ -20,6 +20,7 @@ from relaxarea.chains import (
 from relaxarea.domains import Ball, Cube
 from relaxarea.errors import (
     AmbiguousWinding,
+    InvalidGeometry,
     InvalidParams,
     SingularOnLoop,
     SingularPoint,
@@ -736,7 +737,7 @@ def reference_lift(field, P0, P1, B0, B1, index):
         inc = _wrap(B1 - B0)
         lengths = np.linalg.norm(Q1 - Q0, axis=1)
         mids = (Q0 + Q1) / 2
-        dist = topology._singular_distance(field, mids)
+        dist = distance_to_chain(mids, field.singular_set)
         safe = lengths <= topology.SAFE_LENGTH_RATIO * np.maximum(
             dist - lengths / 2, 0.0)
         done = (np.abs(inc) < math.pi / 2) & safe
@@ -1018,6 +1019,22 @@ class TestRelaxedRhs:
         from conftest import planar_tv_area_b3_oracle
         assert rhs == pytest.approx(planar_tv_area_b3_oracle() + 2 * math.pi,
                                     rel=1e-6)
+
+    def test_a_chain_that_ends_inside_is_refused(self, monkeypatch):
+        # the axis ends at z = -1 and 1 inside B_2, but P(u) has no boundary
+        # there; on B_1 and B_0.5 its ends lie on the sphere or outside it
+        pv = make_example_field("planar_vortex")
+        for r, rhs in ((1.0, 17.266434828848155), (0.5, 5.68386048158361)):
+            got = relaxed_area_rhs(pv, Ball(3, r), pv.singular_set, 1e-3)
+            assert got == pytest.approx(rhs, rel=1e-12)
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(topology, "graph_functionals", no_quadrature)
+        with pytest.raises(InvalidGeometry,
+                           match=r"\(0, 0, -1\) and \(0, 0, 1\) inside"):
+            relaxed_area_rhs(pv, Ball(3, 2.0), pv.singular_set, 1e-3)
 
 
 class TestRestrictedMass:
