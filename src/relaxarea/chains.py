@@ -68,9 +68,6 @@ class SingularChain:
     def __len__(self):
         return len(self.cells)
 
-    def mass(self) -> float:
-        return chain_mass(self)
-
     @functools.cached_property
     def _distance_cells(self) -> list:
         """``(a, ab, ab @ ab)`` per cell for :func:`distance_to_chain`, built

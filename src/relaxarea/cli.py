@@ -2,7 +2,7 @@
 
 Subcommands: ``area``, ``energy``, ``jacobian``, ``recover``, ``relax``,
 ``counterexample``, ``subadd``, ``sweep``.  A JSON config file may supply
-any flag value (flags win).  Exit codes: 0 success, 2 invalid arguments,
+any flag value (flags win), held to the flag's choices as the line is.  Exit codes: 0 success, 2 invalid arguments,
 3 quadrature/extraction non-convergence, 4 I/O failure.
 
 Outputs are UTF-8 CSV with LF line endings and 17 significant digits, so
@@ -29,7 +29,6 @@ from .chains import (
 from .domains import Ball, Cone, make_domain
 from .errors import (
     AmbiguousWinding,
-    InvalidGeometry,
     InvalidParams,
     IoFailure,
     NoConvergence,
@@ -92,14 +91,11 @@ def _build_field(args):
 
 
 def _build_domain(args):
-    name = args.domain
     table = {
         "ball2": ("ball", 2), "ball3": ("ball", 3),
         "cube2": ("cube", 2), "cube3": ("cube", 3),
     }
-    if name not in table:
-        raise InvalidGeometry(f"unknown domain {name!r}")
-    kind, n = table[name]
+    kind, n = table[args.domain]
     if kind == "ball":
         return make_domain("ball", n=n, radius=args.radius)
     return make_domain("cube", n=n, half_side=args.radius)
@@ -196,7 +192,7 @@ def _run_recover(args):
                                      linear_disk_filler(args.eps))
         ring, core = point_removal_report(f, (0, 0, 0), args.eps, delta, args.tol)
         print(f"ring_mass={ring.mass.value:.12g} core_mass={core.mass.value:.12g}")
-    elif name == "cone4":
+    else:  # cone4
         base = cone_defect_field_4d()
         delta = args.eps**2 if args.delta is None else args.delta
         f = homogeneous_cone_extension(base, (-1.0, 1.0), args.eps, delta,
@@ -205,8 +201,6 @@ def _run_recover(args):
                                             args.tol)
         print(f"shell_tv={shell.grad.value:.12g} shell_m2={shell.minor.value:.12g} "
               f"core_mass={core.mass.value:.12g}")
-    else:
-        raise InvalidParams(f"unknown construction {name!r}")
     return 0
 
 
@@ -215,8 +209,6 @@ _STUDIES = ("smoothing", "dipole", "dipole-grad", "chain", "cyl2d")
 
 def _run_relax(args):
     name = args.study
-    if name not in _STUDIES:
-        raise InvalidParams(f"unknown study {name!r}; choose from {_STUDIES}")
     _refuse_unread(args, "study", {
         "eps": ("smoothing", "dipole", "dipole-grad"), "k": ("cyl2d",),
         "m": ("chain",), "disk": ("chain",)})
@@ -303,8 +295,6 @@ def _run_sweep(args):
         "cylinder": lambda invk: counterexample_sequence(
             "cylinder", int(round(1 / invk))),
     }
-    if args.family not in field_of:
-        raise InvalidParams(f"unknown sweep family {args.family!r}")
     _refuse_unread(args, "family", {"d": ("smoothing",)})
     values = _positive(_number_list(args.values, "--values"), "sweep values")
     if args.family in ("ball", "cylinder"):
@@ -385,7 +375,7 @@ def _apply_config(commands, config):
     ``commands``, and a flag it supplies optional.  Returns each replaced
     (action, default, required), so a caller can restore them."""
     replaced = []
-    for p in commands:
+    for p in commands.values():
         for action in p._actions:
             if action.dest in config:
                 replaced.append((action, action.default, action.required))
@@ -393,10 +383,23 @@ def _apply_config(commands, config):
     return replaced
 
 
+def _check_choices(command, args):
+    """Refuse a value outside its flag's choices.  argparse checks only the
+    values on the line, so this also checks those that a config gave."""
+    for action in command._actions:
+        if action.choices is None:
+            continue
+        value = getattr(args, action.dest)
+        if value not in action.choices:
+            command.error(f"argument {action.option_strings[0]}: invalid "
+                          f"choice: {value!r} (choose from "
+                          f"{', '.join(map(repr, action.choices))})")
+
+
 @functools.cache
 def _build_parser():
-    """(the full parser with built-in defaults, its subcommand parsers),
-    built once per process."""
+    """(the full parser with built-in defaults, its subcommand parsers by
+    name), built once per process."""
     parser = argparse.ArgumentParser(
         prog="relaxarea",
         description="Graph-area functionals and singularity experiments "
@@ -405,13 +408,13 @@ def _build_parser():
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    commands = []
+    commands = {}
 
     def command(name, summary):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--out", default=None)
-        commands.append(p)
+        commands[name] = p
         return p
 
     def field_flags(p):
@@ -507,6 +510,7 @@ def main(argv=None) -> int:
     finally:  # the config's defaults hold for this call only
         for action, default, required in replaced:
             action.default, action.required = default, required
+    _check_choices(commands[args.subcommand], args)
     try:
         if not TOL_MIN <= args.tol <= TOL_MAX:
             raise InvalidParams(f"tolerance must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")

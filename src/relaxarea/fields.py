@@ -314,18 +314,22 @@ def _planar_vortex() -> VectorField:
     )
 
 
+def _unit(X):
+    """x/|x| row by row."""
+    return X / row_norms(X)[:, None]
+
+
+def _unit_jac(X):
+    """The Jacobian (I - x^ x^T)/|x| of x/|x|, with x^ = x/|x|."""
+    r = row_norms(X)
+    xh = X / r[:, None]
+    eye = np.eye(X.shape[1])[None]
+    return (eye - xh[:, :, None] * xh[:, None, :]) / r[:, None, None]
+
+
 def _sphere_vortex() -> VectorField:
-    def ev(X):
-        return X / row_norms(X)[:, None]
-
-    def jac(X):
-        r = row_norms(X)
-        xh = X / r[:, None]
-        eye = np.eye(3)[None]
-        return (eye - xh[:, :, None] * xh[:, None, :]) / r[:, None, None]
-
     return VectorField(
-        3, 3, ev, jac,
+        3, 3, _unit, _unit_jac,
         singular_set=SingularChain.points(3, [((0.0, 0.0, 0.0), 1)]),
         name="sphere_vortex",
     )

@@ -26,7 +26,7 @@ import numpy as np
 from .chains import SingularChain
 from .domains import Annulus, Ball, Cone, Domain, _centre, row_norms
 from .errors import DegreeMismatch, InvalidGeometry, InvalidParams
-from .fields import VectorField, _circle_map, _on_circle, _wrap
+from .fields import VectorField, _circle_map, _on_circle, _unit, _unit_jac, _wrap
 from .quadrature import QuadratureResult, graph_functionals
 from .topology import Circle, winding_number
 
@@ -45,7 +45,7 @@ def _piecewise(n, m, classify, pieces):
     ``classify(X)`` gives each row a region code in ``range(len(pieces))``
     and ``pieces[k]`` is region k's ``(ev, jac)`` pair, called once on
     exactly its rows and never on an empty region.  Region 0 is the input
-    field.  Every classifier counts codes as a sum of comparisons, all
+    field (x/|x| for the ball filling).  Every classifier counts codes as a sum of comparisons, all
     false on a NaN row, so region 0 takes every row that no other region
     claims, NaN rows included, and every row is written once.
     """
@@ -63,11 +63,51 @@ def _piecewise(n, m, classify, pieces):
             lambda X: assemble(X, 1, (m, n)))
 
 
-def _check_filler(field, filler):
-    """Refuse a filler whose (n, m) is not the field's."""
-    if (filler.n, filler.m) != (field.n, field.m):
-        raise InvalidParams(f"filler has (n, m) = {(filler.n, filler.m)} but "
-                            f"the field has {(field.n, field.m)}")
+def _normal(n, k, centre, radius):
+    """Coordinates about a tube along x_k (or about a point when k = n).
+
+    ``normal(X)`` gives x~ - centre, the first k coordinates less
+    ``centre``; rho, its norm; z = x_k, None when k = n; and R = radius(z),
+    one per row.  For k = 2, rho is ``np.hypot``.
+    """
+    norm = (lambda V: np.hypot(V[:, 0], V[:, 1])) if k == 2 else row_norms
+
+    def normal(X):
+        V = X[:, :k] - centre
+        z = X[:, k] if k < n else None
+        rho = norm(V)
+        return V, rho, z, np.broadcast_to(radius(z), rho.shape)
+
+    return normal
+
+
+def _tube(field, normal, frac, shell, core, ends=(), **kwargs):
+    """The field with its tube rho < R replaced: ``shell`` on
+    frac R <= rho < R and ``core`` on rho < frac R.
+
+    ``normal`` is a :func:`_normal` map, and ``shell`` and ``core`` are
+    ``(ev, jac)`` pairs.  R <= 0 off a segment, so the open tube ends
+    there.  The singular set keeps the input's cells whose midpoint the
+    input still claims (region 0), after the point cells ``ends`` when these
+    are given; a kept segment cannot join them and is refused.  ``kwargs``
+    go to the built VectorField.
+    """
+
+    def classify(X):
+        _, rho, _, R = normal(X)
+        tube = rho < R
+        return np.add(tube, tube & (rho < frac * R), dtype=np.int8)
+
+    keep = field.singular_set.filtered(lambda p: classify(p[None])[0] == 0)
+    if ends:
+        if keep.k == 1 and len(keep):
+            raise InvalidParams(
+                f"{field.name} declares a segment outside the tube, which "
+                "cannot join the points at the ends of the removed segment")
+        keep = SingularChain.points(field.n, list(ends) + list(keep.cells))
+    ev, jac = _piecewise(field.n, field.m, classify, [
+        (field.evaluate_many, field.jacobian_many), shell, core])
+    return VectorField(field.n, field.m, ev, jac, singular_set=keep, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +127,15 @@ def _vortex_tube(field, centre, d, radius, slope, probe, ends=(), **kwargs):
     ``LIFT_PINCH`` close to antipodal at the ``probe`` rows (theta, z) is
     refused.  That check and the ring's values read trace values only; the
     input's Jacobian is read only when the built field's Jacobian is.  The
-    singular set keeps the input's cells whose midpoint the input still
-    claims (region 0), after the point cells ``ends`` when these are given;
-    a kept segment cannot join them and is refused.  ``kwargs`` go to the
-    built VectorField.
+    regions, the singular set and ``ends`` are those of :func:`_tube`.
     """
     n = field.n
     c = np.asarray(centre, dtype=float)
-
-    def radial(X):
-        """x1 - c1, x2 - c2, rho, z and R(z) (in 2d: None and one value)."""
-        x1, x2 = X[:, 0] - c[0], X[:, 1] - c[1]
-        z = X[:, 2] if n == 3 else None
-        return x1, x2, np.hypot(x1, x2), z, radius(z)
+    normal = _normal(n, 2, c, radius)
 
     def polar(X):
-        x1, x2, rho, z, R = radial(X)
-        return rho, np.arctan2(x2, x1), z, R
+        V, rho, z, R = normal(X)
+        return rho, np.arctan2(V[:, 1], V[:, 0]), z, R
 
     def offset(theta, z):
         """The lift offset g = wrap(atan2(U2, U1) - d theta) of the trace U.
@@ -144,12 +176,6 @@ def _vortex_tube(field, centre, d, radius, slope, probe, ends=(), **kwargs):
             "shortest-arc homotopy ring"
         )
 
-    def classify(X):
-        # R(z) <= 0 off the dipole's segment, so the open tube ends there
-        _, _, rho, _, R = radial(X)
-        tube = rho < R
-        return np.add(tube, tube & (rho < R / 2), dtype=np.int8)
-
     def ring_lift(X, grad=False):
         # T = d theta + t g, with t = 2 rho / R - 1 running from -1 to 1
         rho, theta, z, R = polar(X)
@@ -184,7 +210,7 @@ def _vortex_tube(field, centre, d, radius, slope, probe, ends=(), **kwargs):
         e_th = (-e_rho[1], e_rho[0])
         e = (np.cos(d * theta), np.sin(d * theta))
         eperp = (-e[1], e[0])
-        q = 2.0 / R  # one R in 2d, one per row in 3d
+        q = 2.0 / R
         J = np.empty((len(rho), 2, n))
         for i in range(2):
             de = d * eperp[i]
@@ -196,17 +222,8 @@ def _vortex_tube(field, centre, d, radius, slope, probe, ends=(), **kwargs):
             J[:, 1, 2] = e[1] * s_z
         return J
 
-    keep = field.singular_set.filtered(lambda p: classify(p[None])[0] == 0)
-    if ends:
-        if keep.k == 1 and len(keep):
-            raise InvalidParams(
-                f"{field.name} declares a segment outside the tube, which "
-                "cannot join the points at the ends of the removed segment")
-        keep = SingularChain.points(n, list(ends) + list(keep.cells))
-    ev, jac = _piecewise(n, 2, classify, [
-        (field.evaluate_many, field.jacobian_many), (ring_ev, ring_jac),
-        (core_ev, core_jac)])
-    return VectorField(n, 2, ev, jac, singular_set=keep, **kwargs)
+    return _tube(field, normal, 0.5, (ring_ev, ring_jac), (core_ev, core_jac),
+                 ends, **kwargs)
 
 
 def vortex_smoothing_2d(field: VectorField, center, d: int, eps: float) -> VectorField:
@@ -292,31 +309,21 @@ def _homogeneous_extension(field, filler, k, centre, radius, slope, frac,
     rho is the norm of the first k coordinates less ``centre`` and W their
     direction; z = x_k exists only when k < n.  ``radius(z)`` is R and
     ``slope(z)`` dR/dz; for k = n, z is None, R one value and ``slope``
-    None.  On frac R < rho < R the field is read at its radial projection
-    centre + R W on the rim; on rho <= frac R the filler is read with the
-    first k coordinates about ``centre`` scaled by 1/frac.  R(z) <= 0 off
-    the segment, so the open shell ends there.  The singular set keeps the
-    input's cells whose midpoint the input still claims.  ``kwargs`` go to
-    the built VectorField.
+    None.  On frac R <= rho < R the field is read at its radial projection
+    centre + R W on the rim; on rho < frac R the filler is read with the
+    first k coordinates about ``centre`` scaled by 1/frac.  The regions and
+    the singular set are those of :func:`_tube`.  ``kwargs`` go to the
+    built VectorField.
     """
-    _check_filler(field, filler)
+    if (filler.n, filler.m) != (field.n, field.m):
+        raise InvalidParams(f"filler has (n, m) = {(filler.n, filler.m)} but "
+                            f"the field has {(field.n, field.m)}")
     n = field.n
     c = np.zeros(n)
     c[:k] = centre
     D = np.ones(n)
     D[:k] = 1.0 / frac  # the core's differential, one diagonal for every row
-
-    def normal(X):
-        """x~ - centre, rho, z and R(z), one per row."""
-        V = X[:, :k] - c[:k]
-        z = X[:, k] if k < n else None
-        rho = row_norms(V)
-        return V, rho, z, np.broadcast_to(radius(z), rho.shape)
-
-    def classify(X):
-        _, rho, _, R = normal(X)
-        shell = rho < R
-        return np.add(shell, shell & (rho <= frac * R), dtype=np.int8)
+    normal = _normal(n, k, c[:k], radius)
 
     def radial(X):
         V, rho, z, R = normal(X)
@@ -340,18 +347,15 @@ def _homogeneous_extension(field, filler, k, centre, radius, slope, frac,
     def rescaled(X):
         return c + (X - c) * D, lambda J: J * D
 
-    keep = field.singular_set.filtered(lambda p: classify(p[None])[0] == 0)
-    ev, jac = _piecewise(n, field.m, classify, [
-        (field.evaluate_many, field.jacobian_many), _pullback(field, radial),
-        _pullback(filler, rescaled)])
-    return VectorField(n, field.m, ev, jac, singular_set=keep, **kwargs)
+    return _tube(field, normal, frac, _pullback(field, radial),
+                 _pullback(filler, rescaled), **kwargs)
 
 
 def remove_point_singularity(field: VectorField, center, r: float, delta: float,
                              filler: VectorField) -> VectorField:
     """Zero-homogeneous ring plus rescaled smooth filler around a point defect.
 
-    w = field outside B_r; field(r x/|x|) on the ring delta < |x| < r; the
+    w = field outside B_r; field(r x/|x|) on the ring delta <= |x| < r; the
     filler rescaled by r/delta inside B_delta.  The filler must be smooth on
     B_r(center) with boundary trace matching the field.
     """
@@ -418,25 +422,11 @@ def counterexample_sequence(variant: str, k: int) -> VectorField:
 
 
 def _ball_variant(k: int) -> VectorField:
-    def ev(X):
-        r = row_norms(X)
-        out = np.where(r[:, None] >= 1.0 / k,
-                       X / np.maximum(r, 1e-300)[:, None],
-                       k * X)
-        return out
-
-    def jac(X):
-        r = row_norms(X)
-        J = np.empty((X.shape[0], 3, 3))
-        far = r >= 1.0 / k
-        if np.any(far):
-            xh = X[far] / r[far][:, None]
-            J[far] = (np.eye(3)[None] - xh[:, :, None] * xh[:, None, :]) \
-                / r[far][:, None, None]
-        if np.any(~far):
-            J[~far] = k * np.eye(3)[None]
-        return J
-
+    # x/|x| outside B_{1/k}; k x inside, whose Jacobian is k I
+    kI = k * np.eye(3)
+    ev, jac = _piecewise(3, 3, lambda X: row_norms(X) < 1.0 / k, [
+        (_unit, _unit_jac),
+        (lambda X: k * X, lambda X: np.broadcast_to(kI, (len(X), 3, 3)))])
     return VectorField(3, 3, ev, jac, chart_breaks={"r": (1.0 / k,)},
                        name=f"counterexample_ball(k={k})")
 

@@ -54,17 +54,14 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def fd_jacobian(ev, X, singular_set=None):
+def fd_jacobian(ev, X, singular_set):
     """Central-difference Jacobian (N, m, n) of the evaluator ``ev`` at X,
     with the relative step 1e-5 * max(1, |x|); a stencil that comes within
     1.01 * step * sqrt(n) of ``singular_set`` raises SingularPoint."""
     N, n = X.shape
     h = 1e-5 * np.maximum(1.0, row_norms(X))
-    if singular_set is not None and len(singular_set.cells) > 0:
-        d = distance_to_chain(X, singular_set)
-        if np.any(d <= 1.01 * h * math.sqrt(n)):
-            raise SingularPoint(
-                "finite-difference stencil too near the singular set")
+    if np.any(distance_to_chain(X, singular_set) <= 1.01 * h * math.sqrt(n)):
+        raise SingularPoint("finite-difference stencil too near the singular set")
     cols = []
     for a in range(n):
         E = np.zeros_like(X)

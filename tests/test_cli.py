@@ -458,6 +458,49 @@ class TestErrorPaths:
         assert code == 2 and out.out == ""
         assert message in out.err
 
+    @pytest.mark.parametrize("argv, config, flag, choices", [
+        (["sweep"], {"quantity": "tv_area"}, "--quantity", "'area', 'tv', 'm2'"),
+        (["area"], {"field": "smooth_lift"}, "--field",
+         "'vortex', 'planar_vortex', 'vortex_chain', 'sphere_vortex', "
+         "'constant'"),
+        (["recover"], {"construction": "bogus", "eps": 0.1, "delta": 0.01},
+         "--construction", "'smoothing', 'dipole', 'point', 'cone4'"),
+        (["relax"], {"study": "bogus"}, "--study",
+         "'smoothing', 'dipole', 'dipole-grad', 'chain', 'cyl2d'"),
+        (["energy"], {"domain": "ball4"}, "--domain",
+         "'ball2', 'ball3', 'cube2', 'cube3'"),
+        (["sweep"], {"family": "bogus"}, "--family",
+         "'smoothing', 'ball', 'cylinder'"),
+        (["counterexample"], {"variant": "bogus"}, "--variant",
+         "'ball', 'cylinder'"),
+    ], ids=["quantity", "field", "construction", "study", "domain", "family",
+            "variant"])
+    def test_config_value_outside_the_choices_exits_2(self, capsys, tmp_path,
+                                                      argv, config, flag,
+                                                      choices):
+        cfg, path = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), *argv, "--tol", "1e-3",
+                  "--out", str(path)])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        value = config[flag[2:]]
+        assert out.out == ""
+        assert (f"error: argument {flag}: invalid choice: {value!r} "
+                f"(choose from {choices})") in out.err
+        assert not path.exists()
+
+    def test_config_keys_the_subcommand_does_not_read_are_ignored(
+            self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quantity": "bogus", "study": "bogus",
+                                   "field": "constant", "domain": "ball2"}))
+        code, out, _ = run(capsys, "--config", str(cfg), "area")
+        assert code == 0
+        assert float(out.split("area=")[1].split()[0]) == pytest.approx(
+            math.pi, rel=1e-6)
+
     @pytest.mark.parametrize("argv, config", [
         (["relax"], {"study": "smoothing", "eps": "0.2,0.1,0.05"}),
         (["recover"], {"construction": "smoothing", "eps": 0.1}),

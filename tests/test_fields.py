@@ -519,7 +519,7 @@ def reference_chain_field(m):
                 handled |= mask
         rest = ~handled
         if np.any(rest):
-            J[rest] = fd_jacobian(ev, X[rest])
+            J[rest] = fd_jacobian(ev, X[rest], SingularChain.empty(2))
         return J
 
     return VectorField(2, 2, ev, jac, singular_set=make_example_field(

@@ -9,6 +9,7 @@ values recorded before the two shared one builder.
 import numpy as np
 import pytest
 
+from relaxarea.chains import chain_mass
 from relaxarea.fields import VectorField
 from relaxarea.recovery import (
     cone_defect_field_4d,
@@ -168,3 +169,17 @@ def test_point_removal_report_pinned():
     w = remove_point_singularity(disk_defect_field_3d(), (0, 0, 0), r, delta,
                                  linear_disk_filler(r))
     assert_pinned(point_removal_report(w, (0, 0, 0), r, delta, 1e-6), POINT_R02)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the kept set takes a whole input cell or none by its midpoint: the "
+    "input's segment z in [-1.5, 1.5] has its midpoint in the cone, so the "
+    "declared set is empty, though the map is still singular on the axis "
+    "for 1 < |z| <= 1.5; a fix clips each segment to the part the input "
+    "still claims (ROADMAP, findings from item 13)"))
+def test_cone_extension_declares_the_axis_past_the_cone():
+    w = homogeneous_cone_extension(
+        cone_defect_field_4d(), SEGMENT, 0.2,
+        filler=cone_defect_filler(SEGMENT, 0.2))
+    assert w.singular_set.k == 1
+    assert chain_mass(w.singular_set) == pytest.approx(1.0, rel=1e-12)

@@ -234,8 +234,7 @@ def clear_points(field, sample, loci, rng,
                  clearances=(SINGULAR_CLEARANCE, CLEARANCE)):
     X = sample(rng)
     keep = np.ones(len(X), dtype=bool)
-    if field.singular_set is not None and len(field.singular_set.cells):
-        keep &= distance_to_chain(X, field.singular_set) >= clearances[0]
+    keep &= distance_to_chain(X, field.singular_set) >= clearances[0]
     for gap in (loci(X) if loci else []):
         keep &= np.abs(gap) >= LIPSCHITZ * clearances[1]
     return X[keep][:SAMPLES]

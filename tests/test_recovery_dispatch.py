@@ -147,3 +147,45 @@ def test_each_non_empty_region_calls_its_field_once(method, kind):
     calls.clear()
     getattr(w, method)(spanning_batch(3, radii=(0.5, 0.15, 0.1)))
     assert calls == Counter({("field", kind): 2})
+
+
+#: (build from the input and the filler, the input, the filler or None, a
+#: row at rho = frac R): the vortex tubes' core reads nothing, and every
+#: frac R below is exact, so the row lies on the inner boundary
+BOUNDARY = {
+    "smoothing": (lambda f, _: vortex_smoothing_2d(f, (0.0, 0.0), 1, EPS),
+                  lambda: make_example_field("vortex", d=1), None,
+                  (EPS / 2, 0.0)),
+    "dipole": (lambda f, _: cone_dipole(f, (-1.0, 1.0), 1, EPS),
+               lambda: make_example_field("planar_vortex"), None,
+               (EPS / 2, 0.0, 0.0)),
+    "point": (lambda f, g: remove_point_singularity(f, (0.0, 0.0, 0.0), 0.5,
+                                                    0.25, g),
+              disk_defect_field_3d, lambda: linear_disk_filler(0.5),
+              (0.25, 0.0, 0.0)),
+    "cone4": (lambda f, g: homogeneous_cone_extension(f, (-1.0, 1.0), 0.5,
+                                                      0.25, g),
+              cone_defect_field_4d, lambda: cone_defect_filler((-1.0, 1.0), 0.5),
+              (0.25, 0.0, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("method", ["evaluate_many", "jacobian_many"])
+@pytest.mark.parametrize("name", list(BOUNDARY))
+def test_the_inner_boundary_belongs_to_the_shell(name, method):
+    build, field, filler, row = BOUNDARY[name]
+    calls = Counter()
+    w = build(counted(field(), calls, "field"),
+              filler and counted(filler(), calls, "filler"))
+    calls.clear()  # the vortex tubes read the input when they are built
+    getattr(w, method)(np.array([row]))
+    # the shell reads the input, on the rim; the core never does
+    assert calls and all(who == "field" for who, _ in calls)
+
+
+def test_the_ball_filling_boundary_reads_the_vortex():
+    w = counterexample_sequence("ball", 4)
+    X = np.array([[0.25, 0.0, 0.0]])  # |x| = 1/k
+    assert w.evaluate_many(X).tolist() == [[1.0, 0.0, 0.0]]
+    # x/|x| has no radial derivative, where k x would have k
+    assert w.jacobian_many(X)[0].tolist() == np.diag([0.0, 4.0, 4.0]).tolist()

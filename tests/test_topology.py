@@ -386,8 +386,7 @@ def reference_nodes(field, grid):
     """Node angles and exact node distances over the whole lattice."""
     G = np.meshgrid(*[grid.axis_nodes(a) for a in range(grid.n)], indexing="ij")
     X = np.stack([g.ravel() for g in G], axis=1)
-    D = (np.full(len(X), np.inf) if field.singular_set is None
-         else distance_to_chain(X, field.singular_set))
+    D = distance_to_chain(X, field.singular_set)
     return _angles(field, X, D).reshape(G[0].shape), D.reshape(G[0].shape)
 
 
