@@ -1,9 +1,10 @@
 """Command-line front end: one subcommand per experiment.
 
 Subcommands: ``area``, ``energy``, ``jacobian``, ``recover``, ``relax``,
-``counterexample``, ``subadd``, ``sweep``.  A JSON config file may supply
-any flag value (flags win), held to the flag's choices as the line is.  Exit codes: 0 success, 2 invalid arguments,
-3 quadrature/extraction non-convergence, 4 I/O failure.
+``counterexample``, ``subadd``, ``sweep``; each subcommand parser names its
+runner.  A JSON config file may supply any flag value, read as that flag
+placed before the line's flags, so the line wins.  Exit codes: 0 success,
+2 invalid arguments, 3 quadrature/extraction non-convergence, 4 I/O failure.
 
 Outputs are UTF-8 CSV with LF line endings and 17 significant digits, so
 identical configurations reproduce byte-identical files.
@@ -132,9 +133,11 @@ def _run_energy(args):
     inside = field.singular_set.current_in(dom)
     grad, tva, minor = graph_functionals(field, dom, args.tol,
                                          ("tv", "tv_area", "minor"))
-    rhs = tva.value + math.pi * chain_mass(inside)
-    print(f"tv={grad.value:.12g} tv_area={tva.value:.12g} "
-          f"m2={minor.value:.12g} relaxed_rhs={rhs:.12g}")
+    line = f"tv={grad.value:.12g} tv_area={tva.value:.12g} m2={minor.value:.12g}"
+    if field.m == 2:  # the relaxed formula is proved for maps into S^1 only
+        rhs = tva.value + math.pi * chain_mass(inside)
+        line += f" relaxed_rhs={rhs:.12g}"
+    print(line)
     if args.out:
         rx.write_text(
             _scalar_csv([("tv", grad), ("tv_area", tva), ("m2", minor)]),
@@ -337,7 +340,7 @@ def _config_parser():
 
 
 def _read_config(argv):
-    """(flag defaults from ``--config PATH``, argv without that flag)."""
+    """(flag values by key from ``--config PATH``, argv without that flag)."""
     pre = _config_parser()
     known, rest = pre.parse_known_args(argv)
     for arg in rest:  # the options before the subcommand
@@ -359,8 +362,7 @@ def _read_config(argv):
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             pre.error(f"config {known.config}: {key!r} must be a string or a "
                       f"number, got {json.dumps(value)}")
-    # argparse runs a flag's type on string defaults only, so a number goes
-    # in as its text and its flag parses it
+    # a number goes to its flag as its text, which the flag's type parses
     return {k: v if isinstance(v, str) else repr(v)
             for k, v in defaults.items()}, rest
 
@@ -368,32 +370,6 @@ def _read_config(argv):
 def build_parser():
     """The full parser with the built-in defaults (one per process)."""
     return _build_parser()[0]
-
-
-def _apply_config(commands, config):
-    """Make a config's flag values the defaults of the subcommand parsers
-    ``commands``, and a flag it supplies optional.  Returns each replaced
-    (action, default, required), so a caller can restore them."""
-    replaced = []
-    for p in commands.values():
-        for action in p._actions:
-            if action.dest in config:
-                replaced.append((action, action.default, action.required))
-                action.default, action.required = config[action.dest], False
-    return replaced
-
-
-def _check_choices(command, args):
-    """Refuse a value outside its flag's choices.  argparse checks only the
-    values on the line, so this also checks those that a config gave."""
-    for action in command._actions:
-        if action.choices is None:
-            continue
-        value = getattr(args, action.dest)
-        if value not in action.choices:
-            command.error(f"argument {action.option_strings[0]}: invalid "
-                          f"choice: {value!r} (choose from "
-                          f"{', '.join(map(repr, action.choices))})")
 
 
 @functools.cache
@@ -408,13 +384,12 @@ def _build_parser():
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    commands = {}
 
-    def command(name, summary):
+    def command(name, summary, run):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--out", default=None)
-        commands[name] = p
+        p.set_defaults(run=run)
         return p
 
     def field_flags(p):
@@ -431,19 +406,22 @@ def _build_parser():
                        choices=["ball2", "ball3", "cube2", "cube3"])
         p.add_argument("--radius", type=float, default=1.0)
 
-    p = command("area", "graph area of a field over a domain")
+    p = command("area", "graph area of a field over a domain", _run_area)
     field_flags(p); domain_flags(p)
 
-    p = command("energy", "Sobolev energy triple and relaxed RHS")
+    p = command("energy", "Sobolev energy triple and relaxed RHS",
+                _run_energy)
     field_flags(p); domain_flags(p)
 
-    p = command("jacobian", "lattice extraction of the singularity chain")
+    p = command("jacobian", "lattice extraction of the singularity chain",
+                _run_jacobian)
     field_flags(p)
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--radius", type=float, default=1.0,
                    help="half side of the sampling cube")
 
-    p = command("recover", "build one recovery map and report its masses")
+    p = command("recover", "build one recovery map and report its masses",
+                _run_recover)
     p.add_argument("--construction", required=True,
                    choices=["smoothing", "dipole", "point", "cone4"])
     p.add_argument("--eps", type=float, required=True)
@@ -452,7 +430,7 @@ def _build_parser():
     p.add_argument("--d", type=int, default=None,
                    help="degree of smoothing and dipole (default 1)")
 
-    p = command("relax", "convergence study along a schedule")
+    p = command("relax", "convergence study along a schedule", _run_relax)
     p.add_argument("--study", required=True,
                    choices=list(_STUDIES))
     p.add_argument("--eps", default=None,
@@ -465,18 +443,20 @@ def _build_parser():
     p.add_argument("--disk", type=int, default=None,
                    help="disk of the chain study (default 1)")
 
-    p = command("counterexample", "filling sequences of the 3d vortex")
+    p = command("counterexample", "filling sequences of the 3d vortex",
+                _run_counterexample)
     p.add_argument("--variant", required=True,
                    choices=["ball", "cylinder"])
     p.add_argument("--k", default="4,8,16,32")
     p.add_argument("--radius", type=float, default=1.0)
 
     p = command("subadd",
-                "localized gap bounds and the subadditivity witness")
+                "localized gap bounds and the subadditivity witness",
+                _run_subadd)
     p.add_argument("--radii", default="0.2,0.9")
     p.add_argument("--k", default="8,16,32")
 
-    p = command("sweep", "plot-ready sweep of one quantity")
+    p = command("sweep", "plot-ready sweep of one quantity", _run_sweep)
     domain_flags(p)
     p.add_argument("--family", default="smoothing",
                    choices=["smoothing", "ball", "cylinder"])
@@ -485,36 +465,28 @@ def _build_parser():
     p.add_argument("--d", type=int, default=None,
                    help="degree of the smoothing family (default 1)")
 
-    return parser, commands
-
-
-_RUNNERS = {
-    "area": _run_area,
-    "energy": _run_energy,
-    "jacobian": _run_jacobian,
-    "recover": _run_recover,
-    "relax": _run_relax,
-    "counterexample": _run_counterexample,
-    "subadd": _run_subadd,
-    "sweep": _run_sweep,
-}
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    defaults, argv = _read_config(argv)
+    config, argv = _read_config(argv)
     parser, commands = _build_parser()
-    replaced = _apply_config(commands, defaults)
-    try:
-        args = parser.parse_args(argv)
-    finally:  # the config's defaults hold for this call only
-        for action, default, required in replaced:
-            action.default, action.required = default, required
-    _check_choices(commands[args.subcommand], args)
+    # a config value of a value flag of the subcommand goes on the line right
+    # after the subcommand, so argparse checks its type, choices and required
+    # as it checks the line's, and the line's own flag, later, wins; one
+    # "--flag=value" token, so that a value such as "-0.2,0.1" is not an option
+    at = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
+    if at is not None and argv[at] in commands:
+        argv[at + 1:at + 1] = [
+            f"{a.option_strings[0]}={config[a.dest]}"
+            for a in commands[argv[at]]._actions
+            if a.dest in config and a.nargs is None]
+    args = parser.parse_args(argv)
     try:
         if not TOL_MIN <= args.tol <= TOL_MAX:
             raise InvalidParams(f"tolerance must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
-        return _RUNNERS[args.subcommand](args)
+        return args.run(args)
     except (NoConvergence, AmbiguousWinding) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -45,9 +45,10 @@ def _piecewise(n, m, classify, pieces):
     ``classify(X)`` gives each row a region code in ``range(len(pieces))``
     and ``pieces[k]`` is region k's ``(ev, jac)`` pair, called once on
     exactly its rows and never on an empty region.  Region 0 is the input
-    field (x/|x| for the ball filling).  Every classifier counts codes as a sum of comparisons, all
-    false on a NaN row, so region 0 takes every row that no other region
-    claims, NaN rows included, and every row is written once.
+    field (x/|x| for the ball filling).  Every classifier counts codes as a
+    sum of comparisons, all false on a NaN row, so region 0 takes every row
+    that no other region claims, NaN rows included, and every row is
+    written once.
     """
 
     def assemble(X, which, shape):
@@ -431,8 +432,8 @@ def _ball_variant(k: int) -> VectorField:
                        name=f"counterexample_ball(k={k})")
 
 
-def _cylinder_profile(k: int):
-    alpha = 1.0 / k
+def _cylinder_variant(k: int) -> VectorField:
+    alpha = rk = 1.0 / k
 
     def theta_bd(phi):
         """Target latitude profile on spheres of radius >= 1/k."""
@@ -440,13 +441,6 @@ def _cylinder_profile(k: int):
 
     def theta_bd_prime(phi):
         return np.where(phi >= alpha, 1.0, -(math.pi - alpha) / alpha)
-
-    return alpha, theta_bd, theta_bd_prime
-
-
-def _cylinder_variant(k: int) -> VectorField:
-    alpha, theta_bd, theta_bd_prime = _cylinder_profile(k)
-    rk = 1.0 / k
 
     def _spherical(X):
         r = row_norms(X)
@@ -471,11 +465,10 @@ def _cylinder_variant(k: int) -> VectorField:
 
     def jac(X):
         r, phi, psi = _spherical(X)
-        r = np.maximum(r, 1e-300)
+        th = _theta(r, phi)
         tb = theta_bd(phi)
         tbp = theta_bd_prime(phi)
         fill = r < rk
-        th = np.where(fill, math.pi + r * k * (tb - math.pi), tb)
         # the e_r and e_phi components of grad th
         th_r = np.where(fill, k * (tb - math.pi), 0.0)
         th_phi = np.where(fill, r * k * tbp, tbp) / r
@@ -490,7 +483,7 @@ def _cylinder_variant(k: int) -> VectorField:
                    th_r * (sphi * sps) + th_phi * (cphi * sps),
                    th_r * cphi - th_phi * sphi)
         # u_psi already carries sin(theta); divide by the metric factor
-        metric = r * np.maximum(sphi, 1e-300)
+        metric = r * sphi
         grad_psi = (-sps / metric, cps / metric)
         J = np.empty((X.shape[0], 3, 3))
         for i in range(3):
@@ -538,7 +531,6 @@ def cylinder_analogue_2d(k: int) -> VectorField:
         T = np.where(fill, T0 + r * k * (tb - T0), tb)
         if not grad:
             return T
-        r = np.maximum(r, 1e-300)
         tbp = t_bd_prime(theta)
         T_r = np.where(fill, k * (tb - T0), 0.0)
         T_th = np.where(fill, r * k * tbp, tbp)
@@ -631,12 +623,12 @@ def cone_defect_filler(base, eps: float) -> VectorField:
     cone = Cone(4, base, eps, codim=3)
 
     def ev(X):
-        r = np.maximum(cone.profile(X[:, 3]), 1e-300)
+        r = cone.profile(X[:, 3])
         q = 1.0 / r + r
         return X[:, :2] * q[:, None]
 
     def jac(X):
-        r = np.maximum(cone.profile(X[:, 3]), 1e-300)
+        r = cone.profile(X[:, 3])
         q = 1.0 / r + r
         dq = (1.0 - 1.0 / r**2) * cone.slope(X[:, 3])
         J = np.zeros((X.shape[0], 2, 4))

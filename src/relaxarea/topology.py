@@ -711,7 +711,11 @@ def relaxed_area_rhs(field: VectorField, domain, chain: SingularChain,
                      tol: float, **kwargs) -> float:
     """Total-variation graph area plus pi times the mass of the current
     ``chain`` inside ``domain`` (``SingularChain.current_in``, which
-    refuses a 1-chain that ends inside the domain before any quadrature)."""
+    refuses a 1-chain that ends inside the domain before any quadrature).
+    The formula is proved for maps into S^1, so another target is refused."""
+    if field.m != 2:
+        raise InvalidParams(f"the relaxed area formula holds for maps into "
+                            f"S^1, and {field.name} maps into S^{field.m - 1}")
     inside = chain.current_in(domain)
     tv_area, = graph_functionals(field, domain, tol, ("tv_area",), **kwargs)
     return tv_area.value + math.pi * chain_mass(inside)

@@ -79,6 +79,15 @@ class TestEnergy:
         assert code == 0
         assert float(out.split("m2=")[1].split()[0]) < 1e-12
 
+    def test_sphere_vortex_prints_no_relaxed_rhs(self, capsys):
+        # the relaxed formula is proved for maps into S^1 only; the S^2-valued
+        # vortex still prints its Sobolev triple
+        code, out, _ = run(capsys, "energy", "--field", "sphere_vortex",
+                           "--domain", "ball3", "--tol", "1e-4")
+        assert code == 0
+        assert [tok.split("=")[0] for tok in out.split()] == ["tv", "tv_area",
+                                                               "m2"]
+
     @pytest.mark.parametrize("field, domain, radius, where", [
         # vortex_chain m=3 has a vortex at x = 0.5, on this ball's boundary
         ("vortex_chain", "ball2", "0.5", "(0.5, 0.0) lies within"),
@@ -445,7 +454,10 @@ class TestErrorPaths:
         ({"study": "smoothing", "eps": 0.2}, ["relax"], "at least 3 distinct"),
         ({"eps": True}, ["recover", "--construction", "smoothing"],
          "'eps' must be a string or a number, got true"),
-    ], ids=["null", "array", "number", "bool"])
+        # a value that starts with "-" is still the value of its flag
+        ({"study": "smoothing", "eps": "-0.2,0.1,0.05"}, ["relax"],
+         "--eps values must be finite and positive"),
+    ], ids=["null", "array", "number", "bool", "leading-minus"])
     def test_config_value_of_the_wrong_json_type_exits_2(self, capsys, tmp_path,
                                                          config, argv, message):
         cfg = tmp_path / "cfg.json"
@@ -507,6 +519,8 @@ class TestErrorPaths:
         (["recover", "--eps", "0.1"], {"construction": "smoothing"}),
         # recover's abbreviated --con stays an abbreviation of --construction
         (["recover", "--con", "smoothing"], {"eps": 0.1}),
+        # "help" is not a value flag, so the config's key is ignored
+        (["relax"], {"study": "smoothing", "eps": "0.2,0.1,0.05", "help": 1}),
     ])
     def test_config_supplies_required_flags(self, capsys, tmp_path, argv,
                                             config):

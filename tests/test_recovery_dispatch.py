@@ -21,7 +21,8 @@ from relaxarea.recovery import (
     vortex_smoothing_2d,
 )
 
-#: eps (or r) of every construction below; each modifies |x~| < 0.2 at x_n = 0
+#: eps (or r) of every construction below; each modifies |x~| < 0.2 at x_n = 0,
+#: and the fillings take k = 1/EPS, so each also replaces the vortex on B_{1/k}
 EPS = 0.2
 
 CONSTRUCTIONS = {
@@ -35,6 +36,9 @@ CONSTRUCTIONS = {
     "cone4": lambda: homogeneous_cone_extension(
         cone_defect_field_4d(), (-1.0, 1.0), EPS,
         filler=cone_defect_filler((-1.0, 1.0), EPS)),
+    "ball": lambda: counterexample_sequence("ball", round(1 / EPS)),
+    "cylinder": lambda: counterexample_sequence("cylinder", round(1 / EPS)),
+    "cyl2d": lambda: cylinder_analogue_2d(round(1 / EPS)),
 }
 
 
@@ -47,7 +51,7 @@ CONSTRUCTIONS = {
     (lambda: counterexample_sequence("cylinder", 4),
      {"r": (0.25,), "phi": (0.25,)}),
     (lambda: cylinder_analogue_2d(4), {"r": (0.25,), "theta": (-0.25, 0.25)}),
-], ids=list(CONSTRUCTIONS) + ["ball", "cylinder", "cyl2d"])
+], ids=list(CONSTRUCTIONS))
 def test_chart_breaks_pinned(build, breaks):
     got = build().chart_breaks
     assert got == breaks
@@ -69,6 +73,26 @@ def test_nan_row_raises_non_finite(name, method):
     getattr(w, method)(X[:-1])  # the regular rows alone are fine
     with pytest.raises(NonFinite):
         getattr(w, method)(X)
+
+
+@pytest.mark.parametrize("field, methods, X", [
+    # the sweep fillings' Jacobians on the +z axis and at the origin, where
+    # psi and theta are arctan2(0, 0); the 4d filler at its tips, r_eps = 0
+    (lambda: counterexample_sequence("cylinder", 8), ["jacobian_many"],
+     [[0.0, 0.0, 0.5], [0.0, 0.0, 0.05]]),
+    (lambda: cylinder_analogue_2d(8), ["jacobian_many"], [[0.0, 0.0]]),
+    (lambda: cone_defect_filler((-1.0, 1.0), EPS),
+     ["evaluate_many", "jacobian_many"], [[0.3, 0.0, 0.0, -1.0]]),
+    (lambda: cone_defect_filler((-1.0, 1.0), EPS),
+     ["evaluate_many", "jacobian_many"], [[0.3, 0.0, 0.0, 1.0]]),
+], ids=["cylinder", "cyl2d", "cone4-filler-a", "cone4-filler-b"])
+def test_fillings_off_their_charts_raise_non_finite(field, methods, X):
+    # no chart node reaches these rows; a clamp there gave finite wrong values
+    w = field()
+    for method in methods:
+        with pytest.raises(NonFinite), np.errstate(divide="ignore",
+                                                   invalid="ignore"):
+            getattr(w, method)(np.array(X))
 
 
 @pytest.mark.parametrize("build, error, match", [

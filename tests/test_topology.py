@@ -1035,6 +1035,17 @@ class TestRelaxedRhs:
                            match=r"\(0, 0, -1\) and \(0, 0, 1\) inside"):
             relaxed_area_rhs(pv, Ball(3, 2.0), pv.singular_set, 1e-3)
 
+    def test_a_map_into_the_two_sphere_is_refused(self, monkeypatch):
+        # the formula is proved for maps into S^1; the S^2-valued vortex's
+        # fillings show that its defect is not local (criterion 7)
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(topology, "graph_functionals", no_quadrature)
+        sv = make_example_field("sphere_vortex")
+        with pytest.raises(InvalidParams, match="maps into S\\^1"):
+            relaxed_area_rhs(sv, Ball(3, 1.0), sv.singular_set, 1e-4)
+
 
 class TestRestrictedMass:
     """The two sources of the singular current agree inside a domain: the
