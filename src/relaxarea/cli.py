@@ -362,9 +362,7 @@ def _read_config(argv):
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             pre.error(f"config {known.config}: {key!r} must be a string or a "
                       f"number, got {json.dumps(value)}")
-    # a number goes to its flag as its text, which the flag's type parses
-    return {k: v if isinstance(v, str) else repr(v)
-            for k, v in defaults.items()}, rest
+    return defaults, rest
 
 
 def build_parser():
@@ -475,7 +473,8 @@ def main(argv=None) -> int:
     # a config value of a value flag of the subcommand goes on the line right
     # after the subcommand, so argparse checks its type, choices and required
     # as it checks the line's, and the line's own flag, later, wins; one
-    # "--flag=value" token, so that a value such as "-0.2,0.1" is not an option
+    # "--flag=value" token, a number as its text, so that a value such as
+    # "-0.2,0.1" is not an option
     at = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
     if at is not None and argv[at] in commands:
         argv[at + 1:at + 1] = [

@@ -369,9 +369,9 @@ def chain_centers_radii(m: int) -> tuple[np.ndarray, np.ndarray]:
     return centers, radii
 
 
-def _chain_angle(X, centers, radii, grad=False):
-    """Target angle T of the vortex-chain map (values are (cos T, sin T)),
-    and with ``grad`` also its gradient (N, 2).
+def _chain_lift(centers, radii):
+    """The vortex-chain map's lift T with these disks (its values are
+    (cos T, sin T)): ``lift(X)`` is T (N,), ``lift(X, True)`` (T, grad T).
 
     Regions: inscribed disks carry alternating-orientation vortices, the
     circumscribing squares extend the boundary trace constantly along
@@ -379,95 +379,80 @@ def _chain_angle(X, centers, radii, grad=False):
     traces, end strips extend the outermost arcs, and the two remaining
     components are the constants (1,0) above and (-1,0) below.
 
-    x1 alone names each point's only candidate region, a search among the
-    squares' sides: 0 for the lead strip, 2j + 1 for square j, 2j for the
-    gap between squares j - 1 and j, and 2m for the tail strip (and for
-    NaN, which sorts last); a point on a square's right side gets the gap
-    or strip after it, whose angle there equals the square's.  Each region
-    present is then evaluated on its own points, and its gradient on the
-    same points.  Outside the disks T is a constant plus or minus
-    arcsin(x2 / H), with H the region's half-height (linear in x1 across a
-    gap); each region keeps only its points with |x2| <= H, so x2 / H lies
-    in [-1, 1] (division rounds monotonically).  On the creases |x2| = H
-    the derivative of arcsin is infinite; these points are a null set, and
-    they get the gradient of the constant side, zero, so that no integral
-    fails there.
+    x1 alone names each point's region, a search among the squares' sides:
+    0 for the lead strip, 2j + 1 for square j, 2j for the gap between
+    squares j - 1 and j, 2m for the tail strip and 2m + 1 for NaN; a point
+    on a square's right side gets the gap or strip after it, whose angle
+    there equals the square's.  A region's owner is square j, of degree
+    d = (-1)^j: itself, the square left of a gap or the tail strip, or a
+    virtual square -1 for the lead strip.  The creases are one polyline
+    |x2| = H(x1), with H = h_j over square j, linear across a gap, and h_0
+    and h_{m-1} over the strips.  A point with |x2| <= H takes d (theta -
+    pi/2), with theta the polar angle about the owning centre in its disk,
+    else arcsin(x2 / H), or pi minus that left of the centre in a square
+    (x2 / H lies in [-1, 1], as division rounds monotonically).  On the
+    creases the derivative of arcsin is infinite; these points are a null
+    set, and they get the gradient of the constant side, zero, so that no
+    integral fails there.
     """
     m = len(radii)
-    x1, x2 = X[:, 0], X[:, 1]
-    sides = np.stack([centers[:, 0] - radii, centers[:, 0] + radii], axis=1)
-    region = np.searchsorted(sides.ravel(), x1, "right")
-    T = np.where(x2 >= 0.0, 0.0, np.pi)  # default: the two constant components
-    # no region takes a NaN coordinate, so its gradient stays NaN
-    G = np.where(np.isnan(X), np.nan, 0.0) if grad else None
+    sides = np.append(centers[:, :1] + radii[:, None] * [-1.0, 1.0], np.nan)
+    # Tables by region r: the degree of its owner j = (r + 1) // 2 - 1; top,
+    # H off the gaps, a bound across them as the radii shrink, -inf for NaN;
+    # the rise of H across a gap (nonzero there only) and its width; a
+    # square's centre, NaN elsewhere, so that no disk or left side is found.
+    j = np.arange(-1, 2 * m + 1) // 2
+    deg, top = (-1.0) ** j, np.concatenate([radii[:1], radii, [-np.inf]])[j + 1]
+    rise, width = np.zeros_like(top), np.ones_like(top)
+    rise[2:-2:2], width[2:-2:2] = np.diff(radii), sides[2:-1:2] - sides[1:-2:2]
+    cx = np.append(centers[:, 0], np.nan)[np.where(np.arange(2 * m + 2) % 2, j, m)]
 
-    def arc_slope(y, H):
-        # d/dy arcsin(y / H) = 1 / sqrt(H^2 - y^2), zero on the crease |y| = H
+    def lift(X, grad=False):
+        x1, x2 = X[:, 0], X[:, 1]
+        region = np.searchsorted(sides, x1, "right")
+        i = np.flatnonzero(np.abs(x2) <= top[region])
+        r, x, y, H = region[i], x1[i], x2[i], top[region[i]]
+        g = np.flatnonzero(rise[r])  # the gap rows
+        if g.size:
+            H[g] += rise[r[g]] * ((x[g] - sides[r[g] - 1]) / width[r[g]])
+            keep = np.flatnonzero(np.abs(y) <= H)
+            i, r, x, y, H = (a[keep] for a in (i, r, x, y, H))
+        d, dx = deg[r], x - cx[r]
+        disk = np.hypot(dx, y) < H
+        flip = ~disk & (dx < 0.0)  # left of the owning centre, off its disk
+        theta = np.arctan2(y, dx, out=np.empty_like(y), where=disk)
+        np.arcsin(y / H, out=theta, where=~disk)  # the crease rule
+        np.subtract(np.pi, theta, out=theta, where=flip)
+        T = np.where(x2 >= 0.0, 0.0, np.pi)  # default: the two constant parts
+        # d (theta - pi/2), expanded: -theta + pi/2 rounds as pi/2 - theta
+        T[i] = d * theta - d * (np.pi / 2)
+        if not grad:
+            return T
+        # no row takes a NaN coordinate, so its gradient stays NaN
+        G = np.where(np.isnan(X), np.nan, 0.0)
+        # the crease rule's dT/dx2 = +-d / sqrt(H^2 - x2^2), 0 on the crease
         q = (H - np.abs(y)) * (H + np.abs(y))
-        return np.divide(1.0, np.sqrt(q), out=np.zeros_like(q), where=q > 0.0)
+        dT = (np.where(flip, -d, d)
+              * np.divide(1.0, np.sqrt(q), out=np.zeros_like(q), where=q > 0.0))
+        r2 = dx**2 + y**2
+        G[i, 0] = np.where(disk, d * (-y / r2), 0.0)
+        G[i, 1] = np.where(disk, d * (dx / r2), dT)
+        e = rise[r] != 0.0  # and across a gap dT/dx1 = -H' (x2 / H) dT/dx2
+        G[i[e], 0] = -(rise / width)[r[e]] * (y[e] / H[e]) * dT[e]
+        return T, G
 
-    for r in np.flatnonzero(np.bincount(region, minlength=2 * m + 1)):
-        idx = np.flatnonzero(region == r)
-        j = r // 2
-        if r % 2:  # square j (the disk inside it)
-            cx, h = centers[j, 0], radii[j]
-            idx = idx[np.abs(x2[idx]) <= h]
-            dx, dy = x1[idx] - cx, x2[idx]
-            disk = np.hypot(dx, dy) < h
-            s = np.arcsin(dy / h)
-            theta = np.where(disk, np.arctan2(dy, dx),
-                             np.where(dx >= 0, s, np.pi - s))
-            T[idx] = theta - np.pi / 2 if j % 2 == 0 else np.pi / 2 - theta
-            if grad:
-                d = 1.0 if j % 2 == 0 else -1.0  # the vortex's degree
-                k, kx, ky = idx[disk], dx[disk], dy[disk]
-                r2 = kx**2 + ky**2
-                G[k, 0] = d * (-ky / r2)
-                G[k, 1] = d * (kx / r2)
-                out = ~disk
-                G[idx[out], 1] = (np.where(dx[out] >= 0, d, -d)
-                                  * arc_slope(dy[out], h))
-        elif r == 0:  # strip joining the first square to the boundary
-            idx = idx[np.abs(x2[idx]) <= radii[0]]
-            T[idx] = np.pi / 2 - np.arcsin(x2[idx] / radii[0])
-            if grad:
-                G[idx, 1] = -arc_slope(x2[idx], radii[0])
-        elif r == 2 * m:  # tail strip, whose code NaN shares
-            idx = idx[(x1[idx] >= centers[-1, 0] + radii[-1])
-                      & (np.abs(x2[idx]) <= radii[-1])]
-            s = np.arcsin(x2[idx] / radii[-1])
-            T[idx] = s - np.pi / 2 if (m - 1) % 2 == 0 else np.pi / 2 - s
-            if grad:
-                sign = 1.0 if (m - 1) % 2 == 0 else -1.0
-                G[idx, 1] = sign * arc_slope(x2[idx], radii[-1])
-        else:  # gap trapezoid after square j - 1
-            right = centers[j - 1, 0] + radii[j - 1]
-            left = centers[j, 0] - radii[j]
-            # right <= x1 < left, so lam lies in [0, 1]
-            lam = (x1[idx] - right) / (left - right)
-            H = radii[j - 1] + (radii[j] - radii[j - 1]) * lam
-            inside = np.abs(x2[idx]) <= H
-            idx, H = idx[inside], H[inside]
-            s = np.arcsin(x2[idx] / H)
-            T[idx] = s - np.pi / 2 if (j - 1) % 2 == 0 else np.pi / 2 - s
-            if grad:
-                # s = arcsin(x2 / H(x1)), H' = (h_j - h_{j-1}) / (left - right)
-                y = x2[idx]
-                g = (1.0 if (j - 1) % 2 == 0 else -1.0) * arc_slope(y, H)
-                slope = (radii[j] - radii[j - 1]) / (left - right)
-                G[idx, 0] = -slope * (y / H) * g
-                G[idx, 1] = g
-    return (T, G) if grad else T
+    return lift
+
+
+def _chain_angle(X, centers, radii, grad=False):
+    """``_chain_lift(centers, radii)(X, grad)``."""
+    return _chain_lift(centers, radii)(X, grad)
 
 
 def _vortex_chain(m: int) -> VectorField:
     centers, radii = chain_centers_radii(m)
-
-    def lift(X, grad=False):
-        return _chain_angle(X, centers, radii, grad)
-
-    ev, jac, angle = _circle_map(lift)
-    cells = [(tuple(centers[j]), 1 if j % 2 == 0 else -1) for j in range(m)]
+    ev, jac, angle = _circle_map(_chain_lift(centers, radii))
+    cells = [(tuple(centers[j]), (-1) ** j) for j in range(m)]
     return VectorField(
         2, 2, ev, jac,
         singular_set=SingularChain.points(2, cells),

@@ -301,12 +301,13 @@ def study_chain_disk(chain_field: VectorField, j: int, tol: float = 1e-6):
     relaxed-energy gap, which the superadditivity argument bounds below
     by pi per disk.
     """
-    m = len(chain_field.singular_set.cells)
-    if not 1 <= j <= m:
-        raise InsufficientData(f"disk index {j} outside 1..{m}")
-    centers, radii = chain_centers_radii(m)
-    c, h = centers[j - 1], radii[j - 1]
-    d = 1 if (j - 1) % 2 == 0 else -1
+    cells = chain_field.singular_set.cells
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+        raise InvalidParams(f"disk index must be an integer, got {j!r}")
+    if not 1 <= j <= len(cells):
+        raise InsufficientData(f"disk index {j} outside 1..{len(cells)}")
+    c, d = cells[j - 1]  # the disk's centre and degree, as declared
+    h = chain_centers_radii(len(cells))[1][j - 1]
     dom = Ball(2, h, tuple(c))
     ref, = graph_functionals(chain_field, dom, tol, ("tv_area",))
     report = convergence_study(

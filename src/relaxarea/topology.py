@@ -229,11 +229,14 @@ def _loop_points(loop, samples: int) -> np.ndarray:
 def winding_number(field: VectorField, loop, samples: int = 64) -> int:
     """Brouwer degree of an m=2 field around a closed loop.
 
-    Uses principal-branch increments; if any increment reaches pi/2 the
-    loop is resampled at twice the density, up to four times.
+    Uses principal-branch increments between ``samples`` points (an
+    integer >= 3); if any increment reaches pi/2 the loop is resampled at
+    twice the density, up to four times.
     """
     if field.m != 2:
         raise InvalidParams("winding numbers are defined for m=2 fields")
+    if not isinstance(samples, (int, np.integer)) or samples < 3:
+        raise InvalidParams(f"samples must be an integer >= 3, got {samples!r}")
     for attempt in range(5):
         pts = _loop_points(loop, samples * 2**attempt)
         try:

@@ -247,6 +247,14 @@ class TestStudies:
         gap = rep.limits["area"] - ref
         assert gap == pytest.approx(math.pi, rel=0.02)
 
+    @pytest.mark.parametrize("j, error", [
+        (1.5, InvalidParams), (True, InvalidParams), (2.0, InvalidParams),
+        (0, InsufficientData), (4, InsufficientData)])
+    def test_chain_disk_index_is_refused_before_any_row(self, j, error):
+        chain = make_example_field("vortex_chain", m=3)
+        with pytest.raises(error, match="disk index"):
+            study_chain_disk(chain, j)
+
     def test_counterexample_ball_limit(self):
         rep = study_counterexample("ball", [2, 4, 8, 16], tol=1e-6)
         target = 16 * math.pi / 3 + 4 * math.pi / 3

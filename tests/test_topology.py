@@ -79,6 +79,13 @@ class TestWindingNumber:
         with pytest.raises(SingularOnLoop):
             winding_number(v, Circle((0.5, 0.0), 0.5), samples=64)
 
+    @pytest.mark.parametrize("samples", [1, 0, -3, 2.5, 64.0])
+    def test_samples_below_three_or_not_integer_are_refused(self, samples):
+        # a single sample closes no loop (it read 0 for a degree-1 vortex)
+        v = make_example_field("vortex", d=1)
+        with pytest.raises(InvalidParams, match="samples"):
+            winding_number(v, Circle((0.0, 0.0), 0.5), samples=samples)
+
     def test_resampling_resolves_coarse_start(self):
         # 3 * 2pi / 4 wraps; doubling twice brings increments under pi/2
         v = make_example_field("vortex", d=3)
